@@ -28,7 +28,7 @@ from itertools import combinations, combinations_with_replacement
 from math import lcm
 from typing import Iterator, Sequence
 
-from .cover import BranchData
+from .cover import BranchData, eigensheaf_degrees
 from .gf2 import orbit_reps, parity_vector
 from .walsh import NonIntegralError
 from .wps import Weights, monomial_count, well_formed
@@ -100,21 +100,6 @@ class DistributionCounts:
     counts: tuple[tuple[int, int], ...]
 
 
-def _half_sums(d: Sequence[int]) -> tuple[int, ...] | None:
-    """Eigensheaf degrees of ``d`` or None when a half-sum is odd."""
-    n = len(d)
-    out = [0] * n
-    for chi in range(1, n):
-        acc = 0
-        for g in range(1, n):
-            if (chi & g).bit_count() & 1:
-                acc += d[g]
-        if acc & 1:
-            return None
-        out[chi] = acc // 2
-    return tuple(out)
-
-
 def is_pluricanonical(weights: Weights, branch: BranchData, m: int) -> PluricanonicalReport:
     """Decide whether the m-th pluricanonical system is a flat multiple.
 
@@ -126,9 +111,7 @@ def is_pluricanonical(weights: Weights, branch: BranchData, m: int) -> Pluricano
     """
     if m < 1:
         raise ValueError(f"multiple m must be positive, got {m}")
-    l = _half_sums(branch.d)
-    if l is None:
-        raise NonIntegralError(f"eigensheaf degrees of {branch.d} are not integral")
+    l = eigensheaf_degrees(branch).l
     D = branch.total
     L = weights.L
     reasons: list[str] = []
@@ -172,8 +155,9 @@ def max_admissible_m(weights: Weights, branch: BranchData) -> int | None:
     excess = Fraction(D, 2) - weights.W
     if excess <= 0:
         return None
-    l = _half_sums(branch.d)
-    if l is None:
+    try:
+        l = eigensheaf_degrees(branch).l
+    except NonIntegralError:
         return None
     # beyond the largest degree plus a Frobenius allowance every
     # twisted degree is effective, so the loop below terminates
@@ -293,20 +277,20 @@ def support_bound(C: int, p: int) -> int:
     return C - p + 1
 
 
-def _parity_masks(s: int) -> list[int]:
-    """For each character, the set ``{x : chi.x = 1}`` packed 4 bits per x."""
+def _parity_masks(s: int, width: int) -> list[int]:
+    """For each character, the set ``{x : chi.x = 1}`` packed ``width`` bits per x."""
     n = 1 << s
     masks = [0] * n
     for chi in range(1, n):
         acc = 0
         for x in range(1, n):
             if (chi & x).bit_count() & 1:
-                acc |= 1 << (4 * x)
+                acc |= 1 << (width * x)
         masks[chi] = acc
     return masks
 
 
-_PARITY_MASKS: dict[int, list[int]] = {}
+_PARITY_MASKS: dict[tuple[int, int], list[int]] = {}
 
 
 def _reconstruct_distribution(
@@ -317,22 +301,22 @@ def _reconstruct_distribution(
     ``excess`` lists ``(value, multiplicity)`` pairs of l-values above the
     base.  Inversion uses ``d(x) = (base - E + 2 T(x)) / 2^(s-2)`` where T
     accumulates the excesses over characters pairing to 1 with x; the T
-    accumulator is packed 4 bits per group element into one integer, so a
-    placement is validated with a handful of big-int adds.
+    accumulator is packed into one integer, one field per group element, so
+    a placement is validated with a handful of big-int adds.
     """
     n = 1 << s
     div = 1 << (s - 2)
     e_total = sum((v - base) * c for v, c in excess)
     const = base - e_total
-    # 4-bit fields: each T(x) is at most e_total, which must fit
-    if e_total >= 16:
-        yield from _reconstruct_slow(s, D, base, excess)
-        return
     if s >= 3 and const % 2:
         return  # every numerator would be odd
-    if s not in _PARITY_MASKS:
-        _PARITY_MASKS[s] = _parity_masks(s)
-    masks = _PARITY_MASKS[s]
+    # each T(x) is at most e_total, so fields of its bit length never carry
+    width = max(1, e_total.bit_length())
+    field = (1 << width) - 1
+    key = (s, width)
+    if key not in _PARITY_MASKS:
+        _PARITY_MASKS[key] = _parity_masks(s, width)
+    masks = _PARITY_MASKS[key]
     values = sorted({v for v, _ in excess}, reverse=True)
     mult = dict(excess)
 
@@ -355,49 +339,7 @@ def _reconstruct_distribution(
         d = [0] * n
         ok = True
         for x in range(1, n):
-            num = const + 2 * ((t_packed >> (4 * x)) & 0xF)
-            if num < 0 or num % div:
-                ok = False
-                break
-            d[x] = num // div
-        if ok:
-            assert sum(d) == D
-            yield tuple(d)
-
-
-def _reconstruct_slow(
-    s: int, D: int, base: int, excess: Sequence[tuple[int, int]]
-) -> Iterator[tuple[int, ...]]:
-    # fallback without bit packing, for distributions with large excess mass
-    n = 1 << s
-    div = 1 << (s - 2)
-    e_total = sum((v - base) * c for v, c in excess)
-    const = base - e_total
-    values = sorted({v for v, _ in excess}, reverse=True)
-    mult = dict(excess)
-
-    def place(vi: int, avail: tuple[int, ...], assigned: dict[int, int]) -> Iterator[dict[int, int]]:
-        if vi == len(values):
-            yield assigned
-            return
-        v = values[vi]
-        for combo in combinations(avail, mult[v]):
-            taken = set(combo)
-            yield from place(
-                vi + 1,
-                tuple(c for c in avail if c not in taken),
-                {**assigned, **{chi: v - base for chi in combo}},
-            )
-
-    for assigned in place(0, tuple(range(1, n)), {}):
-        d = [0] * n
-        ok = True
-        for x in range(1, n):
-            t = 0
-            for chi, e in assigned.items():
-                if (chi & x).bit_count() & 1:
-                    t += e
-            num = const + 2 * t
+            num = const + 2 * ((t_packed >> (width * x)) & field)
             if num < 0 or num % div:
                 ok = False
                 break

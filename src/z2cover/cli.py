@@ -3,11 +3,10 @@
 Subcommands map one-to-one onto the library: ``cover`` for single-cover
 checks and invariants, ``geography`` for the ratio-simplex coordinates,
 ``classify`` for the exhaustive admissible lists, ``deform`` for the
-rigidity criteria, ``examples`` for the generated families, ``selftest``
-for the transform property suite.  All rational output is exact ("p/q"
-strings in JSON, never floats), list output is canonically sorted before
-emission, and fixing the seed makes every byte of stdout reproducible
-regardless of the thread count.
+rigidity criteria, ``examples`` for the generated families.  All rational
+output is exact ("p/q" strings in JSON, never floats), list output is
+canonically sorted before emission, and fixing the seed makes every byte
+of stdout reproducible.
 
 Exit codes: 0 success, 1 the checked object failed a validation, 2
 malformed input (bad JSON, bad parameters, out-of-range ranks).
@@ -18,15 +17,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 
-from . import classify, moduli, walsh
+from . import classify, moduli
 from .cover import (
+    MAX_RANK,
     BranchData,
     CoverSpecError,
     eigensheaf_degrees,
@@ -52,7 +49,6 @@ from .wps import Weights
 __all__ = [
     "main",
     "build_parser",
-    "RunConfig",
     "random_ratio",
     "solutions_to_md",
     "md_to_solutions",
@@ -63,39 +59,9 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_MALFORMED = 2
 
-THREADS_ENV = "Z2COVER_THREADS"
-
 # scan masses of the hunt family: 1/2 lies below its positive-index window,
 # the other four lie inside it
 HUNT_SCAN = ("1/2", "11/20", "3/5", "13/20", "17/25")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Knobs shared across subcommands, resolved from flags and environment."""
-
-    fmt: str = "json"
-    threads: int = 1
-    seed: int = 0
-    count: int = 100
-    t_max: int | None = None
-    bounds_report: bool = False
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        threads = getattr(args, "threads", None)
-        if threads is None:
-            threads = int(os.environ.get(THREADS_ENV, "1"))
-        if threads < 1:
-            raise ValueError(f"thread count must be positive, got {threads}")
-        return cls(
-            fmt=getattr(args, "fmt", "json"),
-            threads=threads,
-            seed=getattr(args, "seed", 0),
-            count=getattr(args, "count", 100),
-            t_max=getattr(args, "t_max", None),
-            bounds_report=getattr(args, "bounds_report", False),
-        )
 
 
 def _emit(payload) -> None:
@@ -110,7 +76,7 @@ def _frac(v: Fraction | None) -> str | None:
 # cover
 
 
-def _cmd_cover_check(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_cover_check(args: argparse.Namespace) -> int:
     report = validate(from_path(args.path))
     _emit(
         {
@@ -129,7 +95,7 @@ def _cmd_cover_check(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
-def _cmd_cover_invariants(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_cover_invariants(args: argparse.Namespace) -> int:
     rep = invariant_report(from_path(args.path))
     _emit(
         {
@@ -164,42 +130,44 @@ def random_ratio(s: int, rng: random.Random) -> RatioVector:
     return RatioVector(s, tuple(r))
 
 
-def _cmd_geo_sample(args: argparse.Namespace, cfg: RunConfig) -> int:
-    s = args.s
+def _geo_rank(s: int) -> int:
+    if not 1 <= s <= MAX_RANK:
+        raise ValueError(f"rank must be an integer in 1..{MAX_RANK}, got {s}")
+    return s
 
-    def one(index: int):
-        rng = random.Random(f"{cfg.seed}:{index}")
-        return index, geography_point(random_ratio(s, rng))
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(one, range(cfg.count)))
-    else:
-        results = [one(i) for i in range(cfg.count)]
-    results.sort(key=lambda pair: pair[0])
-    if cfg.fmt == "csv":
+def _cmd_geo_sample(args: argparse.Namespace) -> int:
+    s = _geo_rank(args.s)
+    if args.count < 1:
+        raise ValueError(f"count must be positive, got {args.count}")
+    points = [
+        geography_point(random_ratio(s, random.Random(f"{args.seed}:{index}")))
+        for index in range(args.count)
+    ]
+    if args.fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["index", "x", "y", "sci"])
-        for index, pt in results:
+        for index, pt in enumerate(points):
             writer.writerow([index, pt.x, pt.y, pt.sci])
     else:
         _emit(
             {
                 "s": s,
-                "seed": cfg.seed,
-                "count": cfg.count,
+                "seed": args.seed,
+                "count": args.count,
                 "points": [
                     {"index": i, "x": str(p.x), "y": str(p.y), "sci": str(p.sci)}
-                    for i, p in results
+                    for i, p in enumerate(points)
                 ],
             }
         )
     return EXIT_OK
 
 
-def _cmd_geo_extremes(args: argparse.Namespace, cfg: RunConfig) -> int:
-    vx = geography_point(vertex_ratio(args.s))
-    bc = geography_point(barycenter_ratio(args.s))
+def _cmd_geo_extremes(args: argparse.Namespace) -> int:
+    s = _geo_rank(args.s)
+    vx = geography_point(vertex_ratio(s))
+    bc = geography_point(barycenter_ratio(s))
     _emit(
         {
             "s": args.s,
@@ -214,12 +182,13 @@ def _cmd_geo_extremes(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_geo_hunt(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_geo_hunt(args: argparse.Namespace) -> int:
+    s = _geo_rank(args.s)
     values = args.t or list(HUNT_SCAN)
     rows = []
     for raw in values:
         t = Fraction(raw)
-        f, pt = hunt_scan(args.s, t)
+        f, pt = hunt_scan(s, t)
         rows.append(
             {
                 "t": str(t),
@@ -352,14 +321,16 @@ def _family_payload(fam) -> dict:
     }
 
 
-def _cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if cfg.bounds_report:
+def _cmd_classify(args: argparse.Namespace) -> int:
+    if args.s < 1:
+        raise ValueError(f"rank must be positive, got {args.s}")
+    if args.bounds_report:
         print(classify.bounds_report(args.s, args.m), file=sys.stderr)
     if args.s == 1:
-        families = classify.enumerate_s1(args.m, t_max=cfg.t_max)
-        if cfg.fmt == "md":
+        families = classify.enumerate_s1(args.m, t_max=args.t_max)
+        if args.fmt == "md":
             print(families_to_md(families))
-        elif cfg.fmt == "csv":
+        elif args.fmt == "csv":
             writer = csv.writer(sys.stdout, lineterminator="\n")
             writer.writerow(["m", "weights", "degree", "t_min", "t_sup", "status", "note"])
             for fam in families:
@@ -383,9 +354,9 @@ def _cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.base in ("all", "projective"):
         sols.extend(classify.enumerate_L1(args.s, args.m))
     sols.sort(key=classify.AdmissibleSolution.sort_key)
-    if cfg.fmt == "md":
+    if args.fmt == "md":
         print(solutions_to_md(sols))
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["m", "weights", "d", "k", "p", "status", "note"])
         for sol in sols:
@@ -409,7 +380,7 @@ def _cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
 # deform / examples
 
 
-def _cmd_deform_check(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_deform_check(args: argparse.Namespace) -> int:
     rep = moduli.deformation_criteria(from_path(args.path))
     _emit(
         {
@@ -425,7 +396,7 @@ def _cmd_deform_check(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK if rep.ok else EXIT_INVALID
 
 
-def _cmd_examples_new_component(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_examples_new_component(args: argparse.Namespace) -> int:
     spec = moduli.gen_new_component(args.M)
     l = eigensheaf_degrees(spec.branch).l
     rep = moduli.deformation_criteria(spec)
@@ -443,7 +414,7 @@ def _cmd_examples_new_component(args: argparse.Namespace, cfg: RunConfig) -> int
     return EXIT_OK
 
 
-def _cmd_examples_unbounded(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_examples_unbounded(args: argparse.Namespace) -> int:
     fam = moduli.gen_unbounded(args.s, args.kind)
     _emit(
         {
@@ -466,39 +437,6 @@ def _cmd_examples_unbounded(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# selftest
-
-
-def _cmd_selftest_fourier(args: argparse.Namespace, cfg: RunConfig) -> int:
-    failures = 0
-    for s in range(2, 9):
-        n = 1 << s
-        rng = random.Random(f"{cfg.seed}:{s}")
-        for _ in range(args.rounds):
-            d = [rng.randint(-20, 20) for _ in range(n)]
-            hat = walsh.forward(d)
-            ok = (
-                walsh.inverse(hat) == list(d)
-                and sum(hat) == n * d[0]
-                and sum(v * v for v in hat) == n * sum(v * v for v in d)
-            )
-            if ok and s <= 5:
-                e = [rng.randint(-9, 9) for _ in range(n)]
-                conv = [sum(d[g] * e[g ^ h] for g in range(n)) for h in range(n)]
-                ok = walsh.forward(conv) == [u * v for u, v in zip(hat, walsh.forward(e))]
-            if not ok:
-                failures += 1
-        print(f"s={s}: {args.rounds} functions ok" if not failures else f"s={s}: FAILED")
-        if failures:
-            break
-    if failures:
-        print(f"fourier selftest failed (seed {cfg.seed})")
-        return EXIT_INVALID
-    print(f"fourier selftest passed (seed {cfg.seed})")
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
 # wiring
 
 
@@ -506,12 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="z2cover",
         description="exact invariants and classification of (Z/2)^s covers of weighted P^3",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help=f"worker threads (default: ${THREADS_ENV} or 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -565,21 +497,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.set_defaults(func=_cmd_examples_unbounded)
 
-    selftest = sub.add_parser("selftest", help="property suites")
-    selftest_sub = selftest.add_subparsers(dest="action", required=True)
-    p = selftest_sub.add_parser("fourier")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rounds", type=int, default=60)
-    p.set_defaults(func=_cmd_selftest_fourier)
-
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig.from_args(args)
-        return args.func(args, cfg)
+        return args.func(args)
     except NonIntegralError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import walsh
-from .gf2 import dot, parity_vector
+from .gf2 import parity_vector
 from .walsh import NonIntegralError
 from .wps import Weights
 
@@ -34,6 +34,10 @@ __all__ = [
     "from_json",
     "from_path",
 ]
+
+
+# largest rank accepted from outside the program: a cover file or a CLI flag
+MAX_RANK = 16
 
 
 class CoverSpecError(ValueError):
@@ -115,19 +119,12 @@ def half_point_count(spec: CoverSpec) -> int:
 
     Counts unordered zero-sum triples of branch components weighted by
     ``d_p * d_q * d_r / prod(weights)``; a fractional total raises
-    :class:`NonIntegralError`.
+    :class:`NonIntegralError`.  Since ``d(0) = 0``, every weighted zero-sum
+    triple has three distinct elements, so the unordered count is a sixth
+    of the spectral triple convolution ``sum(S^3) / 2^s``.
     """
-    d = spec.branch.d
-    n = len(d)
-    acc = 0
-    for p in range(1, n):
-        if not d[p]:
-            continue
-        for q in range(p + 1, n):
-            r = p ^ q
-            if r > q:
-                acc += d[p] * d[q] * d[r]
-    total = Fraction(acc, spec.weights.A)
+    triples = walsh.triple_convolution_at_zero(walsh.forward(spec.branch.d)) / 6
+    total = triples / spec.weights.A
     if total.denominator != 1:
         raise NonIntegralError(f"half-point count {total} is not integral")
     return int(total)
@@ -217,6 +214,11 @@ def to_json(spec: CoverSpec) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _is_int(value) -> bool:
+    # JSON true/false decode to bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def from_json(text: str) -> CoverSpec:
     """Parse a cover description; omitted group elements carry degree 0."""
     try:
@@ -231,8 +233,8 @@ def from_json(text: str) -> CoverSpec:
         dmap = payload["d"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CoverSpecError(f"bad cover description: {exc}") from exc
-    if not isinstance(s, int) or not 1 <= s <= 16:
-        raise CoverSpecError(f"rank must be an integer in 1..16, got {s!r}")
+    if not _is_int(s) or not 1 <= s <= MAX_RANK:
+        raise CoverSpecError(f"rank must be an integer in 1..{MAX_RANK}, got {s!r}")
     if not isinstance(dmap, Mapping):
         raise CoverSpecError("'d' must map bitstrings to degrees")
     d = [0] * (1 << s)
@@ -240,7 +242,7 @@ def from_json(text: str) -> CoverSpec:
         if not isinstance(key, str) or len(key) != s or set(key) - {"0", "1"}:
             raise CoverSpecError(f"bad group element {key!r} for rank {s}")
         g = sum(1 << i for i, c in enumerate(key) if c == "1")
-        if not isinstance(value, int) or value < 0:
+        if not _is_int(value) or value < 0:
             raise CoverSpecError(f"bad degree {value!r} at {key!r}")
         if g == 0 and value:
             raise CoverSpecError("the identity must carry degree 0")

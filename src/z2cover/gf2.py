@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from .walsh import forward
+
 __all__ = [
     "RankLimitError",
     "CANONICAL_RANK_CAP",
@@ -156,7 +158,8 @@ def orbit_signature(d: Sequence[int]) -> tuple:
     n = len(d)
     s = _rank_of_length(n)
     values = tuple(sorted(d))
-    half = tuple(sorted(sum(d[g] for g in range(n) if dot(chi, g)) for chi in range(1, n)))
+    spectrum = forward(d)
+    half = tuple(sorted((spectrum[0] - sc) // 2 for sc in spectrum[1:]))
     planes = []
     for u in range(1, n):
         for v in range(u + 1, n):
@@ -222,12 +225,19 @@ def orbit_reps(funcs: Iterable[Sequence[int]], s: int) -> dict[tuple[int, ...], 
 
 
 def affine_hyperplane_min_intersection(points: Iterable[int], s: int) -> int:
-    """Least size of ``A & {g : chi.g = 1}`` over nonzero characters chi."""
+    """Least size of ``A & {g : chi.g = 1}`` over nonzero characters chi.
+
+    With ``S`` the spectrum of the indicator of ``A``, that intersection has
+    ``(|A| - S(chi)) / 2`` points.
+    """
     pts = list(points)
     if not pts:
         return 0
     n = 1 << s
+    indicator = [0] * n
     for g in pts:
         if not 0 <= g < n:
             raise ValueError(f"point {g} outside group of rank {s}")
-    return min(sum(1 for g in pts if dot(chi, g)) for chi in range(1, n))
+        indicator[g] += 1
+    spectrum = forward(indicator)
+    return min(len(pts) - sc for sc in spectrum[1:]) // 2

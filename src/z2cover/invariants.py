@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from math import lcm
 
+from . import walsh
 from .cover import CoverSpec, eigensheaf_degrees, half_point_count, hurwitz_degree, is_flat
 from .gf2 import dot
 from .walsh import NonIntegralError
@@ -67,27 +68,27 @@ def topological_euler(spec: CoverSpec) -> tuple[Fraction, bool]:
     the straight projective space (all weights 1).  Zero-sum triples are
     excluded from the triple stratum: those intersections sit over the
     4-fold points of the configuration and do not move the Euler number.
+
+    Each stratum is a symmetric polynomial in the power sums ``p_k`` of the
+    branch degrees: the singles, the pairs ``d_p d_q (W - d_p - d_q)`` and
+    the triples ``d_p d_q d_r``, the last minus the zero-sum triple mass
+    ``sum(S^3) / (6 * 2^s)`` of the Walsh spectrum ``S`` of ``d``.
     """
     d = spec.branch.d
     s = spec.branch.s
-    n = len(d)
     a = spec.weights.a
     A = spec.weights.A
     W = spec.weights.W
     sigma2 = sum(a[i] * a[j] for i in range(4) for j in range(i + 1, 4))
-    singles = sum(Fraction(dp * (dp * dp - dp * W + sigma2), A) for dp in d if dp)
-    pairs = Fraction(0)
-    triples = Fraction(0)
-    for p in range(1, n):
-        if not d[p]:
-            continue
-        for q in range(p + 1, n):
-            if not d[q]:
-                continue
-            pairs += Fraction(d[p] * d[q] * (W - d[p] - d[q]), A)
-            for r in range(q + 1, n):
-                if d[r] and p ^ q ^ r != 0:
-                    triples += Fraction(d[p] * d[q] * d[r], A)
+    p1 = sum(d)
+    p2 = sum(v * v for v in d)
+    p3 = sum(v**3 for v in d)
+    e2 = (p1 * p1 - p2) // 2
+    e3 = (p1**3 - 3 * p1 * p2 + 2 * p3) // 6
+    zero_sum = walsh.triple_convolution_at_zero(walsh.forward(d)) / 6
+    singles = Fraction(p3 - W * p2 + sigma2 * p1, A)
+    pairs = Fraction(W * e2 - (p1 * p2 - p3), A)
+    triples = (e3 - zero_sum) / A
     e = (
         Fraction(4 << s)
         - Fraction(1 << s, 2) * singles
@@ -193,27 +194,24 @@ class GeographyPoint:
 def geography_point(ratio: RatioVector) -> GeographyPoint:
     """Limit Chern-ratio coordinates of a branch-ratio vector.
 
-    ``phi`` is computed both from the character sums and from the moment
-    identity ``phi = 3b - T + 1``; disagreement would mean an arithmetic
-    bug, so it is asserted.
+    With ``r = num / delta`` over the common denominator and ``S`` the
+    Walsh spectrum of the integers ``num``, the hyperplane mass of
+    character chi is ``(S(0) - S(chi)) / (2 delta)`` and the ordered
+    zero-sum triple sum is ``sum(S^3) / (2^s delta^3)``.  ``phi`` is
+    computed both from the character sums and from the moment identity
+    ``phi = 3b - T + 1``; disagreement would mean an arithmetic bug, so it
+    is asserted.
     """
     s, r = ratio.s, ratio.r
     n = 1 << s
-    a = sum(v**3 for v in r)
-    b = sum(v**2 for v in r)
-    t3 = Fraction(0)
-    for p in range(1, n):
-        if not r[p]:
-            continue
-        for qi in range(p + 1, n):
-            rr = p ^ qi
-            if rr > qi and r[qi] and r[rr]:
-                t3 += r[p] * r[qi] * r[rr]
-    t3 *= 6  # ordered count of distinct zero-sum triples
-    q = Fraction(0)
-    for chi in range(1, n):
-        mass = sum(r[g] for g in range(1, n) if dot(chi, g))
-        q += mass**3
+    delta = lcm(*(v.denominator for v in r))
+    num = [v.numerator * (delta // v.denominator) for v in r]
+    spectrum = walsh.forward(num)
+    s0 = spectrum[0]
+    a = Fraction(sum(v**3 for v in num), delta**3)
+    b = Fraction(sum(v * v for v in num), delta**2)
+    t3 = walsh.triple_convolution_at_zero(spectrum) / delta**3
+    q = Fraction(sum((s0 - sc) ** 3 for sc in spectrum), 8 * delta**3)
     phi = Fraction(8, n) * q
     assert phi == 3 * b - t3 + 1, "moment identity failed"
     y = 2 / phi

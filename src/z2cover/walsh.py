@@ -1,10 +1,14 @@
 """Unnormalized Walsh-Hadamard transforms of integer group functions.
 
 ``forward`` computes ``S(chi) = sum_x d(x) * (-1)^(chi.x)`` with the usual
-in-place butterfly; ``forward_naive`` is the quadratic definition kept as an
-oracle.  ``inverse`` divides the same butterfly by ``2**s`` and insists on an
-integral result, which is what makes it usable as a pruning certificate when
-reconstructing branch data from a prescribed spectrum.
+in-place butterfly, and it is the one place in the library where a character
+sum is taken.  Every invariant of a cover is a moment of this spectrum: the
+sum of a function over the affine hyperplane ``chi.x = 1`` is
+``(S(0) - S(chi)) / 2``, and ``sum(S^3) / 2^s`` (see
+:func:`triple_convolution_at_zero`) is the weighted count of ordered
+zero-sum triples.  ``inverse`` divides the same butterfly by ``2**s`` and
+insists on an integral result, which is what makes it usable as a pruning
+certificate when reconstructing branch data from a prescribed spectrum.
 """
 
 from __future__ import annotations
@@ -12,14 +16,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .gf2 import dot
-
 __all__ = [
     "NonIntegralError",
     "forward",
-    "forward_naive",
     "inverse",
-    "degrees_from_spectrum",
     "triple_convolution_at_zero",
 ]
 
@@ -57,12 +57,6 @@ def forward(d: Sequence[int]) -> list[int]:
     return out
 
 
-def forward_naive(d: Sequence[int]) -> list[int]:
-    n = len(d)
-    _rank(n)
-    return [sum(v if not dot(chi, x) else -v for x, v in enumerate(d)) for chi in range(n)]
-
-
 def inverse(spectrum: Sequence[int]) -> list[int]:
     """Unique ``d`` with ``forward(d) == spectrum``, or NonIntegralError.
 
@@ -77,17 +71,6 @@ def inverse(spectrum: Sequence[int]) -> list[int]:
                 f"spectrum inverts to {Fraction(value, n)} at element {x}", element=x
             )
     return [value // n for value in back]
-
-
-def degrees_from_spectrum(spectrum: Sequence[int]) -> list[Fraction]:
-    """Affine half-sums ``(S(0) - S(chi)) / 4`` for every character.
-
-    Rational values are reported as-is; rejecting them is the caller's
-    decision.  Entry 0 is always 0.
-    """
-    _rank(len(spectrum))
-    s0 = spectrum[0]
-    return [Fraction(s0 - sc, 4) for sc in spectrum]
 
 
 def triple_convolution_at_zero(spectrum: Sequence[int]) -> Fraction:

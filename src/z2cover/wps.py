@@ -25,7 +25,7 @@ class Weights:
         quad = tuple(sorted(a))
         if len(quad) != 4:
             raise ValueError(f"need exactly four weights, got {quad}")
-        if any(not isinstance(w, int) or w < 1 for w in quad):
+        if any(not isinstance(w, int) or isinstance(w, bool) or w < 1 for w in quad):
             raise ValueError(f"weights must be positive integers, got {quad}")
         object.__setattr__(self, "a", quad)
 

@@ -5,6 +5,10 @@ a regression net for the distribution/reconstruction pipeline, so any change
 to the search must reproduce them bit for bit.
 """
 
+import random
+from collections import Counter
+from itertools import combinations
+
 import pytest
 
 from z2cover.classify import (
@@ -27,7 +31,8 @@ from z2cover.classify import (
     reconstruct_branch,
     support_bound,
 )
-from z2cover.cover import BranchData
+from z2cover.cover import BranchData, eigensheaf_degrees
+from z2cover.gf2 import canonicalize, orbit_reps, parity_vector
 from z2cover.walsh import NonIntegralError
 from z2cover.wps import Weights, monomial_count
 
@@ -174,6 +179,65 @@ class TestReconstruct:
     def test_incomplete_distribution_rejected(self):
         with pytest.raises(ValueError):
             reconstruct_branch(4, 9, DistributionCounts(4, 9, 2, ((2, 10),)))
+
+    def test_large_excess_matches_unpacked_loop(self):
+        # excess mass of 16 or more overflows a fixed 4-bit packing
+        rng = random.Random(16)
+        fixed = [(0, 20, 0, 0, 0, 0, 0, 0), (0,) * 8 + (14,) + (0,) * 7]
+        checked = 0
+        while checked < 12:
+            if fixed:
+                d = fixed.pop()
+            else:
+                d = (0,) + tuple(rng.randrange(12) for _ in range(7))
+                if not any(d) or parity_vector(d):
+                    continue
+            s = len(d).bit_length() - 1
+            l = eigensheaf_degrees(BranchData(s, d)).l[1:]
+            base = min(l)
+            counts = tuple(sorted(Counter(l).items()))
+            excess = tuple((v, c) for v, c in counts if v != base)
+            if sum((v - base) * c for v, c in excess) < 16:
+                continue
+            want = sorted(orbit_reps(set(_reconstruct_unpacked(s, sum(d), base, excess)), s))
+            got = reconstruct_branch(s, sum(d), DistributionCounts(s, sum(d), base, counts))
+            assert got == want
+            assert canonicalize(d) in got
+            checked += 1
+
+
+def _reconstruct_unpacked(s, D, base, excess):
+    """Reference reconstruction: sums each placement's excesses without packing."""
+    n = 1 << s
+    div = 1 << (s - 2)
+    const = base - sum((v - base) * c for v, c in excess)
+    values = sorted({v for v, _ in excess}, reverse=True)
+    mult = dict(excess)
+
+    def place(vi, avail, assigned):
+        if vi == len(values):
+            yield assigned
+            return
+        v = values[vi]
+        for combo in combinations(avail, mult[v]):
+            taken = set(combo)
+            yield from place(
+                vi + 1,
+                tuple(c for c in avail if c not in taken),
+                {**assigned, **{chi: v - base for chi in combo}},
+            )
+
+    for assigned in place(0, tuple(range(1, n)), {}):
+        d = [0] * n
+        for x in range(1, n):
+            t = sum(e for chi, e in assigned.items() if (chi & x).bit_count() & 1)
+            num = const + 2 * t
+            if num < 0 or num % div:
+                break
+            d[x] = num // div
+        else:
+            assert sum(d) == D
+            yield tuple(d)
 
 
 def test_projective_cases():

@@ -1,9 +1,6 @@
 """Command-line front end: exit codes, serialization, determinism."""
 
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -60,6 +57,20 @@ class TestCover:
         assert code == EXIT_MALFORMED
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"weights": [1, 1, 1, 1], "s": 2, "d": {"10": true}}',
+            '{"weights": [1, 1, 1, 1], "s": true, "d": {"1": 2}}',
+            '{"weights": [true, 1, 1, 1], "s": 2, "d": {"10": 3, "01": 3, "11": 3}}',
+        ],
+        ids=["degree", "rank", "weight"],
+    )
+    def test_check_rejects_json_booleans(self, capsys, cover_file, text):
+        code, out, err = run_cli(capsys, "cover", "check", cover_file(text))
+        assert code == EXIT_MALFORMED
+        assert out == "" and err.startswith("error:")
+
     def test_check_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "cover", "check", str(tmp_path / "nope.json"))
         assert code == EXIT_MALFORMED
@@ -102,12 +113,6 @@ class TestGeography:
                               "--count", "12", "--seed", "10")
         assert other != first
 
-    def test_sample_threads_agree(self, capsys):
-        base = ("geography", "sample", "--s", "3", "--count", "20", "--seed", "4")
-        _, serial, _ = run_cli(capsys, "--threads", "1", *base)
-        _, pooled, _ = run_cli(capsys, "--threads", "4", *base)
-        assert serial == pooled
-
     def test_sample_csv(self, capsys):
         code, out, _ = run_cli(capsys, "geography", "sample", "--s", "2",
                                "--count", "3", "--format", "csv")
@@ -116,6 +121,23 @@ class TestGeography:
         assert lines[0] == "index,x,y,sci"
         assert len(lines) == 4
         assert lines[1].startswith("0,")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sample", "--s", "0", "--count", "2"),
+            ("sample", "--s", "17", "--count", "1"),
+            ("sample", "--s", "2", "--count", "-5"),
+            ("sample", "--s", "2", "--count", "0"),
+            ("extremes", "--s", "30"),
+            ("hunt", "--s", "40"),
+        ],
+        ids=["rank-0", "rank-17", "count-negative", "count-zero", "extremes-30", "hunt-40"],
+    )
+    def test_out_of_range_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, "geography", *argv)
+        assert code == EXIT_MALFORMED
+        assert out == "" and err.startswith("error:")
 
     def test_hunt_default_scan(self, capsys):
         code, out, _ = run_cli(capsys, "geography", "hunt")
@@ -198,6 +220,11 @@ class TestClassify:
         assert code == EXIT_MALFORMED
         assert "error:" in err
 
+    def test_nonpositive_rank(self, capsys):
+        code, out, err = run_cli(capsys, "classify", "--s", "0", "--m", "1")
+        assert code == EXIT_MALFORMED
+        assert out == "" and err == "error: rank must be positive, got 0\n"
+
 
 class TestMarkdownRoundTrip:
     @pytest.mark.parametrize("cell", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1)])
@@ -243,33 +270,3 @@ class TestExamples:
         code, _, err = run_cli(capsys, "examples", "unbounded", "--kind",
                                "bicanonical", "--s", "2")
         assert code == EXIT_MALFORMED
-
-
-class TestSelftest:
-    def test_fourier_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "selftest", "fourier", "--seed", "7",
-                               "--rounds", "5")
-        assert code == EXIT_OK
-        lines = out.strip().splitlines()
-        assert lines[-1] == "fourier selftest passed (seed 7)"
-        assert any(l.startswith("s=2:") for l in lines)
-        assert any(l.startswith("s=8:") for l in lines)
-
-    def test_fourier_deterministic(self, capsys):
-        _, a, _ = run_cli(capsys, "selftest", "fourier", "--seed", "3", "--rounds", "4")
-        _, b, _ = run_cli(capsys, "selftest", "fourier", "--seed", "3", "--rounds", "4")
-        assert a == b
-
-
-def test_thread_env_variable_matches_flag(tmp_path):
-    """End-to-end: $Z2COVER_THREADS and --threads produce identical bytes."""
-    tail = ["geography", "sample", "--s", "3", "--count", "16", "--seed", "11"]
-    argv = [sys.executable, "-m", "z2cover.cli"]
-    env = dict(os.environ)
-    env.pop("Z2COVER_THREADS", None)
-    flag = subprocess.run(argv + ["--threads", "3"] + tail,
-                          capture_output=True, env=env)
-    env["Z2COVER_THREADS"] = "3"
-    via_env = subprocess.run(argv + tail, capture_output=True, env=env)
-    assert flag.returncode == via_env.returncode == 0
-    assert flag.stdout == via_env.stdout

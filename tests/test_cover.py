@@ -131,6 +131,37 @@ def test_half_point_count_fractional():
         half_point_count(spec)
 
 
+def _half_points_by_triples(spec):
+    """Reference count: loop over pairs, the third element is their sum."""
+    d = spec.branch.d
+    acc = 0
+    for p in range(1, len(d)):
+        for q in range(p + 1, len(d)):
+            if p ^ q > q:
+                acc += d[p] * d[q] * d[p ^ q]
+    return Fraction(acc, spec.weights.A)
+
+
+def test_half_point_count_matches_triple_loop():
+    rng = random.Random(4096)
+    fractional = 0
+    for _ in range(300):
+        s = rng.randint(1, 6)
+        n = 1 << s
+        d = [0] + [rng.choice((0, 0, 1, 2, 3, 4, 5)) for _ in range(n - 1)]
+        if not any(d):
+            d[rng.randrange(1, n)] = 1
+        spec = cover([rng.randint(1, 5) for _ in range(4)], d)
+        want = _half_points_by_triples(spec)
+        if want.denominator == 1:
+            assert half_point_count(spec) == want
+        else:
+            fractional += 1
+            with pytest.raises(NonIntegralError, match=f"half-point count {want} "):
+                half_point_count(spec)
+    assert 0 < fractional < 300
+
+
 def test_validate_good_cover():
     report = validate(QUADRIC_PAIR)
     assert report.ok

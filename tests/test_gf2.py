@@ -153,3 +153,14 @@ def test_min_intersection_full_support(s):
     # every affine hyperplane holds exactly half the group
     pts = range(1, 1 << s)
     assert affine_hyperplane_min_intersection(pts, s) == 1 << (s - 1)
+
+
+def test_min_intersection_matches_character_loop():
+    rng = random.Random(8192)
+    for _ in range(300):
+        s = rng.randint(1, 6)
+        n = 1 << s
+        # repeated points count with multiplicity
+        pts = [rng.randrange(n) for _ in range(rng.randint(1, n + 3))]
+        direct = min(sum(1 for g in pts if dot(chi, g)) for chi in range(1, n))
+        assert affine_hyperplane_min_intersection(pts, s) == direct

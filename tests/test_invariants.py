@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from z2cover.cover import BranchData, CoverSpec
+from z2cover.gf2 import dot
 from z2cover.invariants import (
     SCI_MAX,
     SCI_MIN,
@@ -135,6 +136,75 @@ def test_geography_moment_identity_random():
             assert SCI_MIN <= p.sci <= SCI_MAX
             assert p.y >= Y_MIN
             assert p.phi > 0
+
+
+def _random_cover(rng):
+    s = rng.randint(1, 6)
+    n = 1 << s
+    d = [0] + [rng.choice((0, 0, 1, 2, 3, 4, 5)) for _ in range(n - 1)]
+    if not any(d):
+        d[rng.randrange(1, n)] = 1
+    return cover([rng.randint(1, 5) for _ in range(4)], d)
+
+
+def _euler_by_strata(spec):
+    """Reference Euler number: explicit loops over pairs and triples."""
+    d = spec.branch.d
+    n = len(d)
+    a, A, W = spec.weights.a, spec.weights.A, spec.weights.W
+    sigma2 = sum(a[i] * a[j] for i in range(4) for j in range(i + 1, 4))
+    singles = sum(Fraction(dp * (dp * dp - dp * W + sigma2), A) for dp in d if dp)
+    pairs = triples = 0
+    for p in range(1, n):
+        for q in range(p + 1, n):
+            pairs += d[p] * d[q] * (W - d[p] - d[q])
+            for r in range(q + 1, n):
+                if p ^ q ^ r:
+                    triples += d[p] * d[q] * d[r]
+    return (
+        4 * n
+        - Fraction(n, 2) * singles
+        + Fraction(n, 4) * Fraction(pairs, A)
+        - Fraction(n, 8) * Fraction(triples, A)
+    )
+
+
+def test_topological_euler_matches_stratum_loops():
+    rng = random.Random(2024)
+    for _ in range(300):
+        spec = _random_cover(rng)
+        e, exact = topological_euler(spec)
+        assert e == _euler_by_strata(spec)
+        assert exact == (spec.weights.a == (1, 1, 1, 1))
+
+
+def _geography_by_characters(r):
+    """Reference moments: ``a``, ``b``, ordered zero-sum triples, hyperplane masses."""
+    n = len(r)
+    a = sum(v**3 for v in r)
+    b = sum(v**2 for v in r)
+    t3 = Fraction(0)
+    for p in range(1, n):
+        for q in range(p + 1, n):
+            if p ^ q > q:
+                t3 += r[p] * r[q] * r[p ^ q]
+    q = sum(sum(r[g] for g in range(1, n) if dot(chi, g)) ** 3 for chi in range(1, n))
+    return a, b, 6 * t3, q
+
+
+def test_geography_matches_character_loops():
+    rng = random.Random(4048)
+    for _ in range(300):
+        s = rng.randint(1, 6)
+        n = 1 << s
+        # unlike denominators exercise the common-denominator transform
+        masses = [Fraction(rng.choice((0, 0, 1, 2, 3, 5)), rng.randint(1, 7)) for _ in range(n - 1)]
+        if not any(masses):
+            masses[rng.randrange(n - 1)] = Fraction(1)
+        total = sum(masses)
+        r = (Fraction(0),) + tuple(m / total for m in masses)
+        p = geography_point(RatioVector(s, r))
+        assert (p.a, p.b, p.zero_sum_triples, p.q) == _geography_by_characters(r)
 
 
 def test_geography_limit_matches_large_covers():
