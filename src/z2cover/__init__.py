@@ -14,7 +14,7 @@ from .cover import (
     to_json,
     validate,
 )
-from .gf2 import RankLimitError, canonicalize, orbit_reps, orbit_signature
+from .gf2 import RankLimitError, canonicalize, orbit_reps
 from .invariants import (
     GeographyPoint,
     InvariantReport,
@@ -54,7 +54,6 @@ __all__ = [
     "is_flat",
     "monomial_count",
     "orbit_reps",
-    "orbit_signature",
     "to_json",
     "validate",
     "vertex_ratio",

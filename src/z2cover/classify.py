@@ -45,7 +45,6 @@ __all__ = [
     "m_profiles",
     "l_distribution_candidates",
     "reconstruct_branch",
-    "support_bound",
     "projective_cases",
     "enumerate_flat",
     "enumerate_L1",
@@ -268,13 +267,6 @@ def l_distribution_candidates(
             )
         )
     return out
-
-
-def support_bound(C: int, p: int) -> int:
-    """Placement bound ``C - p + 1`` for ``p`` independent constraints on C slots."""
-    if p > C:
-        raise ValueError("more constraints than slots")
-    return C - p + 1
 
 
 def _parity_masks(s: int, width: int) -> list[int]:
@@ -602,13 +594,11 @@ def _projective_surviving_reps(s: int, m: int, case: ProjectiveCase) -> list[tup
     min_l = case.k + 1
     if s <= 4:
         sum_sqs = sorted({sum(v * v for v in p) for p in m_profiles(s, case.D, min_l)})
+        # each sum_sq fixes the quadratic moment 2^s sum_sq - D^2, so no
+        # distribution comes back for two of them
         reps: set[tuple[int, ...]] = set()
-        seen: set[tuple[tuple[int, int], ...]] = set()
         for sq in sum_sqs:
             for dist in l_distribution_candidates(s, case.D, min_l, sq):
-                if dist.counts in seen:
-                    continue
-                seen.add(dist.counts)
                 reps.update(reconstruct_branch(s, case.D, dist))
         return sorted(reps)
     # recursive lifting: every rank-s support misses a direction because

@@ -182,12 +182,19 @@ def _cmd_geo_extremes(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _scan_mass(raw: str) -> Fraction:
+    try:
+        return Fraction(raw)
+    except ZeroDivisionError:
+        raise ValueError(f"mass {raw} has a zero denominator") from None
+
+
 def _cmd_geo_hunt(args: argparse.Namespace) -> int:
     s = _geo_rank(args.s)
     values = args.t or list(HUNT_SCAN)
     rows = []
     for raw in values:
-        t = Fraction(raw)
+        t = _scan_mass(raw)
         f, pt = hunt_scan(s, t)
         rows.append(
             {

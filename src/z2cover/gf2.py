@@ -9,6 +9,7 @@ lexicographically, in particular by :func:`canonicalize`.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .walsh import forward
@@ -19,7 +20,6 @@ __all__ = [
     "dot",
     "parity_vector",
     "canonicalize",
-    "orbit_signature",
     "orbit_reps",
     "affine_hyperplane_min_intersection",
 ]
@@ -148,55 +148,35 @@ def _canonicalize_bnb(d: tuple[int, ...], s: int) -> tuple[int, ...]:
     return tuple([d[0]] + prefix)
 
 
-def orbit_signature(d: Sequence[int]) -> tuple:
-    """Cheap GL-invariant fingerprint, usable at any rank.
-
-    Not a complete invariant: equal signatures do not prove equal orbits.
-    Combines the value multiset, the multiset of affine half-sums, and the
-    multiset of value sums over 2-dimensional subspaces.
-    """
-    n = len(d)
-    s = _rank_of_length(n)
-    values = tuple(sorted(d))
-    spectrum = forward(d)
-    half = tuple(sorted((spectrum[0] - sc) // 2 for sc in spectrum[1:]))
-    planes = []
-    for u in range(1, n):
-        for v in range(u + 1, n):
-            if u ^ v > v:
-                planes.append(d[u] + d[v] + d[u ^ v])
-    return (s, values, half, tuple(sorted(planes)))
-
-
 def _generator_perms(s: int) -> list[list[int]]:
-    """Index maps of a generating set of GL_s: swaps and transvections."""
+    """Index maps of two generators of GL_s: a transvection and a cycle.
+
+    The transvection is ``e_0 -> e_0 + e_1``; the cycle sends ``e_i`` to
+    ``e_{i+1}`` with indices mod ``s``.  For ``s >= 3`` conjugating the
+    transvection by powers of the cycle gives every ``e_i -> e_i + e_{i+1}``,
+    their commutators give every elementary transvection, and those generate
+    ``SL_s(F_2) = GL_s(F_2)``.  At ``s = 2`` the cycle is the coordinate swap,
+    which with the transvection generates ``GL_2 = S_3``.
+    """
+    if s < 2:
+        return []
     n = 1 << s
-    perms = []
-    for i in range(s):
-        for j in range(s):
-            if i == j:
-                continue
-            if i < j:
-                swap = []
-                for g in range(n):
-                    bi, bj = (g >> i) & 1, (g >> j) & 1
-                    h = g & ~(1 << i) & ~(1 << j)
-                    swap.append(h | (bj << i) | (bi << j))
-                perms.append(swap)
-            # e_i -> e_i + e_j: on points, flip bit j when bit i is set.
-            perms.append([g ^ (((g >> i) & 1) << j) for g in range(n)])
-    return perms
+    # e_0 -> e_0 + e_1: on points, flip bit 1 when bit 0 is set.
+    transvection = [g ^ ((g & 1) << 1) for g in range(n)]
+    cycle = [((g << 1) | (g >> (s - 1))) & (n - 1) for g in range(n)]
+    return [transvection, cycle]
 
 
 def orbit_reps(funcs: Iterable[Sequence[int]], s: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
     """Partition ``funcs`` into GL_s-orbits.
 
-    Returns canonical representative -> members found in the input.  The
-    orbit of each previously unseen member is closed under a generating set,
-    so :func:`canonicalize` runs once per orbit rather than once per member.
+    Returns representative -> members found in the input.  The orbit of each
+    previously unseen member is closed under two generators of GL_s, and its
+    lexicographically least element names it; that is the value
+    :func:`canonicalize` gives every member, at any rank.
     """
     n = 1 << s
-    gens = _generator_perms(s)
+    gens = [itemgetter(*p) for p in _generator_perms(s)]
     pool = {tuple(f) for f in funcs}
     for f in pool:
         if len(f) != n:
@@ -209,18 +189,13 @@ def orbit_reps(funcs: Iterable[Sequence[int]], s: int) -> dict[tuple[int, ...], 
         frontier = [start]
         while frontier:
             cur = frontier.pop()
-            for p in gens:
-                nxt = tuple(cur[p[g]] for g in range(n))
+            for act in gens:
+                nxt = act(cur)
                 if nxt not in orbit:
                     orbit.add(nxt)
                     frontier.append(nxt)
-        members = sorted(orbit & pool)
         unseen -= orbit
-        if s <= CANONICAL_RANK_CAP:
-            rep = canonicalize(start)
-        else:
-            rep = min(orbit)
-        out[rep] = members
+        out[min(orbit)] = sorted(orbit & pool)
     return out
 
 

@@ -14,6 +14,7 @@ floats anywhere.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -55,9 +56,16 @@ def volume(spec: CoverSpec) -> Fraction:
 
 
 def holomorphic_euler(spec: CoverSpec) -> int:
-    """``chi(O)`` of the cover: one line-bundle term per character."""
+    """``chi(O)`` of the cover: one line-bundle term per character.
+
+    Characters with equal eigensheaf degree give equal terms, so each
+    distinct degree is evaluated once and weighted by its multiplicity.
+    """
     degrees = eigensheaf_degrees(spec.branch)
-    return sum(euler_char_line(spec.weights, -lv) for lv in degrees.l)
+    return sum(
+        count * euler_char_line(spec.weights, -lv)
+        for lv, count in Counter(degrees.l).items()
+    )
 
 
 def topological_euler(spec: CoverSpec) -> tuple[Fraction, bool]:

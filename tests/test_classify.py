@@ -29,7 +29,6 @@ from z2cover.classify import (
     max_admissible_m,
     projective_cases,
     reconstruct_branch,
-    support_bound,
 )
 from z2cover.cover import BranchData, eigensheaf_degrees
 from z2cover.gf2 import canonicalize, orbit_reps, parity_vector
@@ -113,13 +112,6 @@ class TestBounds:
                 if forbidden_flat(s, m):
                     assert forbidden_flat(s, m + 1)
                     assert forbidden_flat(s + 1, m)
-
-    def test_support_bound(self):
-        assert support_bound(12, 3) == 10
-        assert support_bound(9, 2) == 8
-        assert support_bound(5, 5) == 1
-        with pytest.raises(ValueError):
-            support_bound(3, 4)
 
 
 def test_m_profiles_rank4():

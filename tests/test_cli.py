@@ -131,8 +131,10 @@ class TestGeography:
             ("sample", "--s", "2", "--count", "0"),
             ("extremes", "--s", "30"),
             ("hunt", "--s", "40"),
+            ("hunt", "--t", "1/0"),
         ],
-        ids=["rank-0", "rank-17", "count-negative", "count-zero", "extremes-30", "hunt-40"],
+        ids=["rank-0", "rank-17", "count-negative", "count-zero", "extremes-30", "hunt-40",
+             "hunt-zero-denominator"],
     )
     def test_out_of_range_rejected(self, capsys, argv):
         code, out, err = run_cli(capsys, "geography", *argv)

@@ -2,17 +2,19 @@
 
 import random
 from itertools import product
+from operator import itemgetter
 
 import pytest
 
+from z2cover.classify import enumerate_flat, enumerate_L1
 from z2cover.gf2 import (
     CANONICAL_RANK_CAP,
     RankLimitError,
+    _generator_perms,
     affine_hyperplane_min_intersection,
     canonicalize,
     dot,
     orbit_reps,
-    orbit_signature,
     parity_vector,
 )
 
@@ -72,7 +74,7 @@ def test_canonicalize_is_idempotent_and_minimal():
 
 @pytest.mark.parametrize("s", [2, 3])
 def test_canonicalize_constant_on_brute_force_orbits(s):
-    """Exhaustive cross-check against orbits generated by swaps/transvections."""
+    """Exhaustive cross-check against the orbits that orbit_reps closes."""
     n = 1 << s
     funcs = [f for f in product((0, 1, 2), repeat=n) if sum(1 for v in f if v) <= 4]
     groups = orbit_reps(funcs, s)
@@ -102,21 +104,6 @@ def test_canonicalize_merges_equivalent_onset_characters():
         assert canonicalize(d) == canonicalize(tuple(2 if dot(1, g) else 0 for g in range(n)))
 
 
-def test_orbit_signature_respects_orbits():
-    rng = random.Random(5)
-    s, n = 3, 8
-    gens_applied = []
-    for _ in range(30):
-        d = tuple(rng.randrange(3) for _ in range(n))
-        c = canonicalize(d)
-        assert orbit_signature(d) == orbit_signature(c)
-        gens_applied.append((d, c))
-    # signatures distinguish at least some non-equivalent functions
-    sig_a = orbit_signature((0, 1, 0, 0, 0, 0, 0, 0))
-    sig_b = orbit_signature((0, 2, 0, 0, 0, 0, 0, 0))
-    assert sig_a != sig_b
-
-
 def test_orbit_reps_partition():
     s, n = 2, 4
     funcs = list(product((0, 1), repeat=n))
@@ -136,6 +123,90 @@ def test_orbit_reps_partition():
 def test_orbit_reps_rejects_length_mismatch():
     with pytest.raises(ValueError):
         orbit_reps([(0, 1, 2)], 2)
+
+
+def _swaps_and_transvections(s):
+    """Reference generating set of GL_s: every coordinate swap and every
+    elementary transvection ``e_i -> e_i + e_j``, as index maps."""
+    n = 1 << s
+    perms = []
+    for i in range(s):
+        for j in range(s):
+            if i == j:
+                continue
+            if i < j:
+                swap = []
+                for g in range(n):
+                    bi, bj = (g >> i) & 1, (g >> j) & 1
+                    h = g & ~(1 << i) & ~(1 << j)
+                    swap.append(h | (bj << i) | (bi << j))
+                perms.append(swap)
+            perms.append([g ^ (((g >> i) & 1) << j) for g in range(n)])
+    return perms
+
+
+def _closure(f, perms):
+    acts = [itemgetter(*p) for p in perms]
+    orbit = {tuple(f)}
+    frontier = [tuple(f)]
+    while frontier:
+        cur = frontier.pop()
+        for act in acts:
+            nxt = act(cur)
+            if nxt not in orbit:
+                orbit.add(nxt)
+                frontier.append(nxt)
+    return orbit
+
+
+def test_generator_perms_are_two_permutations():
+    assert _generator_perms(1) == []
+    for s in range(2, 8):
+        perms = _generator_perms(s)
+        assert len(perms) == 2
+        for p in perms:
+            assert sorted(p) == list(range(1 << s))
+            assert p[0] == 0
+
+
+@pytest.mark.parametrize("s, order", [(2, 6), (3, 168), (4, 20160)])
+def test_generators_reach_all_of_gl(s, order):
+    # a function with distinct values everywhere has a trivial stabilizer,
+    # so its orbit has one element per group element
+    assert len(_closure(range(1 << s), _generator_perms(s))) == order
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5, 6])
+def test_two_generator_orbits_match_full_generating_set(s):
+    n = 1 << s
+    rng = random.Random(600 + s)
+    max_support = 3 if s <= 4 else 2
+    funcs = []
+    for _ in range(42):
+        f = [0] * n
+        for g in rng.sample(range(n), rng.randint(1, max_support)):
+            f[g] = rng.randint(1, 3)
+        funcs.append(tuple(f))
+    old = _swaps_and_transvections(s)
+    pool = set(funcs)
+    groups = orbit_reps(funcs, s)
+    reps = set()
+    for f in pool:
+        orbit = _closure(f, old)
+        assert _closure(f, _generator_perms(s)) == orbit
+        rep = min(orbit)
+        assert groups[rep] == sorted(orbit & pool)
+        reps.add(rep)
+    assert len(groups) == len(reps)
+
+
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_enumerated_representatives_are_canonical(s):
+    # orbit_reps names each orbit by its least element; canonicalize finds
+    # the least relabeling independently, so every emitted d is a fixed point
+    for m in range(1, 5):
+        for sol in enumerate_flat(s, m) + enumerate_L1(s, m):
+            assert canonicalize(sol.d) == sol.d
 
 
 def test_min_intersection_examples():

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from z2cover.cover import BranchData, CoverSpec
-from z2cover.gf2 import dot
+from z2cover.cover import BranchData, CoverSpec, eigensheaf_degrees
+from z2cover.gf2 import dot, parity_vector
 from z2cover.invariants import (
     SCI_MAX,
     SCI_MIN,
@@ -22,7 +22,7 @@ from z2cover.invariants import (
     vertex_ratio,
     volume,
 )
-from z2cover.wps import Weights
+from z2cover.wps import Weights, euler_char_line
 
 
 def cover(weights, d):
@@ -176,6 +176,26 @@ def test_topological_euler_matches_stratum_loops():
         e, exact = topological_euler(spec)
         assert e == _euler_by_strata(spec)
         assert exact == (spec.weights.a == (1, 1, 1, 1))
+
+
+def _holomorphic_by_characters(spec):
+    """Reference chi(O): one line-bundle term per character."""
+    degrees = eigensheaf_degrees(spec.branch)
+    return sum(euler_char_line(spec.weights, -lv) for lv in degrees.l)
+
+
+def test_holomorphic_euler_matches_character_loop():
+    rng = random.Random(3031)
+    for _ in range(240):
+        spec = _random_cover(rng)
+        d = list(spec.branch.d)
+        # make every eigensheaf degree integral: adding 1 at g toggles g in
+        # the XOR of the odd-valued elements
+        odd = parity_vector(d)
+        if odd:
+            d[odd] += 1
+        spec = cover(spec.weights.a, d)
+        assert holomorphic_euler(spec) == _holomorphic_by_characters(spec)
 
 
 def _geography_by_characters(r):
