@@ -243,7 +243,7 @@ def l_distribution_candidates(
     if s < 2:
         raise ValueError("need rank >= 2")
     n_chars = (1 << s) - 1
-    total_l = (1 << (s - 2)) * D if s >= 2 else 0
+    total_l = (1 << (s - 2)) * D
     excess_total = total_l - n_chars * min_l
     if excess_total < 0:
         return []
@@ -284,14 +284,45 @@ def _parity_masks(s: int, width: int) -> list[int]:
 
 _PARITY_MASKS: dict[tuple[int, int], list[int]] = {}
 
+_SUBSET_REPS: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+
+
+def _subset_reps(s: int, c: int) -> list[tuple[int, ...]]:
+    """One ``c``-subset of the nonzero characters from each GL_s orbit.
+
+    GL_s permutes the nonzero characters as it permutes the nonzero group
+    elements, so the orbits are those of the subsets' indicator functions.
+    Each subset is given by its orbit's least indicator, in increasing order.
+    """
+    key = (s, c)
+    if key not in _SUBSET_REPS:
+        n = 1 << s
+        indicators = []
+        for combo in combinations(range(1, n), c):
+            f = [0] * n
+            for chi in combo:
+                f[chi] = 1
+            indicators.append(tuple(f))
+        _SUBSET_REPS[key] = [
+            tuple(g for g in range(n) if f[g]) for f in sorted(orbit_reps(indicators, s))
+        ]
+    return _SUBSET_REPS[key]
+
 
 def _reconstruct_distribution(
     s: int, D: int, base: int, excess: Sequence[tuple[int, int]]
 ) -> Iterator[tuple[int, ...]]:
-    """All branch functions whose degree multiset matches the distribution.
+    """At least one branch function from every GL_s orbit matching the distribution.
 
     ``excess`` lists ``(value, multiplicity)`` pairs of l-values above the
-    base.  Inversion uses ``d(x) = (base - E + 2 T(x)) / 2^(s-2)`` where T
+    base; the base takes the remaining characters.  One pivot class, the
+    one with the most placements, is placed only on GL_s-orbit
+    representatives of its character set.  That is exhaustive up to GL_s:
+    relabeling a solution moves the pivot's characters to any member of
+    their orbit and keeps the degree multiset.  The other classes are tried
+    in every placement on the characters left over.
+
+    Inversion uses ``d(x) = (base - E + 2 T(x)) / 2^(s-2)`` where T
     accumulates the excesses over characters pairing to 1 with x; the T
     accumulator is packed into one integer, one field per group element, so
     a placement is validated with a handful of big-int adds.
@@ -309,8 +340,11 @@ def _reconstruct_distribution(
     if key not in _PARITY_MASKS:
         _PARITY_MASKS[key] = _parity_masks(s, width)
     masks = _PARITY_MASKS[key]
-    values = sorted({v for v, _ in excess}, reverse=True)
     mult = dict(excess)
+    mult[base] = n - 1 - sum(mult.values())
+    pivot = max(mult, key=lambda v: math.comb(n - 1, mult[v]))
+    # the pivot is placed first, and only on orbit representatives
+    values = [pivot] + sorted((v for v in mult if v not in (base, pivot)), reverse=True)
 
     def place(vi: int, avail: tuple[int, ...], acc: int) -> Iterator[int]:
         if vi == len(values):
@@ -318,7 +352,7 @@ def _reconstruct_distribution(
             return
         v = values[vi]
         e = v - base
-        for combo in combinations(avail, mult[v]):
+        for combo in combinations(avail, mult[v]) if vi else _subset_reps(s, mult[v]):
             add = 0
             for chi in combo:
                 add += masks[chi]
@@ -326,8 +360,7 @@ def _reconstruct_distribution(
             rest = tuple(c for c in avail if c not in taken)
             yield from place(vi + 1, rest, acc + e * add)
 
-    chars = tuple(range(1, n))
-    for t_packed in place(0, chars, 0):
+    for t_packed in place(0, tuple(range(1, n)), 0):
         d = [0] * n
         ok = True
         for x in range(1, n):
@@ -411,11 +444,9 @@ def _degenerate_flat_weights() -> list[Weights]:
 def _flat_cells(s: int, m: int) -> list[tuple[int, int, int, Weights]]:
     """All ``(k, L, W, weights)`` cells surviving the proven windows."""
     cells: list[tuple[int, int, int, Weights]] = []
-    beta = _beta(s)
     k = 1
     while True:
-        lower = (k + 1) * beta - Fraction(k, m)
-        if lower > 3:  # W/L <= 2 + 2/L <= 3 for L >= 2
+        if not bound_prune(s, m, 2, 6, k):  # W/L <= 2 + 2/L peaks at 3 for L = 2
             break
         bracket = k * ((1 << s) - 1 - Fraction(1 << (s - 1), m)) - 1
         if bracket <= 0:
@@ -436,8 +467,9 @@ def _flat_cells(s: int, m: int) -> list[tuple[int, int, int, Weights]]:
         for L in range(2, L_max + 1):
             if (2 * k * L) % m:
                 continue
-            w_lo = math.ceil(L * lower)
-            for W in range(w_lo, 2 * L + 3):
+            for W in range(1, 2 * L + 3):
+                if not bound_prune(s, m, L, W, k):
+                    continue
                 for w in _divisor_quadruples(L, W):
                     cells.append((k, L, W, w))
         k += 1
@@ -478,7 +510,8 @@ def enumerate_flat(s: int, m: int) -> list[AdmissibleSolution]:
     """Complete list of admissible covers over bases with ``L >= 2``.
 
     Exhaustive for ``2 <= s <= 6``: the cell windows are finite and every
-    eigensheaf-degree assignment inside a cell is tested by exact inversion.
+    eigensheaf-degree assignment inside a cell is tested, up to GL_s, by
+    exact inversion.
     """
     if not 2 <= s <= 6:
         raise ValueError("flat enumeration is exhaustive only for ranks 2..6")

@@ -8,6 +8,7 @@ to the search must reproduce them bit for bit.
 import random
 from collections import Counter
 from itertools import combinations
+from math import comb, factorial
 
 import pytest
 
@@ -17,6 +18,7 @@ from z2cover.classify import (
     SUPPLEMENTARY,
     DistributionCounts,
     ProjectiveCase,
+    _subset_reps,
     bound_prune,
     bounds_report,
     enumerate_L1,
@@ -31,7 +33,7 @@ from z2cover.classify import (
     reconstruct_branch,
 )
 from z2cover.cover import BranchData, eigensheaf_degrees
-from z2cover.gf2 import canonicalize, orbit_reps, parity_vector
+from z2cover.gf2 import _perm_table, canonicalize, orbit_reps, parity_vector
 from z2cover.walsh import NonIntegralError
 from z2cover.wps import Weights, monomial_count
 
@@ -230,6 +232,99 @@ def _reconstruct_unpacked(s, D, base, excess):
         else:
             assert sum(d) == D
             yield tuple(d)
+
+
+# GL_s orbits of c-subsets of the nonzero characters, for c = 0 .. 2^s - 1
+SUBSET_ORBIT_COUNTS = {
+    2: (1, 1, 1, 1),
+    3: (1, 1, 1, 2, 2, 1, 1, 1),
+    4: (1, 1, 1, 2, 3, 4, 5, 6, 6, 5, 4, 3, 2, 1, 1, 1),
+}
+
+
+@pytest.mark.parametrize("s", sorted(SUBSET_ORBIT_COUNTS))
+def test_subset_reps_one_per_orbit(s):
+    # canonicalize takes the least relabeling over the whole group table, so a
+    # representative fixed by it whose table orbit is disjoint from the others
+    # is the canonical form of exactly the subsets in that orbit
+    n = 1 << s
+    group = _perm_table(s)
+    for c, want in enumerate(SUBSET_ORBIT_COUNTS[s]):
+        reps = _subset_reps(s, c)
+        assert len(reps) == want
+        covered = Counter()
+        for rep in reps:
+            indicator = tuple(int(chi in rep) for chi in range(n))
+            assert canonicalize(indicator) == indicator
+            covered.update({frozenset(p[chi] for chi in rep) for p in group})
+        assert set(covered) == {frozenset(x) for x in combinations(range(1, n), c)}
+        assert set(covered.values()) == {1}
+
+
+def _pivot_kind(dist):
+    """Which class has strictly the most placements: 'base', 'excess' or None."""
+    n_chars = (1 << dist.s) - 1
+    sizes = sorted(((comb(n_chars, c), v == dist.base) for v, c in dist.counts), reverse=True)
+    if len(sizes) > 1 and sizes[0][0] == sizes[1][0]:
+        return None
+    return "base" if sizes[0][1] else "excess"
+
+
+def _seeded_distributions(rng, s, top, per_kind, max_placements):
+    """Distinct distributions of random branch functions with values in 1..top.
+
+    Only distributions with at most ``max_placements`` placements are kept,
+    up to ``per_kind`` of each pivot kind.
+    """
+    n = 1 << s
+    found = {"base": {}, "excess": {}, None: {}}
+    for _ in range(3000):
+        d = [0] * n
+        for g in rng.sample(range(1, n), rng.randint(s, n - 1)):
+            d[g] = rng.randint(1, top)
+        if parity_vector(d):
+            continue
+        l = eigensheaf_degrees(BranchData(s, tuple(d))).l[1:]
+        counts = tuple(sorted(Counter(l).items()))
+        placements = factorial(n - 1)
+        for _, c in counts:
+            placements //= factorial(c)
+        if placements > max_placements or len(counts) == 1:
+            continue
+        dist = DistributionCounts(s, sum(d), min(l), counts)
+        bucket = found[_pivot_kind(dist)]
+        if len(bucket) < per_kind:
+            bucket.setdefault(counts, (tuple(d), dist))
+    return [case for bucket in found.values() for case in bucket.values()]
+
+
+def test_pruned_search_matches_full_placement_oracle():
+    cases = []
+    for m in range(1, 5):
+        for case in projective_cases(m):
+            if case.s_min <= 3 and (case.s_max is None or 3 <= case.s_max):
+                cases.append((3, case.D, case.k + 1))
+    cases.append((4, 12, 3))
+    dists = [
+        (None, dist)
+        for s, D, min_l in cases
+        for sq in {sum(v * v for v in p) for p in m_profiles(s, D, min_l)}
+        for dist in l_distribution_candidates(s, D, min_l, sq)
+    ]
+    assert len(dists) == 14  # 11 at rank 3, 3 for (s, D, min_l) = (4, 12, 3)
+    rng = random.Random(2014)
+    seeded = []
+    for s, top in ((2, 3), (3, 3), (4, 2)):
+        seeded += _seeded_distributions(rng, s, top, 3, 6000)
+    assert {_pivot_kind(dist) for _, dist in seeded} == {"base", "excess", None}
+    for d, dist in dists + seeded:
+        s, D = dist.s, dist.D
+        excess = tuple((v, c) for v, c in dist.counts if v != dist.base)
+        want = sorted(orbit_reps(set(_reconstruct_unpacked(s, D, dist.base, excess)), s))
+        got = reconstruct_branch(s, D, dist)
+        assert got == want, dist
+        if d is not None:
+            assert canonicalize(d) in got
 
 
 def test_projective_cases():
