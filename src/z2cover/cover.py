@@ -247,11 +247,7 @@ def from_json(text: str) -> CoverSpec:
         if g == 0 and value:
             raise CoverSpecError("the identity must carry degree 0")
         d[g] = value
-    try:
-        branch = BranchData(s, tuple(d))
-    except CoverSpecError:
-        raise
-    return CoverSpec(weights, branch)
+    return CoverSpec(weights, BranchData(s, tuple(d)))
 
 
 def from_path(path: str) -> CoverSpec:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .walsh import forward
+from .walsh import _rank, forward
 
 __all__ = [
     "RankLimitError",
@@ -24,8 +24,10 @@ __all__ = [
     "affine_hyperplane_min_intersection",
 ]
 
-# Exhaustive GL traversal is cached per rank; |GL_4| = 20160 is the largest
-# table kept in memory, rank 5 switches to branch-and-bound.
+# canonicalize keeps every basis prefix tied for the least relabeling, and
+# the bases that tie to the end are a coset of Aut(d), so its work grows
+# with |Aut(d)|.  A one-point function has |GL_s| / (2^s - 1) automorphisms:
+# 322,560 at rank 5 and 319,979,520 at rank 6.
 CANONICAL_RANK_CAP = 5
 
 
@@ -51,77 +53,19 @@ def parity_vector(d: Sequence[int]) -> int:
     return acc
 
 
-def _rank_of_length(n: int) -> int:
-    s = n.bit_length() - 1
-    if n <= 0 or n != 1 << s:
-        raise ValueError(f"function length {n} is not a power of two")
-    return s
-
-
-def _perm_from_columns(cols: Sequence[int], n: int) -> list[int]:
-    # img[g] = sum of cols[i] over set bits i of g, built by prefix DP.
-    img = [0] * n
-    for g in range(1, n):
-        low = (g & -g).bit_length() - 1
-        img[g] = img[g & (g - 1)] ^ cols[low]
-    return img
-
-
-def _independent_tuples(s: int) -> Iterable[tuple[int, ...]]:
-    """All ordered bases of F_2^s, i.e. column tuples of GL_s(F_2)."""
-    n = 1 << s
-
-    def extend(chosen: tuple[int, ...], span: set[int]) -> Iterable[tuple[int, ...]]:
-        if len(chosen) == s:
-            yield chosen
-            return
-        for c in range(1, n):
-            if c not in span:
-                yield from extend(chosen + (c,), span | {v ^ c for v in span})
-
-    yield from extend((), {0})
-
-
-_PERM_TABLES: dict[int, list[list[int]]] = {}
-
-
-def _perm_table(s: int) -> list[list[int]]:
-    if s not in _PERM_TABLES:
-        n = 1 << s
-        _PERM_TABLES[s] = [_perm_from_columns(cols, n) for cols in _independent_tuples(s)]
-    return _PERM_TABLES[s]
-
-
-_CANON_CACHE: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-
 def canonicalize(d: Sequence[int]) -> tuple[int, ...]:
     """Lexicographically least relabeling of ``d`` under GL_s(F_2).
 
     Two functions have equal output iff some invertible change of basis of
-    the group carries one to the other.  Exact for rank <= 5; ranks 2..4 use
-    a cached table of the full group, rank 5 runs a lexicographic
-    branch-and-bound over basis images.
+    the group carries one to the other.  Exact for rank <= 5, by a
+    lexicographic branch-and-bound over basis images.
     """
-    n = len(d)
-    s = _rank_of_length(n)
     key = tuple(d)
+    s = _rank(len(key))
     if s <= 1:
         return key
     if s > CANONICAL_RANK_CAP:
         raise RankLimitError(f"rank {s} exceeds the exhaustive-traversal cap {CANONICAL_RANK_CAP}")
-    hit = _CANON_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if s <= 4:
-        best = min(tuple(d[p[g]] for g in range(n)) for p in _perm_table(s))
-    else:
-        best = _canonicalize_bnb(key, s)
-    _CANON_CACHE[key] = best
-    return best
-
-
-def _canonicalize_bnb(d: tuple[int, ...], s: int) -> tuple[int, ...]:
     n = 1 << s
     # Partial state: images of the first t basis vectors, stored as the
     # filled prefix img[0:2^t].  Keep every state achieving the least prefix.
@@ -135,7 +79,7 @@ def _canonicalize_bnb(d: tuple[int, ...], s: int) -> tuple[int, ...]:
             for c in range(1, n):
                 if c in span:
                     continue
-                block = tuple(d[img[r] ^ c] for r in range(half))
+                block = tuple(key[img[r] ^ c] for r in range(half))
                 if best_block is None or block < best_block:
                     best_block = block
                     nxt = []
@@ -145,7 +89,7 @@ def _canonicalize_bnb(d: tuple[int, ...], s: int) -> tuple[int, ...]:
         prefix.extend(best_block)
         states = nxt
     # prefix holds positions 1 .. 2^s-1 in order; position 0 is fixed.
-    return tuple([d[0]] + prefix)
+    return tuple([key[0]] + prefix)
 
 
 def _generator_perms(s: int) -> list[list[int]]:

@@ -7,8 +7,8 @@ sum of a function over the affine hyperplane ``chi.x = 1`` is
 ``(S(0) - S(chi)) / 2``, and ``sum(S^3) / 2^s`` (see
 :func:`triple_convolution_at_zero`) is the weighted count of ordered
 zero-sum triples.  ``inverse`` divides the same butterfly by ``2**s`` and
-insists on an integral result, which is what makes it usable as a pruning
-certificate when reconstructing branch data from a prescribed spectrum.
+insists on an integral result, so a spectrum with no integer preimage raises
+:class:`NonIntegralError` instead of rounding.
 """
 
 from __future__ import annotations
@@ -76,9 +76,10 @@ def inverse(spectrum: Sequence[int]) -> list[int]:
 def triple_convolution_at_zero(spectrum: Sequence[int]) -> Fraction:
     """``2^-s * sum(S^3)``, the triple self-convolution at the origin.
 
-    For the spectrum of a nonnegative function this counts weighted
-    zero-sum triples, so a negative or fractional value prunes the
-    candidate spectrum.
+    For the spectrum of a function ``d`` this is
+    ``sum over x ^ y ^ z = 0 of d(x) d(y) d(z)``, the weighted count of
+    ordered zero-sum triples that ``half_point_count``,
+    ``topological_euler`` and ``geography_point`` read off.
     """
     n = len(spectrum)
     _rank(n)

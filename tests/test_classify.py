@@ -33,9 +33,11 @@ from z2cover.classify import (
     reconstruct_branch,
 )
 from z2cover.cover import BranchData, eigensheaf_degrees
-from z2cover.gf2 import _perm_table, canonicalize, orbit_reps, parity_vector
+from z2cover.gf2 import canonicalize, orbit_reps, parity_vector
 from z2cover.walsh import NonIntegralError
 from z2cover.wps import Weights, monomial_count
+
+from gl_table import perm_table
 
 
 def branch(d):
@@ -244,11 +246,11 @@ SUBSET_ORBIT_COUNTS = {
 
 @pytest.mark.parametrize("s", sorted(SUBSET_ORBIT_COUNTS))
 def test_subset_reps_one_per_orbit(s):
-    # canonicalize takes the least relabeling over the whole group table, so a
-    # representative fixed by it whose table orbit is disjoint from the others
-    # is the canonical form of exactly the subsets in that orbit
+    # canonicalize takes the least relabeling over the whole group, so a
+    # representative fixed by it whose orbit under the full group table is
+    # disjoint from the others is the canonical form of exactly those subsets
     n = 1 << s
-    group = _perm_table(s)
+    group = perm_table(s)
     for c, want in enumerate(SUBSET_ORBIT_COUNTS[s]):
         reps = _subset_reps(s, c)
         assert len(reps) == want

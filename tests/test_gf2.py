@@ -18,6 +18,8 @@ from z2cover.gf2 import (
     parity_vector,
 )
 
+from gl_table import table_canonicalize
+
 
 def test_dot_small_table():
     # rank 2 by hand: chi=3 pairs nontrivially with 1, 2 and trivially with 3.
@@ -93,6 +95,44 @@ def test_canonicalize_rank_cap():
     d = [0] * 32
     d[7] = 1
     assert canonicalize(d) == tuple([0] * 31 + [1])
+
+
+# rank-4 catalog rows with large stabilizers (see tests/test_classify.py)
+ITEM5 = (0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1, 1, 1, 1, 1, 2)
+NINE_ONES = (0, 0, 0, 0, 0, 1, 1, 1, 0, 1, 1, 1, 0, 1, 1, 1)
+TWELVE_ONES = (0, 0, 0, 0) + (1,) * 12
+
+
+def _tie_heavy(s):
+    """Functions whose automorphism groups are large, so many bases tie."""
+    n = 1 << s
+    funcs = [(0,) * n, (1,) * n, (0,) + (1,) * (n - 1)]
+    for g in (0, 1, n - 1):
+        funcs.append(tuple(int(x == g) for x in range(n)))
+    for chi in (1, n - 1):
+        funcs.append(tuple(1 - dot(chi, g) for g in range(n)))  # hyperplane
+        funcs.append(tuple(dot(chi, g) for g in range(n)))  # its complement
+    if s == 4:
+        funcs += [ITEM5, NINE_ONES, TWELVE_ONES]
+    return funcs
+
+
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_canonicalize_matches_full_group_table(s):
+    """canonicalize equals the minimum over every element of GL_s(F_2)."""
+    n = 1 << s
+    rng = random.Random(900 + s)
+    funcs = _tie_heavy(s)
+    for top in (1, 2, 3, 6):
+        for _ in range(25):
+            funcs.append(tuple(rng.randint(0, top) for _ in range(n)))
+    for _ in range(25):
+        f = [0] * n
+        for g in rng.sample(range(1, n), rng.randint(1, min(4, n - 1))):
+            f[g] = rng.randint(1, 2)
+        funcs.append(tuple(f))
+    for f in funcs:
+        assert canonicalize(f) == table_canonicalize(f), f
 
 
 def test_canonicalize_merges_equivalent_onset_characters():
