@@ -11,10 +11,12 @@ proxy, never verified geometrically.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
+from . import walsh
 from .cover import BranchData, CoverSpec, eigensheaf_degrees
 from .gf2 import affine_hyperplane_min_intersection, dot
 from .wps import Weights, monomial_count
@@ -48,14 +50,34 @@ class DeformationReport:
 
 
 def _failing_pairs(s: int, d, l) -> list[tuple[int, int]]:
-    """Pairs (g, chi), chi vanishing on g, where d(g) >= l(chi)."""
+    """Pairs (g, chi), chi vanishing on g, where d(g) >= l(chi).
+
+    Only characters with ``l(chi) <= max(d)`` can fail.  For a threshold
+    ``u`` among the branch degrees, the Walsh spectrum ``S_u`` of the
+    indicator ``I_u = [d(g) >= u, g != 0]`` counts, for every character at
+    once, the points of ``chi^perp`` that reach ``u``:
+    ``(|I_u| + S_u(chi)) / 2``.  Each character reads that count at its
+    least threshold ``u >= l(chi)``, one transform per threshold in use,
+    and only characters with a nonzero count list their pairs, in the
+    order chi ascending, then g ascending.
+    """
     n = 1 << s
+    levels = sorted(set(d[1:]))
+    reach: dict[int, tuple[list[int], list[int]]] = {}
     out = []
     for chi in range(1, n):
-        bound = l[chi]
-        for g in range(1, n):
-            if d[g] >= bound and not dot(chi, g):
-                out.append((g, chi))
+        if l[chi] > levels[-1]:
+            continue
+        u = levels[bisect_left(levels, l[chi])]
+        if u not in reach:
+            members = [g for g in range(1, n) if d[g] >= u]
+            indicator = [0] * n
+            for g in members:
+                indicator[g] = 1
+            reach[u] = (members, walsh.forward(indicator))
+        members, spectrum = reach[u]
+        if len(members) + spectrum[chi]:
+            out.extend((g, chi) for g in members if not dot(chi, g))
     return out
 
 

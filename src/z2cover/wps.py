@@ -1,9 +1,16 @@
 """Weighted projective 3-space combinatorics.
 
-Everything here is exact lattice counting: the number of weighted-degree-n
-monomials in four variables and the derived Euler characteristic
-``chi(O(n)) = N(n) - N(-n - W)``, where ``W`` is the weight sum.  The second
-term implements Serre duality for the canonical weight ``-W``.
+Everything here is exact lattice counting: the number ``N(n)`` of
+weighted-degree-n monomials in four variables and the derived Euler
+characteristic ``chi(O(n)) = N(n) - N(-n - W)``, where ``W`` is the weight
+sum.  The second term implements Serre duality for the canonical weight
+``-W``.
+
+``N`` is Sylvester's denumerant: on each residue class ``n = qL + r`` modulo
+``L = lcm(a)`` it is a cubic polynomial in ``q``, exact for every ``n >= 0``
+(Beck & Robins, *Computing the Continuous Discretely*, ch. 1).  Four lattice
+counts per residue class fix that cubic, so a count costs O(1) once its
+class is known, whatever the size of ``n``.
 """
 
 from __future__ import annotations
@@ -87,22 +94,52 @@ def _progression_count(rem: int, step: int, mod: int) -> int:
     return (rem - step * e0) // (step * m) + 1
 
 
-def monomial_count(weights: Weights | Iterable[int], n: int) -> int:
-    """Number of monomials of weighted degree exactly ``n`` (0 for n < 0).
+# Newton forward differences of N at r, r + L, r + 2L, r + 3L, keyed by
+# (weights, r); each entry fixes the cubic of one residue class mod L
+_NEWTON: dict[tuple[tuple[int, ...], int], tuple[int, int, int, int]] = {}
 
-    Two explicit loops over the largest weights; the exponent of the second
-    variable is counted per congruence class, so the cost is governed by
-    ``(n/a2) * (n/a3)`` rather than the lattice volume.
+
+def _lattice_count(quad: tuple[int, ...], n: int) -> int:
+    """N(n) for n >= 0 by two explicit loops over the largest weights.
+
+    The exponent of the second variable is counted per congruence class, so
+    the cost is governed by ``(n/a2) * (n/a3)`` rather than the lattice
+    volume.
     """
-    a0, a1, a2, a3 = tuple(weights)
-    if n < 0:
-        return 0
+    a0, a1, a2, a3 = quad
     total = 0
     for e3 in range(n // a3 + 1):
         r3 = n - e3 * a3
         for e2 in range(r3 // a2 + 1):
             total += _progression_count(r3 - e2 * a2, a1, a0)
     return total
+
+
+def monomial_count(weights: Weights | Iterable[int], n: int) -> int:
+    """Number of monomials of weighted degree exactly ``n`` (0 for n < 0).
+
+    With ``L = lcm(a)`` and ``n = qL + r``, the count is a cubic polynomial
+    in ``q`` on each residue class ``r``.  Below ``3L`` the lattice loop
+    answers directly, at cost ``(n/a2) * (n/a3)``.  From ``3L`` on, the
+    loop counts at ``r, r + L, r + 2L, r + 3L`` (all at most ``n``) give the
+    cubic's Newton forward differences, cached per ``(weights, r)``, and
+    the count is their binomial combination in ``q``: O(1) after the first
+    call in a class, never more than four loop calls at its own ``n``.
+    """
+    if n < 0:
+        return 0
+    quad = tuple(weights)
+    L = lcm(*quad)
+    q, r = divmod(n, L)
+    if q < 3:
+        return _lattice_count(quad, n)
+    key = (quad, r)
+    diffs = _NEWTON.get(key)
+    if diffs is None:
+        v0, v1, v2, v3 = (_lattice_count(quad, r + k * L) for k in range(4))
+        diffs = _NEWTON[key] = (v0, v1 - v0, v2 - 2 * v1 + v0, v3 - 3 * v2 + 3 * v1 - v0)
+    d0, d1, d2, d3 = diffs
+    return d0 + q * d1 + q * (q - 1) // 2 * d2 + q * (q - 1) * (q - 2) // 6 * d3
 
 
 def euler_char_line(weights: Weights | Iterable[int], n: int) -> int:

@@ -1,10 +1,19 @@
 """Command-line front end: exit codes, serialization, determinism."""
 
 import json
+import os
+import random
+import subprocess
+import sys
+import time
+from math import comb
+from pathlib import Path
 
 import pytest
 
+import z2cover
 from z2cover import classify
+from z2cover.cover import BranchData, eigensheaf_degrees
 from z2cover.cli import (
     EXIT_INVALID,
     EXIT_MALFORMED,
@@ -90,6 +99,71 @@ class TestCover:
             "y": "-1/48",
             "sci": "-121/32",
         }
+
+
+def p3_cover_text(s, d):
+    """Cover file text for branch degrees ``d`` on P^3."""
+    bits = {g: "".join("1" if (g >> i) & 1 else "0" for i in range(s)) for g in range(1 << s)}
+    return json.dumps({"weights": [1, 1, 1, 1], "s": s,
+                       "d": {bits[g]: v for g, v in enumerate(d) if v}})
+
+
+def seeded_p3_degrees(s, seed):
+    rng = random.Random(seed)
+    return [0] + [rng.choice((0, 2, 4, 6)) for _ in range(1, 1 << s)]
+
+
+def timed_cli(capsys, *argv):
+    started = time.monotonic()
+    code, out, err = run_cli(capsys, *argv)
+    return code, out, err, time.monotonic() - started
+
+
+class TestLargeCovers:
+    """Every accepted cover finishes: budgets are generous, the work is not."""
+
+    def test_rank12_invariants_closed_form(self, capsys, cover_file):
+        d = seeded_p3_degrees(12, 12)
+        path = cover_file(p3_cover_text(12, d))
+        code, out, _, elapsed = timed_cli(capsys, "cover", "invariants", path)
+        assert code == EXIT_OK
+        assert elapsed < 1.0
+        # chi(O(-l)) on P^3 is -C(l - 1, 3) for l >= 1, and every l is positive here
+        l = eigensheaf_degrees(BranchData(12, tuple(d))).l[1:]
+        assert min(l) >= 1
+        assert json.loads(out)["chi"] == 1 - sum(comb(v - 1, 3) for v in l)
+
+    @pytest.mark.parametrize("argv", [("cover", "check"), ("cover", "invariants"),
+                                      ("deform", "check")])
+    def test_rank16_subcommands_finish(self, capsys, cover_file, argv):
+        path = cover_file(p3_cover_text(16, seeded_p3_degrees(16, 16)))
+        code, out, _, elapsed = timed_cli(capsys, *argv, path)
+        assert code == EXIT_OK  # cover check and deform check exit 1 when not ok
+        assert isinstance(json.loads(out), dict)
+        assert elapsed < 10.0
+
+    def test_rank1_huge_degree(self, capsys, cover_file):
+        path = cover_file(p3_cover_text(1, (0, 2 * 10**6)))
+        code, out, _, elapsed = timed_cli(capsys, "cover", "invariants", path)
+        assert code == EXIT_OK
+        assert json.loads(out)["chi"] == 1 - comb(10**6 - 1, 3)
+        for argv in (("cover", "check"), ("deform", "check")):
+            code, out, _, more = timed_cli(capsys, *argv, path)
+            assert code == EXIT_OK and json.loads(out)["ok"]
+            elapsed += more
+        assert elapsed < 1.0
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    src = str(Path(z2cover.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for argv, expected_code in ((["examples", "new-component", "--M", "4"], EXIT_OK),
+                                (["examples", "new-component", "--M", "5"], EXIT_MALFORMED)):
+        proc = subprocess.run([sys.executable, "-m", "z2cover", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        code, out, err = run_cli(capsys, *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (expected_code, out, err)
 
 
 class TestGeography:

@@ -1,11 +1,15 @@
 """Deformation criteria, hyperplane configurations, and the example generators."""
 
+import random
+
 import pytest
 
 from z2cover.classify import is_pluricanonical
 from z2cover.cover import BranchData, CoverSpec, eigensheaf_degrees, is_flat
+from z2cover.gf2 import dot
 from z2cover.moduli import (
     STABILITY_NOTE,
+    _failing_pairs,
     deformation_criteria,
     gen_new_component,
     gen_unbounded,
@@ -50,6 +54,83 @@ class TestDeformationCriteria:
         wrep = deformation_criteria(weighted)
         assert not wrep.weights_coprime
         assert not wrep.ok
+
+
+def failing_pairs_oracle(s, d, l):
+    """Every (g, chi) with chi vanishing on g and d(g) >= l(chi), by the
+    direct O(4^s) double loop: chi ascending, then g ascending."""
+    n = 1 << s
+    return [
+        (g, chi)
+        for chi in range(1, n)
+        for g in range(1, n)
+        if d[g] >= l[chi] and not dot(chi, g)
+    ]
+
+
+# degree palettes: the benchmark's (2, 4) and (6, 12), a spread with zeros,
+# and spikes that pull a few degrees above most eigensheaf degrees
+PALETTES = ((2, 4), (6, 12), (0, 2, 4, 6), (0, 0, 2, 2, 40), (0, 0, 0, 0, 2, 100))
+
+
+def seeded_covers():
+    """Integral P^3 covers at ranks 1-8, plus rank-2 ties.
+
+    Dense covers take every palette; sparse ones put small degrees and one
+    spike on a few elements, so that the spike fails in every character
+    vanishing on it, and a support inside a hyperplane gives a character
+    with ``l = 0`` that every element of degree 0 reaches.
+    """
+    rng = random.Random(2024)
+    covers = [p3_cover((0, 6, 6, 6)), p3_cover((0, 2, 4, 6)), p3_cover((0, 0, 4, 4))]
+    for s in range(1, 9):
+        n = 1 << s
+        for palette in PALETTES:
+            for _ in range(3 if s < 8 else 1):
+                d = [0] + [rng.choice(palette) for _ in range(n - 1)]
+                if not any(d):
+                    d[1] = 2
+                covers.append(p3_cover(d))
+        for _ in range(4):
+            d = [0] * n
+            support = rng.sample(range(1, n), min(n - 1, rng.randrange(1, 2 * s + 1)))
+            for g in support:
+                d[g] = rng.choice((2, 4, 6))
+            d[support[0]] = 100
+            covers.append(p3_cover(d))
+    return covers
+
+
+class TestFailingPairs:
+    def test_matches_double_loop_on_seeded_covers(self):
+        ties = many = 0
+        for spec in seeded_covers():
+            s, d = spec.branch.s, spec.branch.d
+            l = eigensheaf_degrees(spec.branch).l
+            expected = failing_pairs_oracle(s, d, l)
+            assert _failing_pairs(s, d, l) == expected, d
+            assert deformation_criteria(spec).failing_pairs == tuple(expected)
+            ties += any(d[g] == l[chi] for g, chi in expected)
+            many += len({chi for _, chi in expected}) >= (1 << s) // 2
+        # the set exercises ties d(g) = l(chi) and covers failing almost everywhere
+        assert ties >= 10 and many >= 10
+
+    @pytest.mark.parametrize("M", [4, 6, 8, 20, 30])
+    def test_matches_double_loop_on_new_component(self, M):
+        spec = gen_new_component(M)
+        l = eigensheaf_degrees(spec.branch).l
+        assert _failing_pairs(4, spec.branch.d, l) == failing_pairs_oracle(4, spec.branch.d, l) == []
+
+    def test_matches_double_loop_on_arbitrary_bounds(self):
+        # bounds need not be eigensheaf degrees: zero bounds reach the
+        # elements of degree 0, and every bound equal to a degree is a tie
+        rng = random.Random(7)
+        for _ in range(300):
+            s = rng.randrange(1, 7)
+            n = 1 << s
+            d = [0] + [rng.choice((0, 0, 1, 2, 3, 5, 8)) for _ in range(n - 1)]
+            l = [0] + [rng.randrange(0, 10) for _ in range(n - 1)]
+            assert _failing_pairs(s, d, l) == failing_pairs_oracle(s, d, l)
 
 
 class TestHyperplaneConfig:

@@ -1,25 +1,42 @@
 """Weighted monomial counting and line-bundle Euler characteristics."""
 
+import json
 import random
-from itertools import product
-from math import comb
+import time
+from math import comb, lcm
 
 import pytest
 
+from z2cover.cli import main
 from z2cover.wps import Weights, euler_char_line, monomial_count, well_formed
 
 
 def brute_count(weights, n):
-    """Direct lattice walk, fine for n up to a few hundred."""
-    a0, a1, a2, a3 = weights
+    """Direct lattice walk over the three largest exponents.
+
+    The smallest weight only has to divide what is left, so the cost is
+    ``(n/a1)(n/a2)(n/a3)``: fine for n up to a few hundred on small weights
+    and up to a few thousand when two weights are large.
+    """
+    a0, a1, a2, a3 = sorted(weights)
     total = 0
-    for e0 in range(n // a0 + 1):
-        for e1 in range((n - e0 * a0) // a1 + 1):
-            rest = n - e0 * a0 - e1 * a1
-            for e2 in range(rest // a2 + 1):
-                if (rest - e2 * a2) % a3 == 0:
+    for e3 in range(n // a3 + 1):
+        for e2 in range((n - e3 * a3) // a2 + 1):
+            rest = n - e3 * a3 - e2 * a2
+            for e1 in range(rest // a1 + 1):
+                if (rest - e1 * a1) % a0 == 0:
                     total += 1
     return total
+
+
+def series_coefficients(weights, limit):
+    """Coefficients of prod 1/(1 - t^a) up to ``t^limit``, by recurrence."""
+    coeffs = [0] * (limit + 1)
+    coeffs[0] = 1
+    for a in weights:
+        for n in range(a, limit + 1):
+            coeffs[n] += coeffs[n - a]
+    return coeffs
 
 
 class TestWeights:
@@ -64,6 +81,7 @@ def test_monomial_count_straight_projective_space():
     # ordinary P^3: binomial(n+3, 3)
     for n in range(0, 40):
         assert monomial_count((1, 1, 1, 1), n) == comb(n + 3, 3)
+    assert monomial_count((1, 1, 1, 1), 10**6) == comb(10**6 + 3, 3)
 
 
 @pytest.mark.parametrize(
@@ -75,19 +93,78 @@ def test_monomial_count_matches_brute_force(weights):
         assert monomial_count(weights, n) == brute_count(weights, n)
 
 
-def test_monomial_count_generating_function_oracle():
-    # coefficients of prod 1/(1 - t^a) up to degree 200
+def _oracle_weight_sets():
+    """Seeded weight quadruples with lcm at most 60, plus fixed ones at 42 and 60."""
     rng = random.Random(17)
-    for _ in range(6):
-        weights = tuple(sorted(rng.randrange(1, 9) for _ in range(4)))
-        limit = 200
-        coeffs = [0] * (limit + 1)
-        coeffs[0] = 1
-        for a in weights:
-            for n in range(a, limit + 1):
-                coeffs[n] += coeffs[n - a]
-        for n in range(0, limit + 1, 13):
-            assert monomial_count(weights, n) == coeffs[n]
+    sets = [(1, 6, 14, 21), (3, 4, 5, 6), (1, 4, 5, 12), (1, 1, 1, 1)]
+    while len(sets) < 18:
+        weights = tuple(sorted(rng.randrange(1, 13) for _ in range(4)))
+        if lcm(*weights) <= 60 and weights not in sets:
+            sets.append(weights)
+    return sets
+
+
+def test_monomial_count_generating_function_oracle():
+    # every n from below -W up to 21 L: every residue class, the loop below
+    # 3L, the cubic from 3L on, and n < 0 including the window (-W, 0)
+    for weights in _oracle_weight_sets():
+        L, W = lcm(*weights), sum(weights)
+        limit = 21 * L
+        coeffs = series_coefficients(weights, limit)
+        for n in range(-W - 3, limit + 1):
+            assert monomial_count(weights, n) == (coeffs[n] if n >= 0 else 0), (weights, n)
+        # the edge between the two paths
+        assert monomial_count(weights, 3 * L - 1) == coeffs[3 * L - 1]
+        assert monomial_count(weights, 3 * L) == coeffs[3 * L]
+
+
+def test_monomial_count_large_lcm():
+    # L = 997 * 1009, so every n here stays on the lattice loop; a count
+    # seeded at r + 3L instead would walk millions of lattice points
+    weights = (1, 1, 997, 1009)
+    edges = {997 * i + 1009 * j + k for i in range(4) for j in range(3) for k in (-1, 0, 1)}
+    elapsed = 0.0
+    for n in sorted(set(range(0, 3001, 97)) | {n for n in edges if 0 <= n <= 3000}):
+        started = time.monotonic()
+        count = monomial_count(weights, n)
+        elapsed += time.monotonic() - started
+        assert count == brute_count(weights, n), n
+    assert elapsed < 1.0
+
+
+UNBOUNDED_STDOUT = {
+    ("canonical", 16): {
+        "kind": "canonical", "s": 16, "m": 1, "weights": [1, 1, 10922, 10922],
+        "height": 2, "L": 10922, "M": 10922, "k": 1, "l_on": 32768, "l_off": 16384,
+        "total_degree": 65536, "flat": False, "p_m": 10925,
+    },
+    ("canonical", 40): {
+        "kind": "canonical", "s": 40, "m": 1,
+        "weights": [1, 1, 183251937962, 183251937962], "height": 2,
+        "L": 183251937962, "M": 183251937962, "k": 1, "l_on": 549755813888,
+        "l_off": 274877906944, "total_degree": 1099511627776, "flat": False,
+        "p_m": 183251937965,
+    },
+    ("bicanonical", 16): {
+        "kind": "bicanonical", "s": 16, "m": 2, "weights": [1, 1, 19660, 19660],
+        "height": 3, "L": 19660, "M": 19660, "k": 1, "l_on": 49152, "l_off": 24576,
+        "total_degree": 98304, "flat": False, "p_m": 19663,
+    },
+    ("bicanonical", 40): {
+        "kind": "bicanonical", "s": 40, "m": 2,
+        "weights": [1, 1, 329853488332, 329853488332], "height": 3,
+        "L": 329853488332, "M": 329853488332, "k": 1, "l_on": 824633720832,
+        "l_off": 412316860416, "total_degree": 1649267441664, "flat": False,
+        "p_m": 329853488335,
+    },
+}
+
+
+@pytest.mark.parametrize("kind,s", sorted(UNBOUNDED_STDOUT))
+def test_unbounded_family_stdout_frozen(capsys, kind, s):
+    # p_m counts at n = L < 3L on P(1,1,L,L), with L up to 3.3e11
+    assert main(["examples", "unbounded", "--kind", kind, "--s", str(s)]) == 0
+    assert capsys.readouterr().out == json.dumps(UNBOUNDED_STDOUT[kind, s], indent=2) + "\n"
 
 
 def test_euler_char_line_serre_duality():
