@@ -22,11 +22,10 @@ classical items.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import lcm
-from typing import Iterator, Sequence
+from math import gcd, lcm
+from typing import Iterator, NamedTuple, Sequence
 
 from .cover import BranchData, eigensheaf_degrees
 from .gf2 import orbit_reps, parity_vector
@@ -58,8 +57,7 @@ SUPPLEMENTARY = "supplementary"
 CLASSICAL = "classical"
 
 
-@dataclass(frozen=True)
-class PluricanonicalReport:
+class PluricanonicalReport(NamedTuple):
     m: int
     D: int
     M: Fraction
@@ -71,8 +69,7 @@ class PluricanonicalReport:
     reasons: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class AdmissibleSolution:
+class AdmissibleSolution(NamedTuple):
     weights: Weights
     s: int
     m: int
@@ -89,8 +86,7 @@ class AdmissibleSolution:
         return (self.m, self.k, self.weights.a, self.D, self.d)
 
 
-@dataclass(frozen=True)
-class DistributionCounts:
+class DistributionCounts(NamedTuple):
     """Multiset of eigensheaf degrees: ``counts[i] = (value, multiplicity)``."""
 
     s: int
@@ -404,22 +400,29 @@ def _divisor_quadruples(L: int, W: int) -> list[Weights]:
 
 
 def _unit_fraction_quadruples(target: Fraction) -> Iterator[tuple[int, ...]]:
-    """Nondecreasing quadruples with sum of reciprocals equal to target."""
+    """Nondecreasing quadruples with sum of reciprocals equal to target.
 
-    def rec(prefix: tuple[int, ...], remaining: Fraction) -> Iterator[tuple[int, ...]]:
+    The remaining sum ``p/q`` is carried as a reduced integer pair; with
+    ``slots`` parts left the next part runs from ``ceil(q/p)`` (and the
+    previous part) up to ``floor(slots q/p)``.
+    """
+
+    def rec(prefix: tuple[int, ...], p: int, q: int) -> Iterator[tuple[int, ...]]:
         slots = 4 - len(prefix)
         if slots == 0:
-            if remaining == 0:
+            if p == 0:
                 yield prefix
             return
-        if remaining <= 0:
+        if p <= 0:
             return
-        lo = max(prefix[-1] if prefix else 1, math.ceil(Fraction(1) / remaining))
-        hi = math.floor(slots / remaining)
+        lo = max(prefix[-1] if prefix else 1, -(-q // p))
+        hi = slots * q // p
         for b in range(lo, hi + 1):
-            yield from rec(prefix + (b,), remaining - Fraction(1, b))
+            num, den = p * b - q, q * b  # p/q - 1/b
+            g = gcd(num, den)
+            yield from rec(prefix + (b,), num // g, den // g)
 
-    yield from rec((), target)
+    yield from rec((), target.numerator, target.denominator)
 
 
 def _weights_from_reciprocals(quad: tuple[int, ...]) -> Weights | None:
@@ -495,8 +498,7 @@ def _finish_solution(
     )
     top = max_admissible_m(weights, branch)
     if top is not None and top != m:
-        sol = replace(
-            sol,
+        sol = sol._replace(
             status=SUPPLEMENTARY,
             note=f"also admissible with m = {top}; listed there",
         )
@@ -553,8 +555,7 @@ def enumerate_flat(s: int, m: int) -> list[AdmissibleSolution]:
 # projective base (L == 1)
 
 
-@dataclass(frozen=True)
-class ProjectiveCase:
+class ProjectiveCase(NamedTuple):
     m: int
     k: int
     D: int
@@ -682,20 +683,17 @@ def _apply_projective_status(sol: AdmissibleSolution, case: ProjectiveCase) -> A
     if sol.status == SUPPLEMENTARY:  # non-maximal m wins over case labels
         return sol
     if case.m == 1 and case.k == 1:
-        return replace(
-            sol,
+        return sol._replace(
             status=CLASSICAL,
             note="classical family of low-degree canonical covers",
         )
     if (case.m, case.k) in ((1, 2), (2, 1)) and sol.s <= 3:
-        return replace(
-            sol,
+        return sol._replace(
             status=SUPPLEMENTARY,
             note="not among the catalogued families at this rank",
         )
     if sol.s == 4 and case.m == 2 and max(sol.d) == 1:
-        return replace(
-            sol,
+        return sol._replace(
             status=SUPPLEMENTARY,
             note="branch divisor splits into distinct planes; listed separately",
         )
@@ -706,8 +704,7 @@ def _apply_projective_status(sol: AdmissibleSolution, case: ProjectiveCase) -> A
 # rank 1: unbounded families
 
 
-@dataclass(frozen=True)
-class RankOneFamily:
+class RankOneFamily(NamedTuple):
     """One-parameter tower of double covers: ``d = 2 L t`` on one component.
 
     ``t`` runs over integers with ``t_min <= t`` and, when the window is

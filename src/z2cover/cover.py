@@ -10,11 +10,11 @@ integrality of all these half-sums is exactly the buildability of the cover.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import walsh
+from ._frozen import Frozen
 from .gf2 import parity_vector
 from .walsh import NonIntegralError
 from .wps import Weights
@@ -44,40 +44,55 @@ class CoverSpecError(ValueError):
     """Malformed cover description (bad JSON shape, keys, or ranges)."""
 
 
-@dataclass(frozen=True)
-class BranchData:
-    """Nonnegative branch degrees indexed by group element; ``d[0] == 0``."""
+class BranchData(Frozen):
+    """Nonnegative branch degrees indexed by group element; ``d[0] == 0``.
 
+    Immutable and compared by ``(s, d)``.  The Walsh spectrum of ``d`` is
+    transformed on first use and kept, so every invariant of one cover
+    reads the same transform.
+    """
+
+    __slots__ = ("s", "d", "_spectrum")
+    _fields = ("s", "d")
     s: int
     d: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.s < 1:
-            raise CoverSpecError(f"rank must be >= 1, got {self.s}")
-        if len(self.d) != 1 << self.s:
-            raise CoverSpecError(f"need {1 << self.s} degrees for rank {self.s}, got {len(self.d)}")
-        if any(not isinstance(v, int) or v < 0 for v in self.d):
+    def __init__(self, s: int, d: tuple[int, ...]):
+        d = tuple(d)  # a caller's list could change under the kept spectrum
+        if s < 1:
+            raise CoverSpecError(f"rank must be >= 1, got {s}")
+        if len(d) != 1 << s:
+            raise CoverSpecError(f"need {1 << s} degrees for rank {s}, got {len(d)}")
+        if any(not isinstance(v, int) or v < 0 for v in d):
             raise CoverSpecError("branch degrees must be nonnegative integers")
-        if self.d[0] != 0:
+        if d[0] != 0:
             raise CoverSpecError("the identity must carry degree 0")
-        if not any(self.d):
+        if not any(d):
             raise CoverSpecError("at least one branch degree must be positive")
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "_spectrum", None)
 
     @property
     def total(self) -> int:
         return sum(self.d)
 
+    @property
+    def spectrum(self) -> tuple[int, ...]:
+        """``walsh.forward(d)``, computed once per instance."""
+        if self._spectrum is None:
+            object.__setattr__(self, "_spectrum", tuple(walsh.forward(self.d)))
+        return self._spectrum
 
-@dataclass(frozen=True)
-class EigensheafDegrees:
+
+class EigensheafDegrees(NamedTuple):
     """Integral degrees l(chi), indexed by character; ``l[0] == 0``."""
 
     s: int
     l: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CoverSpec:
+class CoverSpec(NamedTuple):
     weights: Weights
     branch: BranchData
 
@@ -88,7 +103,7 @@ def eigensheaf_degrees(branch: BranchData) -> EigensheafDegrees:
     Raises :class:`NonIntegralError` naming the first character whose
     half-sum is fractional.
     """
-    spectrum = walsh.forward(branch.d)
+    spectrum = branch.spectrum
     s0 = spectrum[0]
     out = []
     for chi, sc in enumerate(spectrum):
@@ -123,20 +138,20 @@ def half_point_count(spec: CoverSpec) -> int:
     triple has three distinct elements, so the unordered count is a sixth
     of the spectral triple convolution ``sum(S^3) / 2^s``.
     """
-    triples = walsh.triple_convolution_at_zero(walsh.forward(spec.branch.d)) / 6
+    triples = walsh.triple_convolution_at_zero(spec.branch.spectrum) / 6
     total = triples / spec.weights.A
     if total.denominator != 1:
         raise NonIntegralError(f"half-point count {total} is not integral")
     return int(total)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     parity_ok: bool
     integral_degrees: bool
     weights_well_formed: bool
     flat: bool
     branching_positive: bool
+    connected: bool
     hurwitz: Fraction
     half_points: int | None
     half_points_integral: bool
@@ -149,6 +164,7 @@ class ValidationReport:
             and self.integral_degrees
             and self.weights_well_formed
             and self.branching_positive
+            and self.connected
             and self.half_points_integral
         )
 
@@ -156,8 +172,15 @@ class ValidationReport:
 def validate(spec: CoverSpec) -> ValidationReport:
     """Run every structural check once and collect the outcomes.
 
-    Flatness is reported, not required; a negative or zero Hurwitz excess
-    and any fractional quantity are failures.
+    Flatness is reported, not required; a negative or zero Hurwitz excess,
+    any fractional quantity and a disconnected cover are failures.
+
+    Since ``pi_* O_X`` is the sum of the ``O(-l(chi))``, ``h^0(O_X)`` counts
+    the characters with ``l(chi) = 0``, the ones vanishing on the branch
+    support.  They are the characters with ``S(chi) = S(0)`` in the Walsh
+    spectrum, fractional degrees or not, and there are ``2^(s - r)`` of
+    them when the support spans a rank-``r`` subgroup; the cover is
+    connected exactly when ``r = s``.
     """
     messages: list[str] = []
     parity_ok = parity_vector(spec.branch.d) == 0
@@ -177,6 +200,14 @@ def validate(spec: CoverSpec) -> ValidationReport:
     positive = hurwitz > 0
     if not positive:
         messages.append(f"branch degree excess {hurwitz} is not positive")
+    spectrum = spec.branch.spectrum
+    corank = spectrum.count(spectrum[0]).bit_length() - 1
+    connected = corank == 0
+    if not connected:
+        messages.append(
+            f"branch support spans a rank-{spec.branch.s - corank} subgroup:"
+            f" h^0(O_X) = 2^{corank}, the cover is not connected"
+        )
     half_points: int | None = None
     half_ok = True
     try:
@@ -190,6 +221,7 @@ def validate(spec: CoverSpec) -> ValidationReport:
         weights_well_formed=wf,
         flat=flat,
         branching_positive=positive,
+        connected=connected,
         hurwitz=hurwitz,
         half_points=half_points,
         half_points_integral=half_ok,

@@ -15,11 +15,12 @@ floats anywhere.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from . import walsh
+from ._frozen import Frozen
 from .cover import CoverSpec, eigensheaf_degrees, half_point_count, hurwitz_degree, is_flat
 from .gf2 import dot
 from .walsh import NonIntegralError
@@ -93,7 +94,7 @@ def topological_euler(spec: CoverSpec) -> tuple[Fraction, bool]:
     p3 = sum(v**3 for v in d)
     e2 = (p1 * p1 - p2) // 2
     e3 = (p1**3 - 3 * p1 * p2 + 2 * p3) // 6
-    zero_sum = walsh.triple_convolution_at_zero(walsh.forward(d)) / 6
+    zero_sum = walsh.triple_convolution_at_zero(spec.branch.spectrum) / 6
     singles = Fraction(p3 - W * p2 + sigma2 * p1, A)
     pairs = Fraction(W * e2 - (p1 * p2 - p3), A)
     triples = (e3 - zero_sum) / A
@@ -106,8 +107,7 @@ def topological_euler(spec: CoverSpec) -> tuple[Fraction, bool]:
     return e, a == (1, 1, 1, 1)
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     k3: Fraction
     chi: int
     euler: Fraction
@@ -153,22 +153,28 @@ def invariant_report(spec: CoverSpec) -> InvariantReport:
     )
 
 
-@dataclass(frozen=True)
-class RatioVector:
-    """Point of the branch-ratio simplex: ``r >= 0``, ``r[0] = 0``, sum 1."""
+class RatioVector(Frozen):
+    """Point of the branch-ratio simplex: ``r >= 0``, ``r[0] = 0``, sum 1.
 
+    Immutable and compared by ``(s, r)``.
+    """
+
+    __slots__ = ("s", "r")
+    _fields = ("s", "r")
     s: int
     r: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        if len(self.r) != 1 << self.s:
+    def __init__(self, s: int, r: tuple[Fraction, ...]):
+        if len(r) != 1 << s:
             raise ValueError("ratio vector length must be 2**s")
-        if self.r[0] != 0:
+        if r[0] != 0:
             raise ValueError("the identity ratio must be 0")
-        if any(v < 0 for v in self.r):
+        if any(v < 0 for v in r):
             raise ValueError("ratios must be nonnegative")
-        if sum(self.r) != 1:
+        if sum(r) != 1:
             raise ValueError("ratios must sum to 1")
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "r", r)
 
 
 def vertex_ratio(s: int, g: int = 1) -> RatioVector:
@@ -186,8 +192,7 @@ def barycenter_ratio(s: int) -> RatioVector:
     return RatioVector(s, tuple(r))
 
 
-@dataclass(frozen=True)
-class GeographyPoint:
+class GeographyPoint(NamedTuple):
     s: int
     a: Fraction  # cubic moment  sum r^3
     b: Fraction  # quadratic moment  sum r^2

@@ -12,9 +12,9 @@ proxy, never verified geometrically.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
+from typing import NamedTuple
 
 from . import walsh
 from .cover import BranchData, CoverSpec, eigensheaf_degrees
@@ -33,8 +33,7 @@ __all__ = [
 STABILITY_NOTE = "stable by pair criterion, not verified"
 
 
-@dataclass(frozen=True)
-class DeformationReport:
+class DeformationReport(NamedTuple):
     """Outcome of the numeric rigidity conditions for one cover."""
 
     pairwise_ok: bool
@@ -151,8 +150,7 @@ def gen_new_component(M: int) -> CoverSpec:
     return CoverSpec(weights=Weights((1, 1, 1, M)), branch=BranchData(4, tuple(d)))
 
 
-@dataclass(frozen=True)
-class UnboundedFamily:
+class UnboundedFamily(NamedTuple):
     """One member of the unbounded pluricanonical families on P(1,1,L,L).
 
     The branch degrees are constant (``height``) on the affine hyperplane

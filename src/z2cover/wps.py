@@ -15,17 +15,22 @@ class is known, whatever the size of ``n``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Iterable, Iterator
+
+from ._frozen import Frozen
 
 __all__ = ["Weights", "well_formed", "monomial_count", "euler_char_line"]
 
 
-@dataclass(frozen=True, order=True)
-class Weights:
-    """Sorted quadruple of positive weights for P(a0, a1, a2, a3)."""
+class Weights(Frozen):
+    """Sorted quadruple of positive weights for P(a0, a1, a2, a3).
 
+    Immutable, compared, hashed and ordered by ``a``.
+    """
+
+    __slots__ = ("a",)
+    _fields = ("a",)
     a: tuple[int, int, int, int]
 
     def __init__(self, a: Iterable[int]):
@@ -38,6 +43,18 @@ class Weights:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.a)
+
+    def __lt__(self, other):
+        return self.a < other.a if other.__class__ is self.__class__ else NotImplemented
+
+    def __le__(self, other):
+        return self.a <= other.a if other.__class__ is self.__class__ else NotImplemented
+
+    def __gt__(self, other):
+        return self.a > other.a if other.__class__ is self.__class__ else NotImplemented
+
+    def __ge__(self, other):
+        return self.a >= other.a if other.__class__ is self.__class__ else NotImplemented
 
     def __str__(self) -> str:
         return "(" + ",".join(str(w) for w in self.a) + ")"

@@ -5,8 +5,10 @@ a regression net for the distribution/reconstruction pipeline, so any change
 to the search must reproduce them bit for bit.
 """
 
+import math
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
@@ -16,9 +18,11 @@ from z2cover.classify import (
     CLASSICAL,
     MAIN,
     SUPPLEMENTARY,
+    AdmissibleSolution,
     DistributionCounts,
     ProjectiveCase,
     _subset_reps,
+    _unit_fraction_quadruples,
     bound_prune,
     bounds_report,
     enumerate_L1,
@@ -486,6 +490,17 @@ def test_enumerate_projective_rejects_rank_one():
         enumerate_L1(1, 1)
 
 
+def test_replace_keeps_every_other_field():
+    sol = next(x for x in enumerate_flat(2, 1) if x.status == MAIN)
+    moved = sol._replace(status=SUPPLEMENTARY, note="listed elsewhere")
+    assert isinstance(moved, AdmissibleSolution)
+    assert (moved.status, moved.note) == (SUPPLEMENTARY, "listed elsewhere")
+    assert (sol.status, sol.note) == (MAIN, "")
+    for name in AdmissibleSolution._fields:
+        if name not in ("status", "note"):
+            assert getattr(moved, name) == getattr(sol, name)
+
+
 def test_enumerate_projective_status_notes():
     notes = {x.note for x in enumerate_L1(2, 1)}
     assert "classical family of low-degree canonical covers" in notes
@@ -511,6 +526,38 @@ TOWERS_M1 = [
     ((1, 6, 14, 21), 84, 2),
     ((2, 3, 10, 15), 60, 2),
 ]
+
+
+def _unit_fraction_quadruples_by_fractions(target):
+    """The Fraction recursion the integer search replaced, kept as its oracle."""
+
+    def rec(prefix, remaining):
+        slots = 4 - len(prefix)
+        if slots == 0:
+            if remaining == 0:
+                yield prefix
+            return
+        if remaining <= 0:
+            return
+        lo = max(prefix[-1] if prefix else 1, math.ceil(Fraction(1) / remaining))
+        hi = math.floor(slots / remaining)
+        for b in range(lo, hi + 1):
+            yield from rec(prefix + (b,), remaining - Fraction(1, b))
+
+    yield from rec((), target)
+
+
+def test_unit_fraction_quadruples_match_fraction_recursion():
+    # every target enumerate_s1 uses for m = 1..6, and the W = 2L target
+    targets = {Fraction(c, m) for m in range(1, 7) for c in range(1, 4 * m + 1)}
+    targets.add(Fraction(2))
+    total = 0
+    for target in sorted(targets):
+        got = list(_unit_fraction_quadruples(target))
+        assert got == list(_unit_fraction_quadruples_by_fractions(target)), target
+        assert all(sum(Fraction(1, b) for b in quad) == target for quad in got)
+        total += len(got)
+    assert total > 1000
 
 
 class TestRankOneTowers:

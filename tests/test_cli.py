@@ -80,6 +80,19 @@ class TestCover:
         assert code == EXIT_MALFORMED
         assert out == "" and err.startswith("error:")
 
+    def test_check_fails_disconnected_cover(self, capsys, cover_file):
+        _, good, _ = run_cli(capsys, "cover", "check", cover_file(QUADRIC))
+        # the support 100, 010, 110 lies in a rank-2 subgroup of (Z/2)^3
+        text = '{"weights": [1, 1, 3, 3], "s": 3, "d": {"100": 6, "010": 6, "110": 6}}'
+        code, out, _ = run_cli(capsys, "cover", "check", cover_file(text))
+        assert code == EXIT_INVALID
+        payload = json.loads(out)
+        assert list(payload) == list(json.loads(good))
+        assert not payload["ok"] and payload["parity_ok"] and payload["half_points_integral"]
+        assert payload["messages"] == [
+            "branch support spans a rank-2 subgroup: h^0(O_X) = 2^1, the cover is not connected"
+        ]
+
     def test_check_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "cover", "check", str(tmp_path / "nope.json"))
         assert code == EXIT_MALFORMED
@@ -164,6 +177,17 @@ def test_python_dash_m_runs_the_cli(capsys):
                               capture_output=True, text=True, env=env, timeout=60)
         code, out, err = run_cli(capsys, *argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (expected_code, out, err)
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    src = str(Path(z2cover.__file__).resolve().parent.parent)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import z2cover.cli; "
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 class TestGeography:

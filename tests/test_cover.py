@@ -1,10 +1,12 @@
 """Cover descriptions: eigensheaf degrees, flatness, validation, JSON I/O."""
 
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+from z2cover import walsh
 from z2cover.cover import (
     BranchData,
     CoverSpec,
@@ -19,6 +21,7 @@ from z2cover.cover import (
     validate,
 )
 from z2cover.gf2 import canonicalize, dot
+from z2cover.invariants import RatioVector, invariant_report
 from z2cover.walsh import NonIntegralError
 from z2cover.wps import Weights
 
@@ -37,6 +40,14 @@ class TestBranchData:
         b = BranchData(1, (0, 2))
         assert b.total == 2
 
+    def test_keeps_a_tuple_of_a_list(self):
+        d = [0, 6, 2, 6]
+        b = BranchData(2, d)
+        assert b == BranchData(2, (0, 6, 2, 6)) and b.d == (0, 6, 2, 6)
+        hash(b)
+        d[1] = 2  # the caller's list is not the cover's
+        assert eigensheaf_degrees(b).l == (0, 6, 4, 4)
+
     @pytest.mark.parametrize(
         "s,d",
         [
@@ -50,6 +61,39 @@ class TestBranchData:
     def test_rejects(self, s, d):
         with pytest.raises(CoverSpecError):
             BranchData(s, d)
+
+
+# (build, a different value, field tuple, dataclass-style repr)
+RECORDS = [
+    (lambda: Weights((2, 1, 1, 1)), Weights((1, 1, 1, 3)), ((1, 1, 1, 2),),
+     "Weights(a=(1, 1, 1, 2))"),
+    (lambda: BranchData(2, (0, 6, 2, 6)), BranchData(2, (0, 6, 6, 2)), (2, (0, 6, 2, 6)),
+     "BranchData(s=2, d=(0, 6, 2, 6))"),
+    (lambda: RatioVector(1, (Fraction(0), Fraction(1))),
+     RatioVector(2, (Fraction(0), Fraction(1), Fraction(0), Fraction(0))),
+     (1, (Fraction(0), Fraction(1))),
+     "RatioVector(s=1, r=(Fraction(0, 1), Fraction(1, 1)))"),
+]
+
+
+@pytest.mark.parametrize("build,other,fields,text", RECORDS,
+                         ids=["Weights", "BranchData", "RatioVector"])
+def test_value_record_contract(build, other, fields, text):
+    x, y = build(), build()
+    assert x is not y and x == y and hash(x) == hash(y)
+    assert hash(x) == hash(fields)  # the hash a frozen dataclass gave
+    assert x != other
+    assert x != fields and fields != x
+    assert repr(x) == text
+    assert pickle.loads(pickle.dumps(x)) == x
+    first = type(x).__slots__[0]
+    with pytest.raises(AttributeError):
+        setattr(x, first, fields[0])
+    with pytest.raises(AttributeError):
+        delattr(x, first)
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    assert x == y
 
 
 def test_eigensheaf_degrees_known():
@@ -181,6 +225,68 @@ def test_validate_collects_failures():
     assert not shallow.ok
     assert not shallow.branching_positive
     assert shallow.parity_ok
+
+
+def _dense_cover(s, seed):
+    rng = random.Random(seed)
+    return cover((1, 1, 1, 1), [0] + [rng.choice((2, 4, 6)) for _ in range(1, 1 << s)])
+
+
+@pytest.mark.parametrize("run", [validate, invariant_report], ids=["validate", "invariant_report"])
+def test_one_walsh_transform_per_cover(monkeypatch, run):
+    calls = []
+    forward = walsh.forward
+
+    def counted(d):
+        calls.append(len(d))
+        return forward(d)
+
+    monkeypatch.setattr(walsh, "forward", counted)
+    spec = _dense_cover(6, 6)
+    run(spec)
+    assert calls == [64]
+    run(spec)  # the spectrum stays with the branch data
+    assert calls == [64]
+
+
+def test_validate_rejects_disconnected_rank3():
+    # support {100, 010, 110} lies in the subgroup of the first two coordinates
+    report = validate(cover((1, 1, 1, 1), (0, 6, 6, 6, 0, 0, 0, 0)))
+    assert not report.connected and not report.ok
+    assert report.parity_ok and report.integral_degrees and report.half_points_integral
+    assert report.branching_positive and report.weights_well_formed
+    assert report.messages == (
+        "branch support spans a rank-2 subgroup: h^0(O_X) = 2^1, the cover is not connected",
+    )
+    # one more point off the subgroup connects it
+    assert validate(cover((1, 1, 1, 1), (0, 6, 6, 6, 2, 0, 0, 0))).connected
+
+
+@pytest.mark.parametrize("r", [2, 11, 12])
+def test_validate_rank12_support_in_subgroup(r):
+    # dense degrees on the subgroup spanned by the first r coordinates
+    s = 12
+    rng = random.Random(r)
+    d = [rng.choice((2, 4, 6)) if 0 < g < 1 << r else 0 for g in range(1 << s)]
+    spec = cover((1, 1, 1, 1), d)
+    report = validate(spec)
+    assert report.connected == (r == s)
+    assert sum(v == 0 for v in eigensheaf_degrees(spec.branch).l) == 1 << (s - r)
+    if r < s:
+        assert not report.ok
+        assert report.messages[-1] == (
+            f"branch support spans a rank-{r} subgroup: h^0(O_X) = 2^{s - r},"
+            " the cover is not connected"
+        )
+    else:
+        assert not any("connected" in m for m in report.messages)
+
+
+def test_validate_connectedness_with_fractional_degrees():
+    # odd degrees leave the eigensheaf degrees fractional; the span is still read
+    report = validate(cover((1, 1, 1, 1), (0, 1, 0, 0, 0, 0, 0, 0)))
+    assert not report.integral_degrees and not report.connected
+    assert any("rank-1 subgroup: h^0(O_X) = 2^2" in m for m in report.messages)
 
 
 def test_json_roundtrip():
