@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import random
 import sys
 from fractions import Fraction
+from operator import attrgetter, itemgetter
 
 from . import classify, moduli
 from .cover import (
@@ -64,12 +66,44 @@ EXIT_MALFORMED = 2
 HUNT_SCAN = ("1/2", "11/20", "3/5", "13/20", "17/25")
 
 
+def _json_value(v):
+    """``json.dumps`` hook: a Fraction as its "p/q" string, weights as a list."""
+    if isinstance(v, Fraction):
+        return str(v)
+    if isinstance(v, Weights):
+        return list(v)
+    raise TypeError(f"{type(v).__name__} is not JSON serializable")
+
+
 def _emit(payload) -> None:
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2, default=_json_value))
 
 
-def _frac(v: Fraction | None) -> str | None:
-    return None if v is None else str(v)
+# record fields whose JSON keys differ from their names
+_JSON_KEYS = {"k3": "K3", "euler_exact": "exact", "p_m": "p"}
+
+
+def _fields(record) -> dict:
+    """A record's fields in declared order, under their JSON keys."""
+    return {_JSON_KEYS.get(k, k): v for k, v in record._asdict().items()}
+
+
+def _table(fmt: str, columns, rows) -> str:
+    """CSV or Markdown text of ``rows``, one ``(header, cell)`` pair per column.
+
+    CSV cells go through :mod:`csv` (``None`` is an empty cell); Markdown
+    cells are ``str`` of the cell value.
+    """
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow([header for header, _ in columns])
+        writer.writerows([cell(row) for _, cell in columns] for row in rows)
+        return out.getvalue().rstrip("\n")
+    lines = ["| " + " | ".join(header for header, _ in columns) + " |",
+             "|" + "---|" * len(columns)]
+    lines += ["| " + " | ".join(str(cell(row)) for _, cell in columns) + " |" for row in rows]
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -78,39 +112,16 @@ def _frac(v: Fraction | None) -> str | None:
 
 def _cmd_cover_check(args: argparse.Namespace) -> int:
     report = validate(from_path(args.path))
-    _emit(
-        {
-            "ok": report.ok,
-            "parity_ok": report.parity_ok,
-            "integral_degrees": report.integral_degrees,
-            "weights_well_formed": report.weights_well_formed,
-            "flat": report.flat,
-            "branching_positive": report.branching_positive,
-            "hurwitz": str(report.hurwitz),
-            "half_points": report.half_points,
-            "half_points_integral": report.half_points_integral,
-            "messages": list(report.messages),
-        }
-    )
+    payload = _fields(report)
+    # ``connected`` stays out to keep the payload's key set stable; a
+    # disconnected cover fails ``ok`` and says why in its messages
+    del payload["connected"]
+    _emit({"ok": report.ok, **payload})
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
 def _cmd_cover_invariants(args: argparse.Namespace) -> int:
-    rep = invariant_report(from_path(args.path))
-    _emit(
-        {
-            "K3": str(rep.k3),
-            "chi": rep.chi,
-            "euler": str(rep.euler),
-            "exact": rep.euler_exact,
-            "hurwitz": str(rep.hurwitz),
-            "half_points": rep.half_points,
-            "flat": rep.flat,
-            "x": _frac(rep.x),
-            "y": _frac(rep.y),
-            "sci": _frac(rep.sci),
-        }
-    )
+    _emit(_fields(invariant_report(from_path(args.path))))
     return EXIT_OK
 
 
@@ -130,53 +141,45 @@ def random_ratio(s: int, rng: random.Random) -> RatioVector:
     return RatioVector(s, tuple(r))
 
 
-def _geo_rank(s: int) -> int:
+def _xy_sci(point) -> dict:
+    return {"x": point.x, "y": point.y, "sci": point.sci}
+
+
+def _rank(s: int) -> int:
     if not 1 <= s <= MAX_RANK:
         raise ValueError(f"rank must be an integer in 1..{MAX_RANK}, got {s}")
     return s
 
 
 def _cmd_geo_sample(args: argparse.Namespace) -> int:
-    s = _geo_rank(args.s)
+    s = _rank(args.s)
     if args.count < 1:
         raise ValueError(f"count must be positive, got {args.count}")
     points = [
-        geography_point(random_ratio(s, random.Random(f"{args.seed}:{index}")))
+        {"index": index,
+         **_xy_sci(geography_point(random_ratio(s, random.Random(f"{args.seed}:{index}"))))}
         for index in range(args.count)
     ]
     if args.fmt == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["index", "x", "y", "sci"])
-        for index, pt in enumerate(points):
-            writer.writerow([index, pt.x, pt.y, pt.sci])
+        print(_table("csv", [(key, itemgetter(key)) for key in points[0]], points))
     else:
-        _emit(
-            {
-                "s": s,
-                "seed": args.seed,
-                "count": args.count,
-                "points": [
-                    {"index": i, "x": str(p.x), "y": str(p.y), "sci": str(p.sci)}
-                    for i, p in enumerate(points)
-                ],
-            }
-        )
+        _emit({"s": s, "seed": args.seed, "count": args.count, "points": points})
     return EXIT_OK
 
 
 def _cmd_geo_extremes(args: argparse.Namespace) -> int:
-    s = _geo_rank(args.s)
+    s = _rank(args.s)
     vx = geography_point(vertex_ratio(s))
     bc = geography_point(barycenter_ratio(s))
     _emit(
         {
             "s": args.s,
-            "vertex": {"x": str(vx.x), "y": str(vx.y), "sci": str(vx.sci)},
-            "barycenter": {"x": str(bc.x), "y": str(bc.y), "sci": str(bc.sci)},
-            "sci_min": str(SCI_MIN),
-            "sci_max": str(SCI_MAX),
-            "y_min": str(Y_MIN),
-            "y_max": str(bc.y),
+            "vertex": _xy_sci(vx),
+            "barycenter": _xy_sci(bc),
+            "sci_min": SCI_MIN,
+            "sci_max": SCI_MAX,
+            "y_min": Y_MIN,
+            "y_max": bc.y,
         }
     )
     return EXIT_OK
@@ -190,20 +193,13 @@ def _scan_mass(raw: str) -> Fraction:
 
 
 def _cmd_geo_hunt(args: argparse.Namespace) -> int:
-    s = _geo_rank(args.s)
+    s = _rank(args.s)
     values = args.t or list(HUNT_SCAN)
     rows = []
     for raw in values:
         t = _scan_mass(raw)
         f, pt = hunt_scan(s, t)
-        rows.append(
-            {
-                "t": str(t),
-                "F": str(f),
-                "sci": str(pt.sci),
-                "positive_index": pt.sci > 0,
-            }
-        )
+        rows.append({"t": t, "F": f, "sci": pt.sci, "positive_index": pt.sci > 0})
     _emit({"s": args.s, "points": rows})
     return EXIT_OK
 
@@ -212,30 +208,55 @@ def _cmd_geo_hunt(args: argparse.Namespace) -> int:
 # classify
 
 
+# one column list per row kind: the Markdown main table of solutions shows
+# the first five columns, the supplementary table and CSV all of them
+_SOLUTION_COLUMNS = [
+    ("m", attrgetter("m")),
+    ("weights", attrgetter("weights")),
+    ("d", lambda sol: "(" + ",".join(str(v) for v in sol.d[1:]) + ")"),
+    ("k", attrgetter("k")),
+    ("p", attrgetter("p_m")),
+    ("status", attrgetter("status")),
+    ("note", attrgetter("note")),
+]
+
+
+def _family_k(fam) -> str:
+    coeff = "t" if fam.m == 1 else f"{fam.m}t"
+    return f"{coeff} - {fam.m * fam.weights.W // fam.weights.L}"
+
+
+def _family_window(fam) -> str:
+    if fam.t_sup is None:
+        return f"t >= {fam.t_min}"
+    return f"{fam.t_min} <= t < {fam.t_sup}"
+
+
+# one column list for rank-1 families, from which Markdown shows the
+# parametrized k and window, CSV the raw window ends and the note
+_FAMILY_COLUMNS = [
+    ("m", attrgetter("m")),
+    ("weights", attrgetter("weights")),
+    ("degree", lambda fam: f"{fam.degree_coefficient}t"),
+    ("k", _family_k),
+    ("window", _family_window),
+    ("t_min", attrgetter("t_min")),
+    ("t_sup", attrgetter("t_sup")),
+    ("status", attrgetter("status")),
+    ("note", attrgetter("note")),
+]
+_FAMILY_MD = [c for c in _FAMILY_COLUMNS if c[0] not in ("t_min", "t_sup", "note")]
+_FAMILY_CSV = [c for c in _FAMILY_COLUMNS if c[0] not in ("k", "window")]
+
+
 def solutions_to_md(solutions) -> str:
     """Markdown tables: catalogued rows first, everything else after."""
     main = [x for x in solutions if x.status == classify.MAIN]
     rest = [x for x in solutions if x.status != classify.MAIN]
-    lines = ["| m | weights | d | k | p |", "|---|---|---|---|---|"]
-    lines += [_md_row(sol, False) for sol in main]
+    text = _table("md", _SOLUTION_COLUMNS[:5], main)
     if rest:
-        lines += [
-            "",
-            "supplementary:",
-            "",
-            "| m | weights | d | k | p | status | note |",
-            "|---|---|---|---|---|---|---|",
-        ]
-        lines += [_md_row(sol, True) for sol in rest]
-    return "\n".join(lines)
-
-
-def _md_row(sol, with_status: bool) -> str:
-    d = "(" + ",".join(str(v) for v in sol.d[1:]) + ")"
-    cells = [str(sol.m), str(sol.weights), d, str(sol.k), str(sol.p_m)]
-    if with_status:
-        cells += [sol.status, sol.note]
-    return "| " + " | ".join(cells) + " |"
+        text += "\n\nsupplementary:\n\n" + _table("md", _SOLUTION_COLUMNS, rest)
+    return text
 
 
 def md_to_solutions(text: str) -> list:
@@ -275,111 +296,37 @@ def md_to_solutions(text: str) -> list:
 
 
 def families_to_md(families) -> str:
-    lines = [
-        "| m | weights | degree | k | window | status |",
-        "|---|---|---|---|---|---|",
-    ]
-    for fam in families:
-        L, W = fam.weights.L, fam.weights.W
-        offset = fam.m * W // L
-        coeff = "t" if fam.m == 1 else f"{fam.m}t"
-        window = (
-            f"t >= {fam.t_min}"
-            if fam.t_sup is None
-            else f"{fam.t_min} <= t < {fam.t_sup}"
-        )
-        cells = [
-            str(fam.m),
-            str(fam.weights),
-            f"{fam.degree_coefficient}t",
-            f"{coeff} - {offset}",
-            window,
-            fam.status,
-        ]
-        lines.append("| " + " | ".join(cells) + " |")
-    return "\n".join(lines)
+    return _table("md", _FAMILY_MD, families)
 
 
-def _solution_payload(sol) -> dict:
-    return {
-        "weights": list(sol.weights),
-        "s": sol.s,
-        "m": sol.m,
-        "k": sol.k,
-        "d": list(sol.d),
-        "l": list(sol.l),
-        "D": sol.D,
-        "p": sol.p_m,
-        "flat": sol.flat,
-        "status": sol.status,
-        "note": sol.note,
-    }
-
-
-def _family_payload(fam) -> dict:
-    return {
-        "weights": list(fam.weights),
-        "m": fam.m,
-        "degree_coefficient": fam.degree_coefficient,
-        "t_min": fam.t_min,
-        "t_sup": fam.t_sup,
-        "status": fam.status,
-        "note": fam.note,
-    }
+def _family_fields(fam) -> dict:
+    weights, m, *rest = _fields(fam).items()
+    return dict([weights, m, ("degree_coefficient", fam.degree_coefficient), *rest])
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     if args.s < 1:
         raise ValueError(f"rank must be positive, got {args.s}")
+    _rank(args.s)
     if args.bounds_report:
         print(classify.bounds_report(args.s, args.m), file=sys.stderr)
     if args.s == 1:
-        families = classify.enumerate_s1(args.m, t_max=args.t_max)
-        if args.fmt == "md":
-            print(families_to_md(families))
-        elif args.fmt == "csv":
-            writer = csv.writer(sys.stdout, lineterminator="\n")
-            writer.writerow(["m", "weights", "degree", "t_min", "t_sup", "status", "note"])
-            for fam in families:
-                writer.writerow(
-                    [
-                        fam.m,
-                        str(fam.weights),
-                        f"{fam.degree_coefficient}t",
-                        fam.t_min,
-                        "" if fam.t_sup is None else fam.t_sup,
-                        fam.status,
-                        fam.note,
-                    ]
-                )
-        else:
-            _emit({"s": 1, "m": args.m, "families": [_family_payload(f) for f in families]})
-        return EXIT_OK
-    sols = []
-    if args.base in ("all", "flat"):
-        sols.extend(classify.enumerate_flat(args.s, args.m))
-    if args.base in ("all", "projective"):
-        sols.extend(classify.enumerate_L1(args.s, args.m))
-    sols.sort(key=classify.AdmissibleSolution.sort_key)
-    if args.fmt == "md":
-        print(solutions_to_md(sols))
-    elif args.fmt == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["m", "weights", "d", "k", "p", "status", "note"])
-        for sol in sols:
-            writer.writerow(
-                [
-                    sol.m,
-                    str(sol.weights),
-                    "(" + ",".join(str(v) for v in sol.d[1:]) + ")",
-                    sol.k,
-                    sol.p_m,
-                    sol.status,
-                    sol.note,
-                ]
-            )
+        rows = classify.enumerate_s1(args.m, t_max=args.t_max)
+        key, fields, to_md, columns = "families", _family_fields, families_to_md, _FAMILY_CSV
     else:
-        _emit({"s": args.s, "m": args.m, "solutions": [_solution_payload(x) for x in sols]})
+        rows = []
+        if args.base in ("all", "flat"):
+            rows.extend(classify.enumerate_flat(args.s, args.m))
+        if args.base in ("all", "projective"):
+            rows.extend(classify.enumerate_L1(args.s, args.m))
+        rows.sort(key=classify.AdmissibleSolution.sort_key)
+        key, fields, to_md, columns = "solutions", _fields, solutions_to_md, _SOLUTION_COLUMNS
+    if args.fmt == "md":
+        print(to_md(rows))
+    elif args.fmt == "csv":
+        print(_table("csv", columns, rows))
+    else:
+        _emit({"s": args.s, "m": args.m, key: [fields(row) for row in rows]})
     return EXIT_OK
 
 
@@ -389,17 +336,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_deform_check(args: argparse.Namespace) -> int:
     rep = moduli.deformation_criteria(from_path(args.path))
-    _emit(
-        {
-            "ok": rep.ok,
-            "pairwise_ok": rep.pairwise_ok,
-            "failing_pairs": [list(pair) for pair in rep.failing_pairs],
-            "total_degree_ok": rep.total_degree_ok,
-            "weights_coprime": rep.weights_coprime,
-            "genericity_assumed": rep.genericity_assumed,
-            "messages": list(rep.messages),
-        }
-    )
+    _emit({"ok": rep.ok, **_fields(rep)})
     return EXIT_OK if rep.ok else EXIT_INVALID
 
 
@@ -409,9 +346,9 @@ def _cmd_examples_new_component(args: argparse.Namespace) -> int:
     rep = moduli.deformation_criteria(spec)
     _emit(
         {
-            "weights": list(spec.weights),
+            "weights": spec.weights,
             "s": spec.branch.s,
-            "d": list(spec.branch.d),
+            "d": spec.branch.d,
             "l_values": sorted(set(l[1:])),
             "flat": is_flat(spec),
             "deformation_ok": rep.ok,
@@ -428,7 +365,7 @@ def _cmd_examples_unbounded(args: argparse.Namespace) -> int:
             "kind": fam.kind,
             "s": fam.s,
             "m": fam.m,
-            "weights": list(fam.weights),
+            "weights": fam.weights,
             "height": fam.height,
             "L": fam.L,
             "M": fam.M,

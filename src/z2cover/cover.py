@@ -48,11 +48,12 @@ class BranchData(Frozen):
     """Nonnegative branch degrees indexed by group element; ``d[0] == 0``.
 
     Immutable and compared by ``(s, d)``.  The Walsh spectrum of ``d`` is
-    transformed on first use and kept, so every invariant of one cover
-    reads the same transform.
+    transformed on first use and kept, and so is the eigensheaf-degree
+    table built from it, so every invariant of one cover reads the same
+    transform and the same table.
     """
 
-    __slots__ = ("s", "d", "_spectrum")
+    __slots__ = ("s", "d", "_spectrum", "_degrees")
     _fields = ("s", "d")
     s: int
     d: tuple[int, ...]
@@ -72,6 +73,7 @@ class BranchData(Frozen):
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "_spectrum", None)
+        object.__setattr__(self, "_degrees", None)
 
     @property
     def total(self) -> int:
@@ -101,8 +103,11 @@ def eigensheaf_degrees(branch: BranchData) -> EigensheafDegrees:
     """Halved hyperplane sums of the branch degrees, one per character.
 
     Raises :class:`NonIntegralError` naming the first character whose
-    half-sum is fractional.
+    half-sum is fractional.  An integral table is built once per
+    :class:`BranchData` and kept there.
     """
+    if branch._degrees is not None:
+        return branch._degrees
     spectrum = branch.spectrum
     s0 = spectrum[0]
     out = []
@@ -114,7 +119,8 @@ def eigensheaf_degrees(branch: BranchData) -> EigensheafDegrees:
                 element=chi,
             )
         out.append(num // 4)
-    return EigensheafDegrees(branch.s, tuple(out))
+    object.__setattr__(branch, "_degrees", EigensheafDegrees(branch.s, tuple(out)))
+    return branch._degrees
 
 
 def is_flat(spec: CoverSpec) -> bool:

@@ -626,3 +626,19 @@ def test_bounds_report_content():
     assert "flat exclusion region hit: True" in text43
     text21 = bounds_report(2, 1)
     assert "case m=1 k=5 D=18" in text21
+
+
+def test_thirty_two_deformation_types():
+    # the paper's count of main rows at rank >= 2 over the multiples 1..6;
+    # the flat lists stop at rank 6 and the projective lifting at rank 7,
+    # and every rank not named below is empty
+    flat, projective = Counter(), Counter()
+    for m in range(1, 7):
+        for s in range(2, 7):
+            flat[s] += sum(x.status == MAIN for x in enumerate_flat(s, m))
+        for s in range(2, 8):
+            projective[s] += sum(x.status == MAIN for x in enumerate_L1(s, m))
+    assert +flat == {2: 15, 3: 5, 4: 2, 5: 1}
+    assert +projective == {2: 6, 3: 1, 4: 2}
+    assert +(flat + projective) == {2: 21, 3: 6, 4: 4, 5: 1}
+    assert (flat + projective).total() == 32

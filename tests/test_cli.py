@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, serialization, determinism."""
 
+import hashlib
 import json
 import os
 import random
@@ -130,6 +131,109 @@ def timed_cli(capsys, *argv):
     started = time.monotonic()
     code, out, err = run_cli(capsys, *argv)
     return code, out, err, time.monotonic() - started
+
+
+# rank-3 covers of P^3: a valid one, one of odd parity (fractional eigensheaf
+# degrees) and one whose support spans a proper subgroup
+FROZEN_COVERS = {
+    "valid": p3_cover_text(3, (0, 2, 2, 2, 2, 2, 2, 2)),
+    "odd": p3_cover_text(3, (0, 1, 2, 2, 2, 2, 2, 2)),
+    "disconnected": p3_cover_text(3, (0, 6, 6, 6, 0, 0, 0, 0)),
+}
+
+# (argv, exit code, sha256 of stdout); a {name} argument is the path of a
+# file holding FROZEN_COVERS[name]
+FROZEN_STDOUT = [
+    ("classify --s 1 --m 1 --format json", 0,
+     "046e5776123e72720062875bb22813fe4294297708581d7b8b1c2fa24a3d6e26"),
+    ("classify --s 1 --m 1 --format md", 0,
+     "19fc68ebf59f0c4c7f43f994c1b655211f2244bfd6f00d7f90d63080b8834c2a"),
+    ("classify --s 1 --m 1 --format csv", 0,
+     "c22b2da85fec200ee72ae703e687a64a129ae6859bf8fd00a4e0b3139b79803c"),
+    ("classify --s 1 --m 2 --format json", 0,
+     "1519b8f0832ed4b2e50abf3d47bb4b6456d0db77719b4edb5673dbe24a2cac9b"),
+    ("classify --s 1 --m 2 --format md", 0,
+     "65c22ecb1623ac25e2d5a8c618d6a57adcee4a06c1ff14e2e602e93b51a983c1"),
+    ("classify --s 1 --m 2 --format csv", 0,
+     "34140f2957c30e39255c2cd8b44da610fc3e19c1711534a18cf19a8aff8e75c6"),
+    ("classify --s 2 --m 1 --format json", 0,
+     "2de48e6c7fbfa9d3a66bd2784da235e425064ce18b485e2081dc29dd50aa7f37"),
+    ("classify --s 2 --m 1 --format md", 0,
+     "cb51d3f9be3ff2d533114166aac65bb403db1ee29013a2bc491199cc53b3767a"),
+    ("classify --s 2 --m 1 --format csv", 0,
+     "2e4ec84e32e79614857ce070cd494b461b7f242bfa06ab8155da479d5d724051"),
+    ("classify --s 2 --m 2 --format json", 0,
+     "e6b2003328ae6f9e169c7a06930a68cfe8356675048d8c4ea99e4bbc8e5d5cd7"),
+    ("classify --s 2 --m 2 --format md", 0,
+     "6b00946dc98f3ee864198a744a17cc50f826218c530d00170ccd1942bb6afe09"),
+    ("classify --s 2 --m 2 --format csv", 0,
+     "cf57dfb8808e64d5c78ec96bbc8f1d2aef2be54309336dab08f0f6263368b311"),
+    ("classify --s 3 --m 1 --format json", 0,
+     "908a9579141205bcc920ef79c0a1025e6385a5426fa34a9c41609ede3d6a76c9"),
+    ("classify --s 3 --m 1 --format md", 0,
+     "18fbcfb9032af49986eeec8b6a56584dac207218a40013aecd5ac728f52a1766"),
+    ("classify --s 3 --m 1 --format csv", 0,
+     "765037b5e4578900cd0f8bce4eaca4aa88f3af004b8200ede6c04746b337fc6f"),
+    ("classify --s 3 --m 2 --format json", 0,
+     "7f7f897a652a63b2b32060f37b4e644a9b6f78b8e45154faf2eee548ab44294d"),
+    ("classify --s 3 --m 2 --format md", 0,
+     "d63ccece5e7a7fc285f7de259be4248a9d46c6b2acf352715f3d2ed8155db48f"),
+    ("classify --s 3 --m 2 --format csv", 0,
+     "26ec83bfe91ff4ecfe59a027719447f9253f026732f9ead32dd72fa8ec4488aa"),
+    ("classify --s 1 --m 1 --t-max 7 --format json", 0,
+     "b715fc633919d888929c3b31481addc6025589cafd93f3edf9c4cd621bb0445e"),
+    ("classify --s 1 --m 1 --t-max 7 --format md", 0,
+     "c760ef4b9383a1c7ec2e0178948e141b4f1a9e7c12df39ab7464f02c01127259"),
+    ("classify --s 1 --m 1 --t-max 7 --format csv", 0,
+     "7d7e61d60413e91ad24286be8600cf9c2f6a767e49e98a5708327765745d789f"),
+    ("classify --s 5 --m 2 --format md", 0,
+     "df2f8134f0e9c67633df6d269cb2e0c792f91c220a189bd34b669da7765d4bb1"),
+    ("geography sample --s 3 --count 20 --seed 7 --format json", 0,
+     "b53aad2bc14188d88f21206104db0046cf37c162b6b9dea5757e9c713a67e7fa"),
+    ("geography sample --s 3 --count 20 --seed 7 --format csv", 0,
+     "21fa2b03122df1d05f93b1d76231d5a5e309dead4e84c56d9f573e6248357255"),
+    ("geography extremes --s 2", 0,
+     "b7cc9cd54642892203d8a945a7f76dc7beeca9ecbd86c48839e452dece8f49fa"),
+    ("geography extremes --s 5", 0,
+     "c8214010ecc8f91936776f4dc367973eac61d93802e78e2591cc47a2a0bab36e"),
+    ("geography hunt", 0,
+     "779896184abe2b5737537eb7827c030b24d87f578e7c6ef2e25c4d3bb2623c91"),
+    ("geography hunt --s 4 --t 3/5 --t 1", 0,
+     "75d2878144a606bff49488c49bee99a4d13c22abadf1c6195a7169be402b9efb"),
+    ("cover check {valid}", 0,
+     "277d8f18f31c3523740d8fca6fd867d64b0f1a36c74a6c9372cf14ff5855bc76"),
+    ("cover invariants {valid}", 0,
+     "da02f000458df1c37ee8383b175f2087cbbc1367d02213ded4fffff1d803cb17"),
+    ("deform check {valid}", 0,
+     "6f8a8ef7253d5fadcdf822f35801be098c01ec61f9d66ebc7ff370e6fac09e02"),
+    ("cover check {odd}", 1,
+     "d6864563b74d6f5f3807192ba5eca4954955eefb1c80fed03d5896103075d0ad"),
+    ("cover invariants {odd}", 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("deform check {odd}", 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("cover check {disconnected}", 1,
+     "dc6fda28bbadeec0d1ba55b0778c13895a52caac73530d29680fd8a5173d4fbf"),
+    ("cover invariants {disconnected}", 0,
+     "119584d3330bc1fd7071c91119f24fc1f962682ce7771b5406e85e92dd28736d"),
+    ("deform check {disconnected}", 1,
+     "19104d5a0e7266fc5262fb49a81bc3cd3135ff2e19e5428efe4992abe2151536"),
+    ("examples new-component --M 6", 0,
+     "c41b1bdf89b44f04ce28d0b985aa758af1e93b04767ab3759199782ea9a45a0f"),
+    ("examples unbounded --kind canonical --s 10", 0,
+     "f1bb2ae2ad9b9f52f40141a96a5bb14debaac3b607e96a0665777f28d61b8da9"),
+    ("examples unbounded --kind bicanonical --s 5", 0,
+     "f4a39006b2a1e3a718cbd631ee718e3a616bbf6eed3b23d30f72515ec6f08102"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", FROZEN_STDOUT,
+                         ids=[argv for argv, _, _ in FROZEN_STDOUT])
+def test_stdout_frozen(capsys, cover_file, argv, code, digest):
+    args = [cover_file(FROZEN_COVERS[a.strip("{}")]) if a.startswith("{") else a
+            for a in argv.split()]
+    got, out, _ = run_cli(capsys, *args)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
 class TestLargeCovers:
@@ -324,6 +428,15 @@ class TestClassify:
         code, out, err = run_cli(capsys, "classify", "--s", "0", "--m", "1")
         assert code == EXIT_MALFORMED
         assert out == "" and err == "error: rank must be positive, got 0\n"
+
+    @pytest.mark.parametrize("s", ["17", "2000"])
+    def test_rank_above_cap(self, capsys, s):
+        # rejected before enumerating: the projective lifting would run
+        # (and at rank 2000 overflow the stack) rather than fail on its own
+        code, out, err = run_cli(capsys, "classify", "--s", s, "--m", "1",
+                                 "--base", "projective")
+        assert code == EXIT_MALFORMED
+        assert out == "" and err == f"error: rank must be an integer in 1..16, got {s}\n"
 
 
 class TestMarkdownRoundTrip:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import z2cover.cover
 from z2cover import walsh
 from z2cover.cover import (
     BranchData,
@@ -247,6 +248,31 @@ def test_one_walsh_transform_per_cover(monkeypatch, run):
     assert calls == [64]
     run(spec)  # the spectrum stays with the branch data
     assert calls == [64]
+
+
+@pytest.mark.parametrize("run", [validate, invariant_report], ids=["validate", "invariant_report"])
+def test_one_degree_table_per_cover(monkeypatch, run):
+    built = []
+    table = z2cover.cover.EigensheafDegrees
+
+    def counted(s, l):
+        built.append(s)
+        return table(s, l)
+
+    monkeypatch.setattr(z2cover.cover, "EigensheafDegrees", counted)
+    spec = _dense_cover(6, 6)
+    run(spec)
+    assert built == [6]
+    run(spec)  # the table stays with the branch data
+    assert built == [6]
+    assert eigensheaf_degrees(spec.branch) is eigensheaf_degrees(spec.branch)
+
+
+def test_fractional_degrees_raise_every_time():
+    branch = BranchData(2, (0, 1, 2, 2))
+    for _ in range(2):
+        with pytest.raises(NonIntegralError):
+            eigensheaf_degrees(branch)
 
 
 def test_validate_rejects_disconnected_rank3():
