@@ -10,9 +10,9 @@ The search space splits by the lcm ``L`` of the base weights:
   ``(m, k)`` by divisibility, candidate degree profiles are partitions of
   ``D``, profiles route to excess distributions filtered by exact moment
   identities, and distributions are realized (or refuted) by spectral
-  reconstruction.  Above rank 4 reconstruction is replaced by lifting the
-  complete rank ``s-1`` lists, which is exhaustive because every candidate
-  support is smaller than the group.
+  reconstruction.  Wherever ``D < 2^s - 1``, which is from rank 4 on,
+  reconstruction is replaced by lifting the complete rank ``s-1`` lists,
+  which is exhaustive because every candidate support misses a direction.
 
 Solutions are reported up to the GL_s(F_2) relabeling of the group, with a
 status separating the reference catalog rows from supplementary and
@@ -27,7 +27,8 @@ from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
 from typing import Iterator, NamedTuple, Sequence
 
-from .cover import BranchData, eigensheaf_degrees
+from . import walsh
+from .cover import BranchData, CoverSpec, eigensheaf_degrees, is_flat
 from .gf2 import orbit_reps, parity_vector
 from .walsh import NonIntegralError
 from .wps import Weights, monomial_count, well_formed
@@ -130,7 +131,7 @@ def is_pluricanonical(weights: Weights, branch: BranchData, m: int) -> Pluricano
                     f"sections survive in character {chi}: degree {M_int - l[chi]} is effective"
                 )
                 break
-    flat = all(v % L == 0 for v in l)
+    flat = is_flat(CoverSpec(weights, branch))
     return PluricanonicalReport(
         m=m,
         D=D,
@@ -265,108 +266,44 @@ def l_distribution_candidates(
     return out
 
 
-def _parity_masks(s: int, width: int) -> list[int]:
-    """For each character, the set ``{x : chi.x = 1}`` packed ``width`` bits per x."""
-    n = 1 << s
-    masks = [0] * n
-    for chi in range(1, n):
-        acc = 0
-        for x in range(1, n):
-            if (chi & x).bit_count() & 1:
-                acc |= 1 << (width * x)
-        masks[chi] = acc
-    return masks
-
-
-_PARITY_MASKS: dict[tuple[int, int], list[int]] = {}
-
-_SUBSET_REPS: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-
-
-def _subset_reps(s: int, c: int) -> list[tuple[int, ...]]:
-    """One ``c``-subset of the nonzero characters from each GL_s orbit.
-
-    GL_s permutes the nonzero characters as it permutes the nonzero group
-    elements, so the orbits are those of the subsets' indicator functions.
-    Each subset is given by its orbit's least indicator, in increasing order.
-    """
-    key = (s, c)
-    if key not in _SUBSET_REPS:
-        n = 1 << s
-        indicators = []
-        for combo in combinations(range(1, n), c):
-            f = [0] * n
-            for chi in combo:
-                f[chi] = 1
-            indicators.append(tuple(f))
-        _SUBSET_REPS[key] = [
-            tuple(g for g in range(n) if f[g]) for f in sorted(orbit_reps(indicators, s))
-        ]
-    return _SUBSET_REPS[key]
-
-
 def _reconstruct_distribution(
     s: int, D: int, base: int, excess: Sequence[tuple[int, int]]
 ) -> Iterator[tuple[int, ...]]:
     """At least one branch function from every GL_s orbit matching the distribution.
 
     ``excess`` lists ``(value, multiplicity)`` pairs of l-values above the
-    base; the base takes the remaining characters.  One pivot class, the
-    one with the most placements, is placed only on GL_s-orbit
-    representatives of its character set.  That is exhaustive up to GL_s:
-    relabeling a solution moves the pivot's characters to any member of
-    their orbit and keeps the degree multiset.  The other classes are tried
-    in every placement on the characters left over.
-
-    Inversion uses ``d(x) = (base - E + 2 T(x)) / 2^(s-2)`` where T
-    accumulates the excesses over characters pairing to 1 with x; the T
-    accumulator is packed into one integer, one field per group element, so
-    a placement is validated with a handful of big-int adds.
+    base; the base takes the remaining characters.  A placement of the
+    classes on the nonzero characters fixes the spectrum
+    ``S(chi) = D - 4 l(chi)``, and ``walsh.inverse`` gives the one function
+    with that spectrum; it is kept when it is integral and nonnegative.
     """
     n = 1 << s
-    div = 1 << (s - 2)
-    e_total = sum((v - base) * c for v, c in excess)
-    const = base - e_total
-    if s >= 3 and const % 2:
-        return  # every numerator would be odd
-    # each T(x) is at most e_total, so fields of its bit length never carry
-    width = max(1, e_total.bit_length())
-    field = (1 << width) - 1
-    key = (s, width)
-    if key not in _PARITY_MASKS:
-        _PARITY_MASKS[key] = _parity_masks(s, width)
-    masks = _PARITY_MASKS[key]
     mult = dict(excess)
     mult[base] = n - 1 - sum(mult.values())
-    pivot = max(mult, key=lambda v: math.comb(n - 1, mult[v]))
-    # the pivot is placed first, and only on orbit representatives
-    values = [pivot] + sorted((v for v in mult if v not in (base, pivot)), reverse=True)
+    values = sorted((v for v in mult if mult[v]), key=lambda v: mult[v])
+    l = [0] * n
 
-    def place(vi: int, avail: tuple[int, ...], acc: int) -> Iterator[int]:
+    def place(vi: int, avail: tuple[int, ...]) -> Iterator[None]:
         if vi == len(values):
-            yield acc
+            yield
             return
         v = values[vi]
-        e = v - base
-        for combo in combinations(avail, mult[v]) if vi else _subset_reps(s, mult[v]):
-            add = 0
+        # GL_s is 2-transitive on the nonzero characters, so a smallest
+        # class of one or two characters is placed on (1,) or (1, 2) only
+        combos = [avail[: mult[v]]] if vi == 0 and mult[v] <= 2 else combinations(avail, mult[v])
+        for combo in combos:
             for chi in combo:
-                add += masks[chi]
+                l[chi] = v
             taken = set(combo)
-            rest = tuple(c for c in avail if c not in taken)
-            yield from place(vi + 1, rest, acc + e * add)
+            yield from place(vi + 1, tuple(c for c in avail if c not in taken))
 
-    for t_packed in place(0, tuple(range(1, n)), 0):
-        d = [0] * n
-        ok = True
-        for x in range(1, n):
-            num = const + 2 * ((t_packed >> (width * x)) & field)
-            if num < 0 or num % div:
-                ok = False
-                break
-            d[x] = num // div
-        if ok:
-            assert sum(d) == D
+    for _ in place(0, tuple(range(1, n))):
+        try:
+            d = walsh.inverse([D - 4 * v for v in l])
+        except NonIntegralError:
+            continue
+        if min(d) >= 0:
+            assert d[0] == 0 and sum(d) == D
             yield tuple(d)
 
 
@@ -512,8 +449,9 @@ def enumerate_flat(s: int, m: int) -> list[AdmissibleSolution]:
     """Complete list of admissible covers over bases with ``L >= 2``.
 
     Exhaustive for ``2 <= s <= 6``: the cell windows are finite and every
-    eigensheaf-degree assignment inside a cell is tested, up to GL_s, by
-    exact inversion.
+    eigensheaf-degree assignment inside a cell is inverted by one Walsh
+    transform, with only the smallest class's placement cut by GL_s.
+    Unlike the projective lists these are not lifted from rank ``s-1``.
     """
     if not 2 <= s <= 6:
         raise ValueError("flat enumeration is exhaustive only for ranks 2..6")
@@ -626,7 +564,7 @@ _L1_CACHE: dict[tuple[int, int], list[AdmissibleSolution]] = {}
 
 def _projective_surviving_reps(s: int, m: int, case: ProjectiveCase) -> list[tuple[int, ...]]:
     min_l = case.k + 1
-    if s <= 4:
+    if case.D >= (1 << s) - 1:
         sum_sqs = sorted({sum(v * v for v in p) for p in m_profiles(s, case.D, min_l)})
         # each sum_sq fixes the quadratic moment 2^s sum_sq - D^2, so no
         # distribution comes back for two of them
@@ -637,7 +575,6 @@ def _projective_surviving_reps(s: int, m: int, case: ProjectiveCase) -> list[tup
         return sorted(reps)
     # recursive lifting: every rank-s support misses a direction because
     # D < 2^s - 1, so projections to rank s-1 are again solutions there
-    assert case.D < (1 << s) - 1
     parents = [
         sol.d
         for sol in enumerate_L1(s - 1, m)

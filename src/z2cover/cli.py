@@ -27,6 +27,7 @@ from . import classify, moduli
 from .cover import (
     MAX_RANK,
     BranchData,
+    CoverSpec,
     CoverSpecError,
     eigensheaf_degrees,
     from_path,
@@ -275,7 +276,6 @@ def md_to_solutions(text: str) -> list:
         status, note = (cells[5], cells[6]) if len(cells) >= 7 else (classify.MAIN, "")
         s = len(d).bit_length() - 1
         branch = BranchData(s, d)
-        l = eigensheaf_degrees(branch).l
         out.append(
             classify.AdmissibleSolution(
                 weights=weights,
@@ -283,10 +283,10 @@ def md_to_solutions(text: str) -> list:
                 m=m,
                 k=int(cells[3]),
                 d=d,
-                l=l,
+                l=eigensheaf_degrees(branch).l,
                 D=branch.total,
                 p_m=int(cells[4]),
-                flat=all(v % weights.L == 0 for v in l),
+                flat=is_flat(CoverSpec(weights, branch)),
                 status=status,
                 note=note,
             )

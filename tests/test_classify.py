@@ -10,10 +10,11 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import factorial
 
 import pytest
 
+import z2cover.classify
 from z2cover.classify import (
     CLASSICAL,
     MAIN,
@@ -21,7 +22,7 @@ from z2cover.classify import (
     AdmissibleSolution,
     DistributionCounts,
     ProjectiveCase,
-    _subset_reps,
+    _projective_surviving_reps,
     _unit_fraction_quadruples,
     bound_prune,
     bounds_report,
@@ -36,12 +37,10 @@ from z2cover.classify import (
     projective_cases,
     reconstruct_branch,
 )
-from z2cover.cover import BranchData, eigensheaf_degrees
+from z2cover.cover import BranchData, CoverSpec, eigensheaf_degrees, is_flat
 from z2cover.gf2 import canonicalize, orbit_reps, parity_vector
 from z2cover.walsh import NonIntegralError
 from z2cover.wps import Weights, monomial_count
-
-from gl_table import perm_table
 
 
 def branch(d):
@@ -181,7 +180,7 @@ class TestReconstruct:
             reconstruct_branch(4, 9, DistributionCounts(4, 9, 2, ((2, 10),)))
 
     def test_large_excess_matches_unpacked_loop(self):
-        # excess mass of 16 or more overflows a fixed 4-bit packing
+        # excess masses of 16 and more, with fixed and random branch functions
         rng = random.Random(16)
         fixed = [(0, 20, 0, 0, 0, 0, 0, 0), (0,) * 8 + (14,) + (0,) * 7]
         checked = 0
@@ -207,7 +206,7 @@ class TestReconstruct:
 
 
 def _reconstruct_unpacked(s, D, base, excess):
-    """Reference reconstruction: sums each placement's excesses without packing."""
+    """Reference reconstruction: tries every placement and sums its excesses per element."""
     n = 1 << s
     div = 1 << (s - 2)
     const = base - sum((v - base) * c for v, c in excess)
@@ -240,50 +239,19 @@ def _reconstruct_unpacked(s, D, base, excess):
             yield tuple(d)
 
 
-# GL_s orbits of c-subsets of the nonzero characters, for c = 0 .. 2^s - 1
-SUBSET_ORBIT_COUNTS = {
-    2: (1, 1, 1, 1),
-    3: (1, 1, 1, 2, 2, 1, 1, 1),
-    4: (1, 1, 1, 2, 3, 4, 5, 6, 6, 5, 4, 3, 2, 1, 1, 1),
-}
-
-
-@pytest.mark.parametrize("s", sorted(SUBSET_ORBIT_COUNTS))
-def test_subset_reps_one_per_orbit(s):
-    # canonicalize takes the least relabeling over the whole group, so a
-    # representative fixed by it whose orbit under the full group table is
-    # disjoint from the others is the canonical form of exactly those subsets
-    n = 1 << s
-    group = perm_table(s)
-    for c, want in enumerate(SUBSET_ORBIT_COUNTS[s]):
-        reps = _subset_reps(s, c)
-        assert len(reps) == want
-        covered = Counter()
-        for rep in reps:
-            indicator = tuple(int(chi in rep) for chi in range(n))
-            assert canonicalize(indicator) == indicator
-            covered.update({frozenset(p[chi] for chi in rep) for p in group})
-        assert set(covered) == {frozenset(x) for x in combinations(range(1, n), c)}
-        assert set(covered.values()) == {1}
-
-
-def _pivot_kind(dist):
-    """Which class has strictly the most placements: 'base', 'excess' or None."""
-    n_chars = (1 << dist.s) - 1
-    sizes = sorted(((comb(n_chars, c), v == dist.base) for v, c in dist.counts), reverse=True)
-    if len(sizes) > 1 and sizes[0][0] == sizes[1][0]:
-        return None
-    return "base" if sizes[0][1] else "excess"
+def _smallest_class(dist):
+    """Size of the smallest eigensheaf-degree class: 1, 2, or 3 for three or more."""
+    return min(3, min(c for _, c in dist.counts if c))
 
 
 def _seeded_distributions(rng, s, top, per_kind, max_placements):
     """Distinct distributions of random branch functions with values in 1..top.
 
     Only distributions with at most ``max_placements`` placements are kept,
-    up to ``per_kind`` of each pivot kind.
+    up to ``per_kind`` for each size of the smallest class.
     """
     n = 1 << s
-    found = {"base": {}, "excess": {}, None: {}}
+    found = {1: {}, 2: {}, 3: {}}
     for _ in range(3000):
         d = [0] * n
         for g in rng.sample(range(1, n), rng.randint(s, n - 1)):
@@ -298,7 +266,7 @@ def _seeded_distributions(rng, s, top, per_kind, max_placements):
         if placements > max_placements or len(counts) == 1:
             continue
         dist = DistributionCounts(s, sum(d), min(l), counts)
-        bucket = found[_pivot_kind(dist)]
+        bucket = found[_smallest_class(dist)]
         if len(bucket) < per_kind:
             bucket.setdefault(counts, (tuple(d), dist))
     return [case for bucket in found.values() for case in bucket.values()]
@@ -322,7 +290,9 @@ def test_pruned_search_matches_full_placement_oracle():
     seeded = []
     for s, top in ((2, 3), (3, 3), (4, 2)):
         seeded += _seeded_distributions(rng, s, top, 3, 6000)
-    assert {_pivot_kind(dist) for _, dist in seeded} == {"base", "excess", None}
+    # a smallest class of one or two characters is placed only on (1,) or
+    # (1, 2); one of three or more is placed everywhere
+    assert {_smallest_class(dist) for _, dist in seeded} == {1, 2, 3}
     for d, dist in dists + seeded:
         s, D = dist.s, dist.D
         excess = tuple((v, c) for v, c in dist.counts if v != dist.base)
@@ -483,6 +453,45 @@ def test_enumerate_projective_rank4_canonical():
     mains = [x for x in sols if x.status == MAIN]
     assert [(x.d, x.k, x.p_m) for x in mains] == [(TWELVE_ONES, 2, 10)]
     assert sum(1 for x in sols if x.status == CLASSICAL) == 9
+
+
+@pytest.mark.parametrize("m, k", [(1, 1), (1, 2), (2, 1)])
+def test_rank4_lift_matches_spectral_route(monkeypatch, m, k):
+    active = {
+        (c.m, c.k)
+        for mm in range(1, 5)
+        for c in projective_cases(mm)
+        if c.s_min <= 4 and (c.s_max is None or 4 <= c.s_max)
+    }
+    assert active == {(1, 1), (1, 2), (2, 1)}
+    case = next(c for c in projective_cases(m) if c.k == k)
+    assert case.D < (1 << 4) - 1
+    spectral = set()
+    for sq in {sum(v * v for v in p) for p in m_profiles(4, case.D, case.k + 1)}:
+        for dist in l_distribution_candidates(4, case.D, case.k + 1, sq):
+            spectral.update(reconstruct_branch(4, case.D, dist))
+    enumerate_L1(3, m)  # the parents, reconstructed before it is forbidden
+
+    def forbidden(*args):
+        raise AssertionError("rank 4 must lift from rank 3, not reconstruct")
+
+    monkeypatch.setattr(z2cover.classify, "reconstruct_branch", forbidden)
+    monkeypatch.setattr(z2cover.classify, "_reconstruct_distribution", forbidden)
+    lifted = _projective_surviving_reps(4, m, case)
+    assert lifted == sorted(spectral)
+    assert lifted
+
+
+def test_admissible_cover_need_not_be_flat():
+    # a canonical cover of P(1,1,2,2) whose eigensheaf degrees are not all
+    # multiples of lcm = 2; a lift of the flat lists must filter on flatness
+    weights = Weights((1, 1, 2, 2))
+    d = (0,) * 19 + (2, 0, 2, 2, 2) + (1,) * 8
+    report = is_pluricanonical(weights, BranchData(5, d), 1)
+    assert report.admissible and report.D == 16 and report.k == 1
+    assert set(report.l[1:]) == {3, 4, 5, 8}
+    assert not report.flat
+    assert not is_flat(CoverSpec(weights, BranchData(5, d)))
 
 
 def test_enumerate_projective_rejects_rank_one():
