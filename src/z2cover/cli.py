@@ -135,11 +135,8 @@ def random_ratio(s: int, rng: random.Random) -> RatioVector:
     n = 1 << s
     while True:
         picks = [rng.randint(0, 9) for _ in range(n - 1)]
-        total = sum(picks)
-        if total:
-            break
-    r = [Fraction(0)] + [Fraction(p, total) for p in picks]
-    return RatioVector(s, tuple(r))
+        if any(picks):
+            return RatioVector(s, [0] + picks)
 
 
 def _xy_sci(point) -> dict:

@@ -8,21 +8,21 @@ coordinates
 
     x = c1 c2 / c3-like ratio   y = volume ratio   SCI = y(3x + 1) - 4
 
-in the limit of large branch degree; everything is Fraction arithmetic, no
-floats anywhere.
+in the limit of large branch degree.  A ratio vector is held as integer
+weights ``w`` with ``r = w / sum(w)``, so its moments are integer sums and
+only the returned coordinates are Fractions; no floats anywhere.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import gcd
 from typing import NamedTuple
 
 from . import walsh
 from ._frozen import Frozen
 from .cover import CoverSpec, eigensheaf_degrees, half_point_count, hurwitz_degree, is_flat
-from .gf2 import dot
 from .walsh import NonIntegralError
 from .wps import euler_char_line
 
@@ -154,42 +154,53 @@ def invariant_report(spec: CoverSpec) -> InvariantReport:
 
 
 class RatioVector(Frozen):
-    """Point of the branch-ratio simplex: ``r >= 0``, ``r[0] = 0``, sum 1.
+    """Point ``r = w / sum(w)`` of the branch-ratio simplex.
 
-    Immutable and compared by ``(s, r)``.
+    ``w`` are nonnegative ``int`` weights, one per group element, with
+    ``w[0] = 0`` and not all zero; they are divided by their gcd, so the
+    record is immutable and compared by ``(s, w)`` in lowest terms.
     """
 
-    __slots__ = ("s", "r")
-    _fields = ("s", "r")
+    __slots__ = ("s", "w")
+    _fields = ("s", "w")
     s: int
-    r: tuple[Fraction, ...]
+    w: tuple[int, ...]
 
-    def __init__(self, s: int, r: tuple[Fraction, ...]):
-        if len(r) != 1 << s:
-            raise ValueError("ratio vector length must be 2**s")
-        if r[0] != 0:
-            raise ValueError("the identity ratio must be 0")
-        if any(v < 0 for v in r):
-            raise ValueError("ratios must be nonnegative")
-        if sum(r) != 1:
-            raise ValueError("ratios must sum to 1")
+    def __init__(self, s: int, w):
+        w = tuple(w)
+        if len(w) != 1 << s:
+            raise ValueError("weight vector length must be 2**s")
+        if any(type(v) is not int for v in w):
+            raise ValueError("weights must be int (not bool, float or Fraction)")
+        if w[0] != 0:
+            raise ValueError("the identity weight must be 0")
+        if min(w) < 0:
+            raise ValueError("weights must be nonnegative")
+        g = gcd(*w)
+        if not g:
+            raise ValueError("weights must not all be zero")
+        if g != 1:
+            w = tuple(v // g for v in w)
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "w", w)
+
+    @property
+    def r(self) -> tuple[Fraction, ...]:
+        """The ratios ``w / sum(w)``, which sum to 1."""
+        total = sum(self.w)
+        return tuple(Fraction(v, total) for v in self.w)
 
 
 def vertex_ratio(s: int, g: int = 1) -> RatioVector:
     if not 0 < g < 1 << s:
         raise ValueError("vertex must be a nonzero group element")
-    r = [Fraction(0)] * (1 << s)
-    r[g] = Fraction(1)
-    return RatioVector(s, tuple(r))
+    w = [0] * (1 << s)
+    w[g] = 1
+    return RatioVector(s, w)
 
 
 def barycenter_ratio(s: int) -> RatioVector:
-    n = 1 << s
-    r = [Fraction(1, n - 1)] * n
-    r[0] = Fraction(0)
-    return RatioVector(s, tuple(r))
+    return RatioVector(s, [0] + [1] * ((1 << s) - 1))
 
 
 class GeographyPoint(NamedTuple):
@@ -207,30 +218,41 @@ class GeographyPoint(NamedTuple):
 def geography_point(ratio: RatioVector) -> GeographyPoint:
     """Limit Chern-ratio coordinates of a branch-ratio vector.
 
-    With ``r = num / delta`` over the common denominator and ``S`` the
-    Walsh spectrum of the integers ``num``, the hyperplane mass of
-    character chi is ``(S(0) - S(chi)) / (2 delta)`` and the ordered
-    zero-sum triple sum is ``sum(S^3) / (2^s delta^3)``.  ``phi`` is
-    computed both from the character sums and from the moment identity
-    ``phi = 3b - T + 1``; disagreement would mean an arithmetic bug, so it
-    is asserted.
+    With ``r = w / delta``, ``delta = sum(w)``, and ``S`` the Walsh spectrum
+    of the integer weights ``w`` (so ``S(0) = delta``), the hyperplane mass
+    of character chi is ``(delta - S(chi)) / (2 delta)`` and the ordered
+    zero-sum triple sum is ``sum(S^3) / (2^s delta^3)``.  Every moment is an
+    integer sum over ``delta`` powers, and each returned field is one
+    Fraction of integers.  ``phi`` is computed both from the character sums
+    and from the moment identity ``phi = 3b - T + 1``, which times
+    ``2^s delta^3`` reads ``Q = 3 * 2^s p2 delta - sum(S^3) + 2^s delta^3``
+    with ``Q = sum((delta - S)^3)``; disagreement would mean an arithmetic
+    bug, so it is asserted.
     """
-    s, r = ratio.s, ratio.r
+    s, w = ratio.s, ratio.w
     n = 1 << s
-    delta = lcm(*(v.denominator for v in r))
-    num = [v.numerator * (delta // v.denominator) for v in r]
-    spectrum = walsh.forward(num)
-    s0 = spectrum[0]
-    a = Fraction(sum(v**3 for v in num), delta**3)
-    b = Fraction(sum(v * v for v in num), delta**2)
-    t3 = walsh.triple_convolution_at_zero(spectrum) / delta**3
-    q = Fraction(sum((s0 - sc) ** 3 for sc in spectrum), 8 * delta**3)
-    phi = Fraction(8, n) * q
-    assert phi == 3 * b - t3 + 1, "moment identity failed"
-    y = 2 / phi
-    x = (14 * a + 6 * b + phi) / (3 * phi)
-    sci = y * (3 * x + 1) - 4
-    return GeographyPoint(s=s, a=a, b=b, zero_sum_triples=t3, q=q, phi=phi, x=x, y=y, sci=sci)
+    spectrum = walsh.forward(w)
+    delta = spectrum[0]
+    d3 = delta**3
+    p2 = sum(v * v for v in w)
+    p3 = sum(v**3 for v in w)
+    c3 = sum(v**3 for v in spectrum)
+    big_q = sum((delta - v) ** 3 for v in spectrum)
+    assert big_q == 3 * n * p2 * delta - c3 + n * d3, "moment identity failed"
+    # phi = Q / (n delta^3), y = 2 / phi, x = (14a + 6b + phi) / (3 phi)
+    x_num = 14 * n * p3 + 6 * n * p2 * delta + big_q
+    return GeographyPoint(
+        s=s,
+        a=Fraction(p3, d3),
+        b=Fraction(p2, delta * delta),
+        zero_sum_triples=Fraction(c3, n * d3),
+        q=Fraction(big_q, 8 * d3),
+        phi=Fraction(big_q, n * d3),
+        x=Fraction(x_num, 3 * big_q),
+        y=Fraction(2 * n * d3, big_q),
+        # y (3x + 1) - 4 over the common denominator Q^2
+        sci=Fraction(2 * n * d3 * (x_num + big_q) - 4 * big_q * big_q, big_q * big_q),
+    )
 
 
 def hunt_scan(s: int, t: Fraction | int) -> tuple[Fraction, GeographyPoint]:
@@ -250,14 +272,12 @@ def hunt_scan(s: int, t: Fraction | int) -> tuple[Fraction, GeographyPoint]:
     t = Fraction(t)
     if not 0 < t <= 1:
         raise ValueError(f"mass {t} outside (0, 1]")
-    n = 1 << s
-    support = [g for g in range(1, n) if dot(1, g)]
-    rest = Fraction(1 - t, len(support) - 1) if t != 1 else Fraction(0)
-    r = [Fraction(0)] * n
-    for g in support:
-        r[g] = rest
-    r[1] = t
-    point = geography_point(RatioVector(s, tuple(r)))
+    h = 1 << (s - 1)
+    # the hyperplane is the odd elements: mass t on element 1 and
+    # (1 - t) / (h - 1) on each other one, as weights over (h - 1) t.denominator
+    w = [0, t.denominator - t.numerator] * h
+    w[1] = t.numerator * (h - 1)
+    point = geography_point(RatioVector(s, w))
     assert point.zero_sum_triples == 0
     f = 7 * point.a - 9 * point.b**2
     assert 4 * f == point.sci * point.phi**2

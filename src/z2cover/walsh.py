@@ -78,8 +78,8 @@ def triple_convolution_at_zero(spectrum: Sequence[int]) -> Fraction:
 
     For the spectrum of a function ``d`` this is
     ``sum over x ^ y ^ z = 0 of d(x) d(y) d(z)``, the weighted count of
-    ordered zero-sum triples that ``half_point_count``,
-    ``topological_euler`` and ``geography_point`` read off.
+    ordered zero-sum triples that ``half_point_count`` and
+    ``topological_euler`` read off.
     """
     n = len(spectrum)
     _rank(n)

@@ -70,10 +70,8 @@ RECORDS = [
      "Weights(a=(1, 1, 1, 2))"),
     (lambda: BranchData(2, (0, 6, 2, 6)), BranchData(2, (0, 6, 6, 2)), (2, (0, 6, 2, 6)),
      "BranchData(s=2, d=(0, 6, 2, 6))"),
-    (lambda: RatioVector(1, (Fraction(0), Fraction(1))),
-     RatioVector(2, (Fraction(0), Fraction(1), Fraction(0), Fraction(0))),
-     (1, (Fraction(0), Fraction(1))),
-     "RatioVector(s=1, r=(Fraction(0, 1), Fraction(1, 1)))"),
+    (lambda: RatioVector(1, (0, 1)), RatioVector(2, (0, 1, 0, 0)), (1, (0, 1)),
+     "RatioVector(s=1, w=(0, 1))"),
 ]
 
 

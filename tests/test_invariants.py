@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from z2cover import walsh
 from z2cover.cover import BranchData, CoverSpec, eigensheaf_degrees
 from z2cover.gf2 import dot, parity_vector
 from z2cover.invariants import (
@@ -83,24 +85,40 @@ def test_invariant_report_chi_zero_leaves_geography_empty():
 class TestRatioVector:
     def test_validates(self):
         with pytest.raises(ValueError):
-            RatioVector(2, (Fraction(1), Fraction(0), Fraction(0), Fraction(0)))
+            RatioVector(2, (1, 0, 0, 0))  # nonzero identity
         with pytest.raises(ValueError):
-            RatioVector(2, (Fraction(0), Fraction(1, 2), Fraction(0), Fraction(0)))
+            RatioVector(1, (0, 1, 0, 0))  # wrong length
         with pytest.raises(ValueError):
-            RatioVector(1, (Fraction(0), Fraction(1), Fraction(0), Fraction(0)))
+            RatioVector(2, (0, 1, -1, 1))  # negative weight
+        with pytest.raises(ValueError):
+            RatioVector(2, (0, 0, 0, 0))  # all zero
+        for bad in (Fraction(1, 2), 1.0, True):
+            with pytest.raises(ValueError):
+                RatioVector(2, (0, 1, bad, 1))
+
+    def test_weights_in_lowest_terms(self):
+        w = (0, 3, 1, 2, 0, 0, 5, 1)
+        x, y = RatioVector(3, w), RatioVector(3, tuple(2 * v for v in w))
+        assert x == y and hash(x) == hash(y)
+        assert y.w == w
+        assert RatioVector(2, (0, 4, 0, 6)).w == (0, 2, 0, 3)
+        assert x.r == tuple(Fraction(v, 12) for v in w)
 
     def test_vertex_and_barycenter(self):
         v = vertex_ratio(3)
         assert v.r[1] == 1 and sum(v.r) == 1
+        assert v.w == (0, 1, 0, 0, 0, 0, 0, 0)
         b = barycenter_ratio(2)
         assert b.r == (0, Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
+        assert b.w == (0, 1, 1, 1)
         with pytest.raises(ValueError):
             vertex_ratio(2, 4)
 
 
 def test_vertex_geography_is_rank_free():
-    # a single-component branch divisor behaves like a double cover
-    for s in (2, 3, 4, 5):
+    # a single-component branch divisor behaves like a double cover; the
+    # vertex attains the least index at every rank `geography extremes` serves
+    for s in range(2, 9):
         p = geography_point(vertex_ratio(s))
         assert (p.x, p.y, p.sci) == (2, Fraction(1, 2), Fraction(-1, 2))
         assert p.sci == SCI_MIN
@@ -119,6 +137,8 @@ def test_barycenter_y_values():
         p = geography_point(barycenter_ratio(s))
         assert p.y == want
         assert p.y == 2 - Fraction(4, 1 << s) + Fraction(1, 1 << (2 * s - 1))
+    # the largest index ever sampled: a support spanning a rank-2 subgroup
+    assert geography_point(barycenter_ratio(2)).sci == Fraction(1, 2)
 
 
 def test_geography_moment_identity_random():
@@ -129,13 +149,16 @@ def test_geography_moment_identity_random():
             masses = [rng.randrange(0, 5) for _ in range(n - 1)]
             if not any(masses):
                 continue
-            total = sum(masses)
-            r = (Fraction(0),) + tuple(Fraction(m, total) for m in masses)
-            p = geography_point(RatioVector(s, r))
+            p = geography_point(RatioVector(s, [0] + masses))
             # the identity phi = 3b - T + 1 is asserted inside; check ranges
             assert SCI_MIN <= p.sci <= SCI_MAX
             assert p.y >= Y_MIN
             assert p.phi > 0
+
+
+@pytest.mark.parametrize("s", range(3, 9))
+def test_hunt_scan_at_full_mass_is_the_vertex(s):
+    assert hunt_scan(s, 1)[1] == geography_point(vertex_ratio(s))
 
 
 def _random_cover(rng):
@@ -212,19 +235,70 @@ def _geography_by_characters(r):
     return a, b, 6 * t3, q
 
 
+def _unlike_denominator_weights(rng, n):
+    """Masses with unlike denominators, and the same point as integer weights."""
+    masses = [Fraction(rng.choice((0, 0, 1, 2, 3, 5)), rng.randint(1, 7)) for _ in range(n - 1)]
+    if not any(masses):
+        masses[rng.randrange(n - 1)] = Fraction(1)
+    scale = lcm(*(m.denominator for m in masses))
+    total = sum(masses)
+    r = (Fraction(0),) + tuple(m / total for m in masses)
+    return r, [0] + [int(m * scale) for m in masses]
+
+
 def test_geography_matches_character_loops():
     rng = random.Random(4048)
     for _ in range(300):
         s = rng.randint(1, 6)
-        n = 1 << s
-        # unlike denominators exercise the common-denominator transform
-        masses = [Fraction(rng.choice((0, 0, 1, 2, 3, 5)), rng.randint(1, 7)) for _ in range(n - 1)]
-        if not any(masses):
-            masses[rng.randrange(n - 1)] = Fraction(1)
-        total = sum(masses)
-        r = (Fraction(0),) + tuple(m / total for m in masses)
-        p = geography_point(RatioVector(s, r))
+        r, w = _unlike_denominator_weights(rng, 1 << s)
+        ratio = RatioVector(s, w)
+        assert ratio.r == r
+        p = geography_point(ratio)
         assert (p.a, p.b, p.zero_sum_triples, p.q) == _geography_by_characters(r)
+
+
+def _geography_by_fractions(s, r):
+    """Reference point: Fraction moments over the lcm of the denominators of ``r``."""
+    n = 1 << s
+    delta = lcm(*(v.denominator for v in r))
+    num = [v.numerator * (delta // v.denominator) for v in r]
+    spectrum = walsh.forward(num)
+    s0 = spectrum[0]
+    a = Fraction(sum(v**3 for v in num), delta**3)
+    b = Fraction(sum(v * v for v in num), delta**2)
+    t3 = walsh.triple_convolution_at_zero(spectrum) / delta**3
+    q = Fraction(sum((s0 - sc) ** 3 for sc in spectrum), 8 * delta**3)
+    phi = Fraction(8, n) * q
+    assert phi == 3 * b - t3 + 1
+    y = 2 / phi
+    x = (14 * a + 6 * b + phi) / (3 * phi)
+    sci = y * (3 * x + 1) - 4
+    return GeographyPoint(s=s, a=a, b=b, zero_sum_triples=t3, q=q, phi=phi, x=x, y=y, sci=sci)
+
+
+def test_geography_integer_weights_match_fraction_reference():
+    rng = random.Random(5150)
+    # 3 kinds cycled against 8 ranks: every rank meets every kind
+    for i in range(300):
+        s = 1 + i % 8
+        n = 1 << s
+        kind = ("picks", "unlike", "vertex")[i % 3]
+        if kind == "picks":
+            w = [0] + [rng.randint(0, 9) for _ in range(n - 1)]
+            if not any(w):
+                w[rng.randrange(1, n)] = 1
+            total = sum(w)
+            r = tuple(Fraction(v, total) for v in w)
+        elif kind == "unlike":
+            r, w = _unlike_denominator_weights(rng, n)
+        else:
+            g = rng.randrange(1, n)
+            w = [0] * n
+            w[g] = rng.randint(1, 5)
+            r = tuple(Fraction(int(x == g)) for x in range(n))
+        point = geography_point(RatioVector(s, w))
+        assert point == _geography_by_fractions(s, r)
+        assert all(type(v) is Fraction for v in point[1:])
 
 
 def test_geography_limit_matches_large_covers():
