@@ -1,18 +1,22 @@
 """Exhaustive classification of covers with flat pluricanonical structure.
 
-The search space splits by the lcm ``L`` of the base weights:
+A cell fixes the base weights, ``k`` and the total branch degree ``D``; the
+covers it holds are the branch functions whose nontrivial eigensheaf
+degrees are multiples of ``L``, the lcm of the weights, and at least
+``(k+1)L``.  The cells come from two windows:
 
 * ``L >= 2``: proven inequalities confine ``(k, L, W)`` to finitely many
-  cells; within a cell every eigensheaf degree is pinned to ``(k+1+t)L``
-  for small excesses ``t``, and each excess assignment either inverts to
-  integral branch data or dies.
-* ``L == 1`` (straight projective space): the degree ``D`` is pinned per
-  ``(m, k)`` by divisibility, candidate degree profiles are partitions of
-  ``D``, profiles route to excess distributions filtered by exact moment
-  identities, and distributions are realized (or refuted) by spectral
-  reconstruction.  Wherever ``D < 2^s - 1``, which is from rank 4 on,
-  reconstruction is replaced by lifting the complete rank ``s-1`` lists,
-  which is exhaustive because every candidate support misses a direction.
+  cells, with ``D = 2W + 2kL/m``.
+* ``L == 1`` (straight projective space): ``W = 4`` and ``D`` is pinned per
+  ``(m, k)`` by divisibility, by the same formula.
+
+One routine answers every cell.  Candidate degree profiles are partitions
+of ``D``, profiles route to eigensheaf-degree distributions filtered by
+exact moment identities and by ``L`` dividing every degree, and
+distributions are realized (or refuted) by spectral reconstruction.  On
+the projective base wherever ``D < 2^s - 1``, which is from rank 4 on,
+reconstruction is replaced by lifting the complete rank ``s-1`` lists,
+which is exhaustive because every candidate support misses a direction.
 
 Solutions are reported up to the GL_s(F_2) relabeling of the group, with a
 status separating the reference catalog rows from supplementary and
@@ -321,6 +325,64 @@ def reconstruct_branch(s: int, D: int, dist: DistributionCounts) -> list[tuple[i
 
 
 # ---------------------------------------------------------------------------
+# one cell: fixed base, k and D
+
+
+def _lift_candidates(parent: tuple[int, ...], s: int) -> Iterator[tuple[int, ...]]:
+    """Rank-s branch functions projecting to ``parent`` along the top axis."""
+    half = len(parent)
+    support = [g for g in range(1, half) if parent[g]]
+    top = half
+
+    def rec(idx: int, d: list[int]) -> Iterator[tuple[int, ...]]:
+        if idx == len(support):
+            yield tuple(d)
+            return
+        g = support[idx]
+        for up in range(parent[g] + 1):
+            d[g] = parent[g] - up
+            d[g | top] = up
+            yield from rec(idx + 1, d)
+        d[g] = d[g | top] = 0
+
+    yield from rec(0, [0] * (2 * half))
+
+
+def _cell_reps(s: int, m: int, weights: Weights, k: int, D: int) -> list[tuple[int, ...]]:
+    """Orbit representatives of rank-s branch functions of total ``D`` whose
+    nontrivial eigensheaf degrees are multiples of ``L`` and at least ``(k+1) L``.
+
+    On ``P^3`` (``L = 1``) with ``D < 2^s - 1`` every support misses a
+    direction, so its projection to rank ``s-1`` is again a solution of the
+    cell there: the rank ``s-1`` list is lifted and a candidate kept when
+    its spectrum satisfies ``S(chi) = D - 4 l(chi) <= D - 4(k+1)``.
+    Every other cell is reconstructed from the moment-filtered
+    distributions whose values are ``(k+1) L`` plus multiples of ``L``.
+    """
+    L = weights.L
+    base = (k + 1) * L
+    if L == 1 and D < (1 << s) - 1:
+        top = D - 4 * base
+        survivors = {
+            cand
+            for sol in enumerate_L1(s - 1, m)
+            if sol.k == k and sol.D == D
+            for cand in _lift_candidates(sol.d, s)
+            if not parity_vector(cand) and max(walsh.forward(cand)[1:]) <= top
+        }
+        return sorted(orbit_reps(survivors, s)) if survivors else []
+    # each sum_sq fixes the quadratic moment 2^s sum_sq - D^2, so no
+    # distribution comes back for two of them
+    reps: set[tuple[int, ...]] = set()
+    for sq in sorted({sum(v * v for v in p) for p in m_profiles(s, D, base)}):
+        for dist in l_distribution_candidates(s, D, base, sq):
+            if any((v - base) % L for v, _ in dist.counts):
+                continue
+            reps.update(reconstruct_branch(s, D, dist))
+    return sorted(reps)
+
+
+# ---------------------------------------------------------------------------
 # flat bases (L >= 2)
 
 
@@ -448,10 +510,11 @@ _FLAT_CACHE: dict[tuple[int, int], list[AdmissibleSolution]] = {}
 def enumerate_flat(s: int, m: int) -> list[AdmissibleSolution]:
     """Complete list of admissible covers over bases with ``L >= 2``.
 
-    Exhaustive for ``2 <= s <= 6``: the cell windows are finite and every
-    eigensheaf-degree assignment inside a cell is inverted by one Walsh
-    transform, with only the smallest class's placement cut by GL_s.
-    Unlike the projective lists these are not lifted from rank ``s-1``.
+    Exhaustive for ``2 <= s <= 6``: the cell windows are finite, and each
+    cell's eigensheaf-degree distributions pass the moment tests before one
+    Walsh transform per placement inverts them.  Unlike the projective
+    lists these are never lifted from rank ``s-1``; reconstruction is
+    cheaper at every rank the windows admit.
     """
     if not 2 <= s <= 6:
         raise ValueError("flat enumeration is exhaustive only for ranks 2..6")
@@ -460,30 +523,11 @@ def enumerate_flat(s: int, m: int) -> list[AdmissibleSolution]:
     key = (s, m)
     if key in _FLAT_CACHE:
         return _FLAT_CACHE[key]
-    n_chars = (1 << s) - 1
-    sols: list[AdmissibleSolution] = []
-    for k, L, W, weights in _flat_cells(s, m):
-        if (2 * k * L) % m:
-            continue
-        D = 2 * W + 2 * k * L // m
-        base = (k + 1) * L
-        total_l = (1 << (s - 2)) * D
-        excess_total = total_l - n_chars * base
-        if excess_total < 0 or excess_total % L:
-            continue
-        u = excess_total // L
-        cap = (D // 2 - base) // L
-        survivors: set[tuple[int, ...]] = set()
-        for part in _partitions(u, cap, n_chars) if cap >= 0 or u == 0 else []:
-            counts: dict[int, int] = {}
-            for t in part:
-                counts[base + t * L] = counts.get(base + t * L, 0) + 1
-            excess = tuple(sorted(counts.items()))
-            survivors.update(_reconstruct_distribution(s, D, base, excess))
-        if not survivors:
-            continue
-        for rep in sorted(orbit_reps(survivors, s)):
-            sols.append(_finish_solution(weights, s, m, rep))
+    sols = [
+        _finish_solution(weights, s, m, rep)
+        for k, L, W, weights in _flat_cells(s, m)
+        for rep in _cell_reps(s, m, weights, k, 2 * W + 2 * k * L // m)
+    ]
     sols.sort(key=AdmissibleSolution.sort_key)
     _FLAT_CACHE[key] = sols
     return sols
@@ -537,61 +581,9 @@ def _case_active(case: ProjectiveCase, s: int) -> bool:
     return case.s_min <= s and (case.s_max is None or s <= case.s_max)
 
 
-def _lift_candidates(parent: tuple[int, ...], s: int) -> Iterator[tuple[int, ...]]:
-    """Rank-s branch functions projecting to ``parent`` along the top axis."""
-    half = len(parent)
-    support = [g for g in range(1, half) if parent[g]]
-    top = half
-
-    def rec(idx: int, d: list[int]) -> Iterator[tuple[int, ...]]:
-        if idx == len(support):
-            yield tuple(d)
-            return
-        g = support[idx]
-        for up in range(parent[g] + 1):
-            d[g] = parent[g] - up
-            d[g | top] = up
-            yield from rec(idx + 1, d)
-        d[g] = d[g | top] = 0
-
-    yield from rec(0, [0] * (2 * half))
-
-
 _P3 = Weights((1, 1, 1, 1))
 
 _L1_CACHE: dict[tuple[int, int], list[AdmissibleSolution]] = {}
-
-
-def _projective_surviving_reps(s: int, m: int, case: ProjectiveCase) -> list[tuple[int, ...]]:
-    min_l = case.k + 1
-    if case.D >= (1 << s) - 1:
-        sum_sqs = sorted({sum(v * v for v in p) for p in m_profiles(s, case.D, min_l)})
-        # each sum_sq fixes the quadratic moment 2^s sum_sq - D^2, so no
-        # distribution comes back for two of them
-        reps: set[tuple[int, ...]] = set()
-        for sq in sum_sqs:
-            for dist in l_distribution_candidates(s, case.D, min_l, sq):
-                reps.update(reconstruct_branch(s, case.D, dist))
-        return sorted(reps)
-    # recursive lifting: every rank-s support misses a direction because
-    # D < 2^s - 1, so projections to rank s-1 are again solutions there
-    parents = [
-        sol.d
-        for sol in enumerate_L1(s - 1, m)
-        if sol.m == m and sol.k == case.k and sol.D == case.D
-    ]
-    survivors: set[tuple[int, ...]] = set()
-    for parent in parents:
-        for cand in _lift_candidates(parent, s):
-            if parity_vector(cand):
-                continue
-            branch = BranchData(s, cand)
-            report = is_pluricanonical(_P3, branch, m)
-            if report.admissible:
-                survivors.add(cand)
-    if not survivors:
-        return []
-    return sorted(orbit_reps(survivors, s))
 
 
 def enumerate_L1(s: int, m: int) -> list[AdmissibleSolution]:
@@ -607,10 +599,8 @@ def enumerate_L1(s: int, m: int) -> list[AdmissibleSolution]:
     for case in projective_cases(m):
         if not _case_active(case, s):
             continue
-        for rep in _projective_surviving_reps(s, m, case):
-            sol = _finish_solution(_P3, s, m, rep)
-            sol = _apply_projective_status(sol, case)
-            sols.append(sol)
+        for rep in _cell_reps(s, m, _P3, case.k, case.D):
+            sols.append(_apply_projective_status(_finish_solution(_P3, s, m, rep), case))
     sols.sort(key=AdmissibleSolution.sort_key)
     _L1_CACHE[key] = sols
     return sols
@@ -705,36 +695,30 @@ def enumerate_s1(m: int, t_max: int | None = None) -> list[RankOneFamily]:
         else [Fraction(c, m) for c in range(1, 4 * m + 1)]
     )
     for target in targets:
+        # the reciprocals sum to W/L, so the window is known before the search
+        t_min = math.floor(target) + 1
+        if m == 1:
+            t_sup = None
+        else:
+            upper = (1 + Fraction(1, m - 1)) * target
+            t_sup = math.ceil(upper)
+            if t_min >= t_sup:
+                continue
+        if t_max is not None:
+            if t_min > t_max:
+                continue
+            if t_sup is None or t_sup > t_max + 1:
+                t_sup = t_max + 1
         for quad in _unit_fraction_quadruples(target):
             w = _weights_from_reciprocals(quad)
             if w is None:
                 continue
-            L, W = w.L, w.W
-            if m == 1:
-                assert W % L == 0
-                t_min = W // L + 1
-                t_sup = None
-                status, note = MAIN, ""
-                if w.a == (2, 3, 3, 4):
-                    status = SUPPLEMENTARY
-                    note = "valid tower missing from the reference catalog"
-            else:
-                if (2 * W) % (m - 1):
-                    continue
-                ratio = Fraction(W, L)
-                t_min = math.floor(ratio) + 1
-                upper = (1 + Fraction(1, m - 1)) * ratio
-                t_sup = math.ceil(upper) if upper != math.ceil(upper) else int(upper)
-                if t_min >= t_sup:
-                    continue
-                status, note = MAIN, ""
-            if t_max is not None:
-                if t_min > t_max:
-                    continue
-                if t_sup is None or t_sup > t_max + 1:
-                    t_sup = t_max + 1
-                    if t_sup <= t_min:
-                        continue
+            status, note = MAIN, ""
+            if m == 1 and w.a == (2, 3, 3, 4):
+                status = SUPPLEMENTARY
+                note = "valid tower missing from the reference catalog"
+            elif m > 1 and (2 * w.W) % (m - 1):
+                continue
             families.append(
                 RankOneFamily(
                     weights=w, m=m, t_min=t_min, t_sup=t_sup, status=status, note=note

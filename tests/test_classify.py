@@ -7,6 +7,7 @@ to the search must reproduce them bit for bit.
 
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -22,8 +23,15 @@ from z2cover.classify import (
     AdmissibleSolution,
     DistributionCounts,
     ProjectiveCase,
-    _projective_surviving_reps,
+    RankOneFamily,
+    _cell_reps,
+    _finish_solution,
+    _flat_cells,
+    _lift_candidates,
+    _partitions,
+    _reconstruct_distribution,
     _unit_fraction_quadruples,
+    _weights_from_reciprocals,
     bound_prune,
     bounds_report,
     enumerate_L1,
@@ -39,8 +47,10 @@ from z2cover.classify import (
 )
 from z2cover.cover import BranchData, CoverSpec, eigensheaf_degrees, is_flat
 from z2cover.gf2 import canonicalize, orbit_reps, parity_vector
-from z2cover.walsh import NonIntegralError
+from z2cover.walsh import NonIntegralError, forward
 from z2cover.wps import Weights, monomial_count
+
+P3 = Weights((1, 1, 1, 1))
 
 
 def branch(d):
@@ -391,6 +401,38 @@ def test_enumerate_flat_solutions_verify():
                 assert x.d[3] == l[1] + l[2] - l[3]
 
 
+def _flat_by_excess_partitions(s, m):
+    """The per-cell loop enumerate_flat used before the moment tests, kept as
+    its oracle: every partition of the excess in steps of L, each placed and
+    inverted, and one orbit_reps over the cell's survivors."""
+    n_chars = (1 << s) - 1
+    sols = []
+    for k, L, W, weights in _flat_cells(s, m):
+        D = 2 * W + 2 * k * L // m
+        base = (k + 1) * L
+        excess_total = (1 << (s - 2)) * D - n_chars * base
+        if excess_total < 0 or excess_total % L:
+            continue
+        u = excess_total // L
+        cap = (D // 2 - base) // L
+        survivors = set()
+        for part in _partitions(u, cap, n_chars) if cap >= 0 or u == 0 else []:
+            excess = tuple(sorted(Counter(base + t * L for t in part).items()))
+            survivors.update(_reconstruct_distribution(s, D, base, excess))
+        for rep in sorted(orbit_reps(survivors, s)) if survivors else []:
+            sols.append(_finish_solution(weights, s, m, rep))
+    sols.sort(key=AdmissibleSolution.sort_key)
+    return sols
+
+
+@pytest.mark.parametrize("s", range(2, 7))
+def test_enumerate_flat_matches_excess_partition_loop(s):
+    # FLAT_EXPECTED pins only some cells; the moment-filtered route must
+    # agree with the unfiltered loop on every (s, m) it covers
+    for m in range(1, 7):
+        assert enumerate_flat(s, m) == _flat_by_excess_partitions(s, m), (s, m)
+
+
 # (d, k, p_m, status) for covers of the straight projective space
 L1_EXPECTED = {
     (2, 1): [
@@ -477,9 +519,31 @@ def test_rank4_lift_matches_spectral_route(monkeypatch, m, k):
 
     monkeypatch.setattr(z2cover.classify, "reconstruct_branch", forbidden)
     monkeypatch.setattr(z2cover.classify, "_reconstruct_distribution", forbidden)
-    lifted = _projective_surviving_reps(4, m, case)
+    lifted = _cell_reps(4, m, P3, k, case.D)
     assert lifted == sorted(spectral)
     assert lifted
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_lift_spectral_bound_is_admissibility(m):
+    # the lift keeps a candidate when max S(chi) <= D - 4(k+1) over the
+    # nontrivial characters; on P^3 that is exactly is_pluricanonical
+    checked = kept = 0
+    for case in projective_cases(m):
+        if not (case.s_min <= 4 and (case.s_max is None or 4 <= case.s_max)):
+            continue
+        for parent in enumerate_L1(3, m):
+            if (parent.k, parent.D) != (case.k, case.D):
+                continue
+            for cand in _lift_candidates(parent.d, 4):
+                if parity_vector(cand):
+                    continue
+                spectral = max(forward(cand)[1:]) <= case.D - 4 * (case.k + 1)
+                report = is_pluricanonical(P3, BranchData(4, cand), m)
+                assert spectral == report.admissible, cand
+                checked += 1
+                kept += spectral
+    assert 0 < kept < checked
 
 
 def test_admissible_cover_need_not_be_flat():
@@ -569,6 +633,52 @@ def test_unit_fraction_quadruples_match_fraction_recursion():
     assert total > 1000
 
 
+def _towers_by_full_search(m, t_max, quads):
+    """enumerate_s1 before its window moved ahead of the quadruple search,
+    kept as its oracle: every target is searched and empty windows are
+    dropped afterwards.  ``quads`` memoizes the searches across calls."""
+    families = []
+    targets = (
+        [Fraction(c) for c in range(1, 5)]
+        if m == 1
+        else [Fraction(c, m) for c in range(1, 4 * m + 1)]
+    )
+    for target in targets:
+        if target not in quads:
+            quads[target] = list(_unit_fraction_quadruples(target))
+        for quad in quads[target]:
+            w = _weights_from_reciprocals(quad)
+            if w is None:
+                continue
+            L, W = w.L, w.W
+            if m == 1:
+                t_min, t_sup = W // L + 1, None
+                status, note = MAIN, ""
+                if w.a == (2, 3, 3, 4):
+                    status = SUPPLEMENTARY
+                    note = "valid tower missing from the reference catalog"
+            else:
+                if (2 * W) % (m - 1):
+                    continue
+                ratio = Fraction(W, L)
+                t_min = math.floor(ratio) + 1
+                upper = (1 + Fraction(1, m - 1)) * ratio
+                t_sup = math.ceil(upper) if upper != math.ceil(upper) else int(upper)
+                if t_min >= t_sup:
+                    continue
+                status, note = MAIN, ""
+            if t_max is not None:
+                if t_min > t_max:
+                    continue
+                if t_sup is None or t_sup > t_max + 1:
+                    t_sup = t_max + 1
+                    if t_sup <= t_min:
+                        continue
+            families.append(RankOneFamily(w, m, t_min, t_sup, status, note))
+    families.sort(key=lambda f: (-Fraction(f.weights.W, f.weights.L), f.weights.a))
+    return families
+
+
 class TestRankOneTowers:
     def test_main_catalog(self):
         fams = enumerate_s1(1)
@@ -623,6 +733,20 @@ class TestRankOneTowers:
     def test_rejects_bad_multiple(self):
         with pytest.raises(ValueError):
             enumerate_s1(0)
+
+    def test_window_first_search_matches_full_search(self):
+        quads = {}
+        for m in range(1, 13):
+            for t_max in (None, 1, 3, 7):
+                want = _towers_by_full_search(m, t_max, quads)
+                assert enumerate_s1(m, t_max) == want, (m, t_max)
+
+    def test_large_multiple_finishes(self):
+        # the full search ran for minutes at m = 40; a target's window is
+        # known before its search, and none is open at this multiple
+        start = time.perf_counter()
+        assert enumerate_s1(40) == []
+        assert time.perf_counter() - start < 5
 
 
 def test_bounds_report_content():

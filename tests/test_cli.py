@@ -188,6 +188,8 @@ FROZEN_STDOUT = [
      "7d7e61d60413e91ad24286be8600cf9c2f6a767e49e98a5708327765745d789f"),
     ("classify --s 5 --m 2 --format md", 0,
      "df2f8134f0e9c67633df6d269cb2e0c792f91c220a189bd34b669da7765d4bb1"),
+    ("classify --s 1 --m 20", 0,
+     "1e26c51bf415d6fcb3fae9736d6ebae479d9df76541499d05c1ceb840ea4a7d9"),
     ("geography sample --s 3 --count 20 --seed 7 --format json", 0,
      "b53aad2bc14188d88f21206104db0046cf37c162b6b9dea5757e9c713a67e7fa"),
     ("geography sample --s 3 --count 20 --seed 7 --format csv", 0,
