@@ -10,13 +10,13 @@ degrees are multiples of ``L``, the lcm of the weights, and at least
 * ``L == 1`` (straight projective space): ``W = 4`` and ``D`` is pinned per
   ``(m, k)`` by divisibility, by the same formula.
 
-One routine answers every cell.  Candidate degree profiles are partitions
-of ``D``, profiles route to eigensheaf-degree distributions filtered by
-exact moment identities and by ``L`` dividing every degree, and
-distributions are realized (or refuted) by spectral reconstruction.  On
-the projective base wherever ``D < 2^s - 1``, which is from rank 4 on,
-reconstruction is replaced by lifting the complete rank ``s-1`` lists,
-which is exhaustive because every candidate support misses a direction.
+One cached routine answers every cell, keyed by ``(s, L, (k+1)L, D)``.
+The cell's eigensheaf-degree distributions are enumerated once, filtered by
+the cubic moment identity and by ``L`` dividing every degree, and realized
+(or refuted) by spectral reconstruction.  On the projective base wherever
+``D < 2^s - 1``, which is from rank 4 on, reconstruction is replaced by
+lifting the same cell's rank ``s-1`` representatives, which is exhaustive
+because every candidate support misses a direction.
 
 Solutions are reported up to the GL_s(F_2) relabeling of the group, with a
 status separating the reference catalog rows from supplementary and
@@ -25,6 +25,7 @@ classical items.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -46,7 +47,6 @@ __all__ = [
     "max_admissible_m",
     "bound_prune",
     "forbidden_flat",
-    "m_profiles",
     "l_distribution_candidates",
     "reconstruct_branch",
     "projective_cases",
@@ -211,35 +211,17 @@ def _partitions(total: int, max_part: int, max_parts: int) -> Iterator[tuple[int
             yield (first,) + rest
 
 
-def m_profiles(s: int, D: int, min_l: int) -> list[tuple[int, ...]]:
-    """Candidate branch-degree multisets for a rank-s cover of total D.
-
-    The support must span (so at least ``s`` parts) and fit in the group;
-    any ``s-1`` degrees sit inside one affine hyperplane of mass at most
-    ``D - 2 min_l``, which bounds the sum of the ``s-1`` largest parts.
-    """
-    cap = D - 2 * min_l
-    if cap < 1:
-        return []
-    out = []
-    for p in _partitions(D, cap, (1 << s) - 1):
-        if len(p) < s:
-            continue
-        if sum(p[: s - 1]) > cap:
-            continue
-        out.append(p)
-    return out
-
-
-def l_distribution_candidates(
-    s: int, D: int, min_l: int, sum_sq: int
-) -> list[DistributionCounts]:
+def l_distribution_candidates(s: int, D: int, min_l: int) -> list[DistributionCounts]:
     """Eigensheaf-degree multisets consistent with the exact moment identities.
 
-    A degree profile with square sum ``sum_sq`` forces the quadratic moment
-    ``sum (D - 4l)^2 = 2^s sum_sq - D^2`` over all characters, and the cubic
-    moment ``(D^3 + sum (D - 4l)^3) / 2^s`` must be a nonnegative integer
-    because it counts weighted zero-sum triples.
+    The ``2^s - 1`` nontrivial degrees are at least ``min_l``, at most
+    ``D/2``, and sum to ``2^(s-2) D``; each excess partition of that sum is
+    kept when the cubic moment ``(D^3 + sum (D - 4l)^3) / 2^s`` is a
+    nonnegative integer, because it counts weighted zero-sum triples.  The
+    quadratic moment ``D^2 + sum (D - 4l)^2 = 16 sum l^2 - 2^s D^2`` (by the
+    linear one) adds only ``2^(s-4) | sum l^2`` without a target square sum
+    of the branch degrees, which is vacuous up to rank 4 and rejects none of
+    the distributions the classification reconstructs; it is not tested.
     """
     if s < 2:
         raise ValueError("need rank >= 2")
@@ -249,24 +231,16 @@ def l_distribution_candidates(
     if excess_total < 0:
         return []
     cap = D // 2 - min_l
-    quad_target = (1 << s) * sum_sq - D * D
     out = []
     for part in _partitions(excess_total, cap, n_chars) if cap >= 0 else []:
         counts: dict[int, int] = {}
         for t in part:
             counts[min_l + t] = counts.get(min_l + t, 0) + 1
         counts[min_l] = counts.get(min_l, 0) + n_chars - len(part)
-        quad = sum(n * (D - 4 * lv) ** 2 for lv, n in counts.items())
-        if quad != quad_target:
-            continue
         cubic_num = D**3 + sum(n * (D - 4 * lv) ** 3 for lv, n in counts.items())
         if cubic_num < 0 or cubic_num % (1 << s):
             continue
-        out.append(
-            DistributionCounts(
-                s=s, D=D, base=min_l, counts=tuple(sorted(counts.items()))
-            )
-        )
+        out.append(DistributionCounts(s, D, min_l, tuple(sorted(counts.items()))))
     return out
 
 
@@ -311,13 +285,16 @@ def _reconstruct_distribution(
             yield tuple(d)
 
 
-def reconstruct_branch(s: int, D: int, dist: DistributionCounts) -> list[tuple[int, ...]]:
+def reconstruct_branch(dist: DistributionCounts) -> list[tuple[int, ...]]:
     """Branch functions realizing an eigensheaf-degree multiset, up to GL_s."""
+    s, D = dist.s, dist.D
     excess = tuple((v, c) for v, c in dist.counts if v != dist.base)
     placed = sum(c for _, c in excess)
     base_count = dict(dist.counts).get(dist.base, 0)
     if base_count + placed != (1 << s) - 1:
         raise ValueError("distribution does not cover every character")
+    if sum(v * c for v, c in dist.counts) != (1 << (s - 2)) * D:
+        raise ValueError(f"eigensheaf degrees do not sum to 2^(s-2) D for D = {D}")
     survivors = set(_reconstruct_distribution(s, D, dist.base, excess))
     if not survivors:
         return []
@@ -325,7 +302,7 @@ def reconstruct_branch(s: int, D: int, dist: DistributionCounts) -> list[tuple[i
 
 
 # ---------------------------------------------------------------------------
-# one cell: fixed base, k and D
+# one cell: rank, lcm, least eigensheaf degree and total branch degree
 
 
 def _lift_candidates(parent: tuple[int, ...], s: int) -> Iterator[tuple[int, ...]]:
@@ -348,38 +325,37 @@ def _lift_candidates(parent: tuple[int, ...], s: int) -> Iterator[tuple[int, ...
     yield from rec(0, [0] * (2 * half))
 
 
-def _cell_reps(s: int, m: int, weights: Weights, k: int, D: int) -> list[tuple[int, ...]]:
+@functools.cache
+def _cell_reps(s: int, L: int, base: int, D: int) -> tuple[tuple[int, ...], ...]:
     """Orbit representatives of rank-s branch functions of total ``D`` whose
-    nontrivial eigensheaf degrees are multiples of ``L`` and at least ``(k+1) L``.
+    nontrivial eigensheaf degrees are multiples of ``L`` and at least ``base``.
+
+    A cell of ``(k, weights)`` is ``(s, L, (k+1) L, D)``; it does not depend
+    on ``m`` or on the weights beyond ``L``, so equal cells reached from
+    several multiples or weight quadruples are computed once.
 
     On ``P^3`` (``L = 1``) with ``D < 2^s - 1`` every support misses a
     direction, so its projection to rank ``s-1`` is again a solution of the
-    cell there: the rank ``s-1`` list is lifted and a candidate kept when
-    its spectrum satisfies ``S(chi) = D - 4 l(chi) <= D - 4(k+1)``.
-    Every other cell is reconstructed from the moment-filtered
-    distributions whose values are ``(k+1) L`` plus multiples of ``L``.
+    cell there: those representatives are lifted and a candidate kept when
+    its spectrum satisfies ``S(chi) = D - 4 l(chi) <= D - 4 base``.  Every
+    other cell is reconstructed from the moment-filtered distributions
+    whose values are ``base`` plus multiples of ``L``.
     """
-    L = weights.L
-    base = (k + 1) * L
     if L == 1 and D < (1 << s) - 1:
         top = D - 4 * base
         survivors = {
             cand
-            for sol in enumerate_L1(s - 1, m)
-            if sol.k == k and sol.D == D
-            for cand in _lift_candidates(sol.d, s)
+            for parent in _cell_reps(s - 1, L, base, D)
+            for cand in _lift_candidates(parent, s)
             if not parity_vector(cand) and max(walsh.forward(cand)[1:]) <= top
         }
-        return sorted(orbit_reps(survivors, s)) if survivors else []
-    # each sum_sq fixes the quadratic moment 2^s sum_sq - D^2, so no
-    # distribution comes back for two of them
+        return tuple(sorted(orbit_reps(survivors, s))) if survivors else ()
     reps: set[tuple[int, ...]] = set()
-    for sq in sorted({sum(v * v for v in p) for p in m_profiles(s, D, base)}):
-        for dist in l_distribution_candidates(s, D, base, sq):
-            if any((v - base) % L for v, _ in dist.counts):
-                continue
-            reps.update(reconstruct_branch(s, D, dist))
-    return sorted(reps)
+    for dist in l_distribution_candidates(s, D, base):
+        if any((v - base) % L for v, _ in dist.counts):
+            continue
+        reps.update(reconstruct_branch(dist))
+    return tuple(sorted(reps))
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +480,6 @@ def _finish_solution(
     return sol
 
 
-_FLAT_CACHE: dict[tuple[int, int], list[AdmissibleSolution]] = {}
-
-
 def enumerate_flat(s: int, m: int) -> list[AdmissibleSolution]:
     """Complete list of admissible covers over bases with ``L >= 2``.
 
@@ -520,16 +493,12 @@ def enumerate_flat(s: int, m: int) -> list[AdmissibleSolution]:
         raise ValueError("flat enumeration is exhaustive only for ranks 2..6")
     if m < 1:
         raise ValueError("multiple must be positive")
-    key = (s, m)
-    if key in _FLAT_CACHE:
-        return _FLAT_CACHE[key]
     sols = [
         _finish_solution(weights, s, m, rep)
         for k, L, W, weights in _flat_cells(s, m)
-        for rep in _cell_reps(s, m, weights, k, 2 * W + 2 * k * L // m)
+        for rep in _cell_reps(s, L, (k + 1) * L, 2 * W + 2 * k * L // m)
     ]
     sols.sort(key=AdmissibleSolution.sort_key)
-    _FLAT_CACHE[key] = sols
     return sols
 
 
@@ -583,8 +552,6 @@ def _case_active(case: ProjectiveCase, s: int) -> bool:
 
 _P3 = Weights((1, 1, 1, 1))
 
-_L1_CACHE: dict[tuple[int, int], list[AdmissibleSolution]] = {}
-
 
 def enumerate_L1(s: int, m: int) -> list[AdmissibleSolution]:
     """Complete list of admissible covers of the straight projective space."""
@@ -592,17 +559,13 @@ def enumerate_L1(s: int, m: int) -> list[AdmissibleSolution]:
         raise ValueError("rank-1 towers are families; use enumerate_s1")
     if m < 1:
         raise ValueError("multiple must be positive")
-    key = (s, m)
-    if key in _L1_CACHE:
-        return _L1_CACHE[key]
     sols: list[AdmissibleSolution] = []
     for case in projective_cases(m):
         if not _case_active(case, s):
             continue
-        for rep in _cell_reps(s, m, _P3, case.k, case.D):
+        for rep in _cell_reps(s, 1, case.k + 1, case.D):
             sols.append(_apply_projective_status(_finish_solution(_P3, s, m, rep), case))
     sols.sort(key=AdmissibleSolution.sort_key)
-    _L1_CACHE[key] = sols
     return sols
 
 

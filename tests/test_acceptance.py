@@ -32,6 +32,8 @@ from z2cover.moduli import deformation_criteria, gen_new_component, gen_unbounde
 from z2cover.walsh import forward, inverse
 from z2cover.wps import Weights, monomial_count
 
+from profile_oracle import m_profiles
+
 MAIN = "main"
 
 
@@ -274,7 +276,7 @@ def _brute_orbits(s, D, min_l):
             place(values[1:], rest, packed + val * add,
                   placed + [(pos, val) for pos in combo])
 
-    for profile in classify.m_profiles(s, D, min_l):
+    for profile in m_profiles(s, D, min_l):
         counts = {}
         for v in profile:
             counts[v] = counts.get(v, 0) + 1
@@ -284,14 +286,8 @@ def _brute_orbits(s, D, min_l):
 
 def _spectral_orbits(s, D, min_l):
     orbits = set()
-    seen = set()
-    for profile in classify.m_profiles(s, D, min_l):
-        sq = sum(v * v for v in profile)
-        if sq in seen:
-            continue
-        seen.add(sq)
-        for dist in classify.l_distribution_candidates(s, D, min_l, sq):
-            orbits.update(classify.reconstruct_branch(s, D, dist))
+    for dist in classify.l_distribution_candidates(s, D, min_l):
+        orbits.update(classify.reconstruct_branch(dist))
     return orbits
 
 

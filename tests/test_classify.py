@@ -40,7 +40,6 @@ from z2cover.classify import (
     forbidden_flat,
     is_pluricanonical,
     l_distribution_candidates,
-    m_profiles,
     max_admissible_m,
     projective_cases,
     reconstruct_branch,
@@ -49,6 +48,8 @@ from z2cover.cover import BranchData, CoverSpec, eigensheaf_degrees, is_flat
 from z2cover.gf2 import canonicalize, orbit_reps, parity_vector
 from z2cover.walsh import NonIntegralError, forward
 from z2cover.wps import Weights, monomial_count
+
+from profile_oracle import distributions_by_profile, m_profiles
 
 P3 = Weights((1, 1, 1, 1))
 
@@ -150,18 +151,28 @@ def test_m_profiles_rank4():
 
 
 def test_l_distribution_candidates_rigidity_cases():
-    hit = l_distribution_candidates(4, 9, 2, 11)
-    assert [c.counts for c in hit] == [((2, 10), (3, 4), (4, 1))]
-    hit12 = l_distribution_candidates(4, 12, 3, 12)
-    assert [c.counts for c in hit12] == [((3, 12), (4, 3))]
-    # the rank-5 profile passes the linear moments but fails the cubic one
-    assert l_distribution_candidates(5, 9, 2, 9) == []
+    hit = l_distribution_candidates(4, 9, 2)
+    assert [c.counts for c in hit] == [
+        ((2, 11), (3, 2), (4, 2)),
+        ((2, 10), (3, 4), (4, 1)),
+        ((2, 9), (3, 6)),
+    ]
+    hit12 = l_distribution_candidates(4, 12, 3)
+    assert [c.counts for c in hit12] == [
+        ((3, 14), (6, 1)),
+        ((3, 13), (4, 1), (5, 1)),
+        ((3, 12), (4, 3)),
+    ]
+    # neither is reconstructed here: the second alone has C(31, 10)
+    # placements, and the classification lifts P^3 at rank 5 instead
+    hit5 = l_distribution_candidates(5, 9, 2)
+    assert [c.counts for c in hit5] == [((2, 22), (3, 8), (4, 1)), ((2, 21), (3, 10))]
     with pytest.raises(ValueError):
-        l_distribution_candidates(1, 9, 2, 9)
+        l_distribution_candidates(1, 9, 2)
 
 
 def test_l_distribution_moment_identities():
-    for c in l_distribution_candidates(4, 9, 2, 11) + l_distribution_candidates(4, 12, 3, 12):
+    for c in l_distribution_candidates(4, 9, 2) + l_distribution_candidates(4, 12, 3):
         mults = dict(c.counts)
         assert sum(mults.values()) == (1 << c.s) - 1
         assert sum(v * n for v, n in mults.items()) == (1 << (c.s - 2)) * c.D
@@ -175,19 +186,24 @@ TWELVE_ONES = (0, 0, 0, 0) + (1,) * 12
 class TestReconstruct:
     def test_seven_ones_and_a_two(self):
         dist = DistributionCounts(s=4, D=9, base=2, counts=((2, 10), (3, 4), (4, 1)))
-        assert reconstruct_branch(4, 9, dist) == [ITEM5]
+        assert reconstruct_branch(dist) == [ITEM5]
 
     def test_nine_ones_two_planes(self):
         dist = DistributionCounts(s=4, D=9, base=2, counts=((2, 9), (3, 6)))
-        assert reconstruct_branch(4, 9, dist) == [NINE_ONES]
+        assert reconstruct_branch(dist) == [NINE_ONES]
 
     def test_twelve_ones_off_a_plane(self):
         dist = DistributionCounts(s=4, D=12, base=3, counts=((3, 12), (4, 3)))
-        assert reconstruct_branch(4, 12, dist) == [TWELVE_ONES]
+        assert reconstruct_branch(dist) == [TWELVE_ONES]
 
     def test_incomplete_distribution_rejected(self):
         with pytest.raises(ValueError):
-            reconstruct_branch(4, 9, DistributionCounts(4, 9, 2, ((2, 10),)))
+            reconstruct_branch(DistributionCounts(4, 9, 2, ((2, 10),)))
+
+    def test_linear_moment_mismatch_rejected(self):
+        # the degrees of a D = 9 distribution sum to 36, not 4 * 10
+        with pytest.raises(ValueError):
+            reconstruct_branch(DistributionCounts(4, 10, 2, ((2, 10), (3, 4), (4, 1))))
 
     def test_large_excess_matches_unpacked_loop(self):
         # excess masses of 16 and more, with fixed and random branch functions
@@ -209,7 +225,7 @@ class TestReconstruct:
             if sum((v - base) * c for v, c in excess) < 16:
                 continue
             want = sorted(orbit_reps(set(_reconstruct_unpacked(s, sum(d), base, excess)), s))
-            got = reconstruct_branch(s, sum(d), DistributionCounts(s, sum(d), base, counts))
+            got = reconstruct_branch(DistributionCounts(s, sum(d), base, counts))
             assert got == want
             assert canonicalize(d) in got
             checked += 1
@@ -289,13 +305,8 @@ def test_pruned_search_matches_full_placement_oracle():
             if case.s_min <= 3 and (case.s_max is None or 3 <= case.s_max):
                 cases.append((3, case.D, case.k + 1))
     cases.append((4, 12, 3))
-    dists = [
-        (None, dist)
-        for s, D, min_l in cases
-        for sq in {sum(v * v for v in p) for p in m_profiles(s, D, min_l)}
-        for dist in l_distribution_candidates(s, D, min_l, sq)
-    ]
-    assert len(dists) == 14  # 11 at rank 3, 3 for (s, D, min_l) = (4, 12, 3)
+    dists = [(None, dist) for s, D, min_l in cases for dist in l_distribution_candidates(s, D, min_l)]
+    assert len(dists) == 15  # 12 at rank 3, 3 for (s, D, min_l) = (4, 12, 3)
     rng = random.Random(2014)
     seeded = []
     for s, top in ((2, 3), (3, 3), (4, 2)):
@@ -307,7 +318,7 @@ def test_pruned_search_matches_full_placement_oracle():
         s, D = dist.s, dist.D
         excess = tuple((v, c) for v, c in dist.counts if v != dist.base)
         want = sorted(orbit_reps(set(_reconstruct_unpacked(s, D, dist.base, excess)), s))
-        got = reconstruct_branch(s, D, dist)
+        got = reconstruct_branch(dist)
         assert got == want, dist
         if d is not None:
             assert canonicalize(d) in got
@@ -509,19 +520,66 @@ def test_rank4_lift_matches_spectral_route(monkeypatch, m, k):
     case = next(c for c in projective_cases(m) if c.k == k)
     assert case.D < (1 << 4) - 1
     spectral = set()
-    for sq in {sum(v * v for v in p) for p in m_profiles(4, case.D, case.k + 1)}:
-        for dist in l_distribution_candidates(4, case.D, case.k + 1, sq):
-            spectral.update(reconstruct_branch(4, case.D, dist))
-    enumerate_L1(3, m)  # the parents, reconstructed before it is forbidden
+    for dist in l_distribution_candidates(4, case.D, k + 1):
+        spectral.update(reconstruct_branch(dist))
+    # a rank-4 cell cached by an earlier test would never reach the lift
+    _cell_reps.cache_clear()
+    _cell_reps(3, 1, k + 1, case.D)  # the parents, reconstructed before it is forbidden
 
     def forbidden(*args):
         raise AssertionError("rank 4 must lift from rank 3, not reconstruct")
 
     monkeypatch.setattr(z2cover.classify, "reconstruct_branch", forbidden)
     monkeypatch.setattr(z2cover.classify, "_reconstruct_distribution", forbidden)
-    lifted = _cell_reps(4, m, P3, k, case.D)
-    assert lifted == sorted(spectral)
+    lifted = _cell_reps(4, 1, k + 1, case.D)
+    assert lifted == tuple(sorted(spectral))
     assert lifted
+
+
+def _reconstructed_cells():
+    """Every (s, L, base, D) cell the classification reconstructs rather
+    than lifts: flat at ranks 2..6 and P^3 at ranks 2..3, with m in 1..6."""
+    cells = set()
+    for m in range(1, 7):
+        for s in range(2, 7):
+            for k, L, W, _ in _flat_cells(s, m):
+                cells.add((s, L, (k + 1) * L, 2 * W + 2 * k * L // m))
+        for case in projective_cases(m):
+            for s in (2, 3):
+                if case.s_min <= s and (case.s_max is None or s <= case.s_max):
+                    cells.add((s, 1, case.k + 1, case.D))
+    return sorted(cells)
+
+
+def _reps_of(dists, L, base):
+    """Representatives of the distributions whose values are ``base`` plus
+    multiples of ``L``."""
+    kept = [x for x in dists if all((v - base) % L == 0 for v, _ in x.counts)]
+    return tuple(sorted({r for x in kept for r in reconstruct_branch(x)}))
+
+
+def test_one_pass_distributions_cover_profile_route():
+    # the one-pass list holds every distribution some profile's square sum
+    # reaches, and the extra ones realize no further representative
+    cells = _reconstructed_cells()
+    assert len(cells) == 33
+    extra = 0
+    for s, L, base, D in cells:
+        one_pass = l_distribution_candidates(s, D, base)
+        old = distributions_by_profile(s, D, base)
+        assert set(old) <= set(one_pass), (s, L, base, D)
+        extra += len(one_pass) - len(old)
+        got = _reps_of(one_pass, L, base)
+        assert got == _reps_of(old, L, base) == _cell_reps(s, L, base, D), (s, L, base, D)
+    assert extra > 0
+
+
+def test_enumerations_return_fresh_lists():
+    for enumerate_ in (enumerate_L1, enumerate_flat):
+        first = enumerate_(2, 1)
+        want = list(first)
+        first.clear()
+        assert enumerate_(2, 1) == want and want
 
 
 @pytest.mark.parametrize("m", [1, 2])
