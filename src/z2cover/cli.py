@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -382,6 +383,7 @@ def _cmd_examples_unbounded(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Return a fresh parser for the whole CLI; ``main`` keeps one per process."""
     parser = argparse.ArgumentParser(
         prog="z2cover",
         description="exact invariants and classification of (Z/2)^s covers of weighted P^3",
@@ -441,8 +443,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except NonIntegralError as exc:

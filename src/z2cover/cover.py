@@ -279,7 +279,7 @@ def from_json(text: str) -> CoverSpec:
     for key, value in dmap.items():
         if not isinstance(key, str) or len(key) != s or set(key) - {"0", "1"}:
             raise CoverSpecError(f"bad group element {key!r} for rank {s}")
-        g = sum(1 << i for i, c in enumerate(key) if c == "1")
+        g = int(key[::-1], 2)  # bit i of g is key[i]
         if not _is_int(value) or value < 0:
             raise CoverSpecError(f"bad degree {value!r} at {key!r}")
         if g == 0 and value:

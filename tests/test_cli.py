@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, serialization, determinism."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -19,6 +20,7 @@ from z2cover.cli import (
     EXIT_INVALID,
     EXIT_MALFORMED,
     EXIT_OK,
+    build_parser,
     families_to_md,
     main,
     md_to_solutions,
@@ -80,6 +82,14 @@ class TestCover:
         code, out, err = run_cli(capsys, "cover", "check", cover_file(text))
         assert code == EXIT_MALFORMED
         assert out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("key", ["1_0", " 10", "10 "])
+    def test_check_rejects_padded_group_element(self, capsys, cover_file, key):
+        # int(key[::-1], 2) alone would read each of these keys as 1
+        text = json.dumps({"weights": [1, 1, 1, 1], "s": 3, "d": {key: 2}})
+        code, out, err = run_cli(capsys, "cover", "check", cover_file(text))
+        assert code == EXIT_MALFORMED
+        assert out == "" and err == f"error: bad group element {key!r} for rank 3\n"
 
     def test_check_fails_disconnected_cover(self, capsys, cover_file):
         _, good, _ = run_cli(capsys, "cover", "check", cover_file(QUADRIC))
@@ -229,13 +239,53 @@ FROZEN_STDOUT = [
 ]
 
 
-@pytest.mark.parametrize("argv, code, digest", FROZEN_STDOUT,
-                         ids=[argv for argv, _, _ in FROZEN_STDOUT])
-def test_stdout_frozen(capsys, cover_file, argv, code, digest):
+def frozen_run(capsys, cover_file, argv):
+    """Exit code and stdout sha256 of one FROZEN_STDOUT command line."""
     args = [cover_file(FROZEN_COVERS[a.strip("{}")]) if a.startswith("{") else a
             for a in argv.split()]
     got, out, _ = run_cli(capsys, *args)
-    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+    return got, hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv, code, digest", FROZEN_STDOUT,
+                         ids=[argv for argv, _, _ in FROZEN_STDOUT])
+def test_stdout_frozen(capsys, cover_file, argv, code, digest):
+    assert frozen_run(capsys, cover_file, argv) == (code, digest)
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch, cover_file):
+    path = cover_file(FROZEN_COVERS["valid"])
+    run_cli(capsys, "cover", "check", path)  # builds the parser if no test has yet
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (("cover", "invariants", path), ("deform", "check", path),
+                 ("geography", "extremes", "--s", "2"), ("classify", "--s", "1", "--m", "1"),
+                 ("examples", "new-component", "--M", "4")):
+        assert run_cli(capsys, *argv)[0] == EXIT_OK
+    assert built == []
+    # the public builder still hands every caller a parser of its own
+    first, second = build_parser(), build_parser()
+    assert first is not second and built
+
+
+def test_shared_parser_keeps_no_state(capsys, cover_file):
+    frozen = {argv: (code, digest) for argv, code, digest in FROZEN_STDOUT}
+    hunt = "geography hunt --s 4 --t 3/5 --t 1"  # appends to the --t list
+    assert frozen_run(capsys, cover_file, hunt) == frozen[hunt]
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--s", "x"])
+    assert exc.value.code == 2
+    code, out, _ = run_cli(capsys, "cover", "check", cover_file("{not json"))
+    assert (code, out) == (EXIT_MALFORMED, "")
+    # the bare hunt scans the default masses, not the --t list built above
+    for argv in ("geography hunt", "classify --s 2 --m 1 --format json", "cover check {valid}"):
+        assert frozen_run(capsys, cover_file, argv) == frozen[argv]
 
 
 class TestLargeCovers:
