@@ -14,7 +14,7 @@ from .cover import (
     to_json,
     validate,
 )
-from .gf2 import RankLimitError, canonicalize, orbit_reps
+from .gf2 import orbit_reps
 from .invariants import (
     GeographyPoint,
     InvariantReport,
@@ -36,12 +36,10 @@ __all__ = [
     "GeographyPoint",
     "InvariantReport",
     "NonIntegralError",
-    "RankLimitError",
     "ValidationReport",
     "Weights",
     "__version__",
     "barycenter_ratio",
-    "canonicalize",
     "eigensheaf_degrees",
     "euler_char_line",
     "from_json",

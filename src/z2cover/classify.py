@@ -295,10 +295,7 @@ def reconstruct_branch(dist: DistributionCounts) -> list[tuple[int, ...]]:
         raise ValueError("distribution does not cover every character")
     if sum(v * c for v, c in dist.counts) != (1 << (s - 2)) * D:
         raise ValueError(f"eigensheaf degrees do not sum to 2^(s-2) D for D = {D}")
-    survivors = set(_reconstruct_distribution(s, D, dist.base, excess))
-    if not survivors:
-        return []
-    return sorted(orbit_reps(survivors, s))
+    return orbit_reps(_reconstruct_distribution(s, D, dist.base, excess), s)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +346,7 @@ def _cell_reps(s: int, L: int, base: int, D: int) -> tuple[tuple[int, ...], ...]
             for cand in _lift_candidates(parent, s)
             if not parity_vector(cand) and max(walsh.forward(cand)[1:]) <= top
         }
-        return tuple(sorted(orbit_reps(survivors, s))) if survivors else ()
+        return tuple(orbit_reps(survivors, s))
     reps: set[tuple[int, ...]] = set()
     for dist in l_distribution_candidates(s, D, base):
         if any((v - base) % L for v, _ in dist.counts):
@@ -611,12 +608,6 @@ class RankOneFamily(NamedTuple):
     @property
     def degree_coefficient(self) -> int:
         return 2 * self.weights.L
-
-    def k_of(self, t: int) -> int:
-        L, W = self.weights.L, self.weights.W
-        M = self.m * (L * t - W)
-        assert M > 0 and M % L == 0
-        return M // L
 
     def instantiate(self, t: int) -> AdmissibleSolution:
         if t < self.t_min or (self.t_sup is not None and t >= self.t_sup):

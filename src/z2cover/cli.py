@@ -29,7 +29,6 @@ from .cover import (
     MAX_RANK,
     BranchData,
     CoverSpec,
-    CoverSpecError,
     eigensheaf_degrees,
     from_path,
     is_flat,
@@ -455,7 +454,7 @@ def main(argv=None) -> int:
     except NonIntegralError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (CoverSpecError, json.JSONDecodeError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
 

@@ -136,13 +136,15 @@ def hurwitz_degree(spec: CoverSpec) -> Fraction:
 
 
 def half_point_count(spec: CoverSpec) -> int:
-    """Number of 4-fold points of the branch configuration upstairs.
+    """Number of triple points of the branch divisor on the base.
 
-    Counts unordered zero-sum triples of branch components weighted by
-    ``d_p * d_q * d_r / prod(weights)``; a fractional total raises
-    :class:`NonIntegralError`.  Since ``d(0) = 0``, every weighted zero-sum
-    triple has three distinct elements, so the unordered count is a sixth
-    of the spectral triple convolution ``sum(S^3) / 2^s``.
+    A triple point is where three branch components whose labels sum to
+    zero meet; by Bezout each such unordered triple ``{p, q, r}`` meets in
+    ``d_p * d_q * d_r / prod(weights)`` points.  Above each one the cover
+    has ``2^(s-2)`` points of type ``1/2(1,1,1)``.  A fractional total
+    raises :class:`NonIntegralError`.  Since ``d(0) = 0``, every weighted
+    zero-sum triple has three distinct elements, so the unordered count is
+    a sixth of the spectral triple convolution ``sum(S^3) / 2^s``.
     """
     triples = walsh.triple_convolution_at_zero(spec.branch.spectrum) / 6
     total = triples / spec.weights.A

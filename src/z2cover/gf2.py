@@ -4,7 +4,7 @@ Group elements and characters are both encoded as Python ints in
 ``range(2**s)``; bit ``i`` is coordinate ``i``.  A function on the group is
 any sequence of length ``2**s`` indexed by element.  The integer order on
 encoded elements is the order used whenever functions are compared
-lexicographically, in particular by :func:`canonicalize`.
+lexicographically, in particular to name a GL_s-orbit by its least element.
 """
 
 from __future__ import annotations
@@ -12,27 +12,14 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .walsh import _rank, forward
+from .walsh import forward
 
 __all__ = [
-    "RankLimitError",
-    "CANONICAL_RANK_CAP",
     "dot",
     "parity_vector",
-    "canonicalize",
     "orbit_reps",
     "affine_hyperplane_min_intersection",
 ]
-
-# canonicalize keeps every basis prefix tied for the least relabeling, and
-# the bases that tie to the end are a coset of Aut(d), so its work grows
-# with |Aut(d)|.  A one-point function has |GL_s| / (2^s - 1) automorphisms:
-# 322,560 at rank 5 and 319,979,520 at rank 6.
-CANONICAL_RANK_CAP = 5
-
-
-class RankLimitError(ValueError):
-    """Raised when an exact orbit computation is requested above the cap."""
 
 
 def dot(chi: int, g: int) -> int:
@@ -51,45 +38,6 @@ def parity_vector(d: Sequence[int]) -> int:
         if value & 1:
             acc ^= g
     return acc
-
-
-def canonicalize(d: Sequence[int]) -> tuple[int, ...]:
-    """Lexicographically least relabeling of ``d`` under GL_s(F_2).
-
-    Two functions have equal output iff some invertible change of basis of
-    the group carries one to the other.  Exact for rank <= 5, by a
-    lexicographic branch-and-bound over basis images.
-    """
-    key = tuple(d)
-    s = _rank(len(key))
-    if s <= 1:
-        return key
-    if s > CANONICAL_RANK_CAP:
-        raise RankLimitError(f"rank {s} exceeds the exhaustive-traversal cap {CANONICAL_RANK_CAP}")
-    n = 1 << s
-    # Partial state: images of the first t basis vectors, stored as the
-    # filled prefix img[0:2^t].  Keep every state achieving the least prefix.
-    states: list[tuple[list[int], set[int]]] = [([0], {0})]
-    prefix: list[int] = []
-    for _ in range(s):
-        half = len(states[0][0])
-        best_block: tuple[int, ...] | None = None
-        nxt: list[tuple[list[int], set[int]]] = []
-        for img, span in states:
-            for c in range(1, n):
-                if c in span:
-                    continue
-                block = tuple(key[img[r] ^ c] for r in range(half))
-                if best_block is None or block < best_block:
-                    best_block = block
-                    nxt = []
-                if block == best_block:
-                    nxt.append((img + [v ^ c for v in img], span | {v ^ c for v in span}))
-        assert best_block is not None
-        prefix.extend(best_block)
-        states = nxt
-    # prefix holds positions 1 .. 2^s-1 in order; position 0 is fixed.
-    return tuple([key[0]] + prefix)
 
 
 def _generator_perms(s: int) -> list[list[int]]:
@@ -111,22 +59,19 @@ def _generator_perms(s: int) -> list[list[int]]:
     return [transvection, cycle]
 
 
-def orbit_reps(funcs: Iterable[Sequence[int]], s: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    """Partition ``funcs`` into GL_s-orbits.
+def orbit_reps(funcs: Iterable[Sequence[int]], s: int) -> list[tuple[int, ...]]:
+    """Sorted representatives of the GL_s-orbits that meet ``funcs``.
 
-    Returns representative -> members found in the input.  The orbit of each
-    previously unseen member is closed under two generators of GL_s, and its
-    lexicographically least element names it; that is the value
-    :func:`canonicalize` gives every member, at any rank.
+    The orbit of each previously unseen input is closed under two generators
+    of GL_s, and its lexicographically least element represents it.
     """
     n = 1 << s
     gens = [itemgetter(*p) for p in _generator_perms(s)]
-    pool = {tuple(f) for f in funcs}
-    for f in pool:
+    unseen = {tuple(f) for f in funcs}
+    for f in unseen:
         if len(f) != n:
             raise ValueError("function length does not match rank")
-    out: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    unseen = set(pool)
+    reps = []
     while unseen:
         start = unseen.pop()
         orbit = {start}
@@ -139,8 +84,8 @@ def orbit_reps(funcs: Iterable[Sequence[int]], s: int) -> dict[tuple[int, ...], 
                     orbit.add(nxt)
                     frontier.append(nxt)
         unseen -= orbit
-        out[min(orbit)] = sorted(orbit & pool)
-    return out
+        reps.append(min(orbit))
+    return sorted(reps)
 
 
 def affine_hyperplane_min_intersection(points: Iterable[int], s: int) -> int:

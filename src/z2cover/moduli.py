@@ -182,11 +182,6 @@ class UnboundedFamily(NamedTuple):
     def degree(self, g: int) -> int:
         return self.height if dot(self.chi0, g) and g else 0
 
-    def eigensheaf_degree(self, chi: int) -> int:
-        if not chi:
-            return 0
-        return self.l_on if chi == self.chi0 else self.l_off
-
     def cover_spec(self) -> CoverSpec:
         """Materialize the dense degree table; only sane for small rank."""
         d = tuple(self.degree(g) for g in range(1 << self.s))

@@ -15,7 +15,6 @@ from itertools import combinations
 from z2cover import classify
 from z2cover.cli import random_ratio
 from z2cover.cover import BranchData, CoverSpec, half_point_count, is_flat
-from z2cover.gf2 import canonicalize
 from z2cover.invariants import (
     SCI_MAX,
     SCI_MIN,
@@ -32,6 +31,7 @@ from z2cover.moduli import deformation_criteria, gen_new_component, gen_unbounde
 from z2cover.walsh import forward, inverse
 from z2cover.wps import Weights, monomial_count
 
+from gl_table import canonicalize
 from profile_oracle import m_profiles
 
 MAIN = "main"

@@ -45,10 +45,11 @@ from z2cover.classify import (
     reconstruct_branch,
 )
 from z2cover.cover import BranchData, CoverSpec, eigensheaf_degrees, is_flat
-from z2cover.gf2 import canonicalize, orbit_reps, parity_vector
+from z2cover.gf2 import orbit_reps, parity_vector
 from z2cover.walsh import NonIntegralError, forward
 from z2cover.wps import Weights, monomial_count
 
+from gl_table import canonicalize
 from profile_oracle import distributions_by_profile, m_profiles
 
 P3 = Weights((1, 1, 1, 1))
@@ -224,7 +225,7 @@ class TestReconstruct:
             excess = tuple((v, c) for v, c in counts if v != base)
             if sum((v - base) * c for v, c in excess) < 16:
                 continue
-            want = sorted(orbit_reps(set(_reconstruct_unpacked(s, sum(d), base, excess)), s))
+            want = orbit_reps(_reconstruct_unpacked(s, sum(d), base, excess), s)
             got = reconstruct_branch(DistributionCounts(s, sum(d), base, counts))
             assert got == want
             assert canonicalize(d) in got
@@ -317,7 +318,7 @@ def test_pruned_search_matches_full_placement_oracle():
     for d, dist in dists + seeded:
         s, D = dist.s, dist.D
         excess = tuple((v, c) for v, c in dist.counts if v != dist.base)
-        want = sorted(orbit_reps(set(_reconstruct_unpacked(s, D, dist.base, excess)), s))
+        want = orbit_reps(_reconstruct_unpacked(s, D, dist.base, excess), s)
         got = reconstruct_branch(dist)
         assert got == want, dist
         if d is not None:
@@ -430,7 +431,7 @@ def _flat_by_excess_partitions(s, m):
         for part in _partitions(u, cap, n_chars) if cap >= 0 or u == 0 else []:
             excess = tuple(sorted(Counter(base + t * L for t in part).items()))
             survivors.update(_reconstruct_distribution(s, D, base, excess))
-        for rep in sorted(orbit_reps(survivors, s)) if survivors else []:
+        for rep in orbit_reps(survivors, s):
             sols.append(_finish_solution(weights, s, m, rep))
     sols.sort(key=AdmissibleSolution.sort_key)
     return sols
@@ -774,10 +775,10 @@ class TestRankOneTowers:
 
     def test_instantiate(self):
         fam = next(f for f in enumerate_s1(1) if f.weights.a == (1, 1, 4, 6))
-        assert fam.k_of(2) == 1 and fam.k_of(5) == 4
         sol = fam.instantiate(2)
         assert sol.d == (0, 48) and sol.k == 1 and sol.D == 48
         assert is_pluricanonical(sol.weights, BranchData(1, sol.d), 1).admissible
+        assert fam.instantiate(5).k == 4
         with pytest.raises(ValueError):
             fam.instantiate(1)
 

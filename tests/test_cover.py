@@ -21,10 +21,12 @@ from z2cover.cover import (
     to_json,
     validate,
 )
-from z2cover.gf2 import canonicalize, dot
+from z2cover.gf2 import dot
 from z2cover.invariants import RatioVector, invariant_report
 from z2cover.walsh import NonIntegralError
 from z2cover.wps import Weights
+
+from gl_table import canonicalize
 
 
 def cover(weights, d):

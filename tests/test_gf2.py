@@ -8,17 +8,14 @@ import pytest
 
 from z2cover.classify import enumerate_flat, enumerate_L1
 from z2cover.gf2 import (
-    CANONICAL_RANK_CAP,
-    RankLimitError,
     _generator_perms,
     affine_hyperplane_min_intersection,
-    canonicalize,
     dot,
     orbit_reps,
     parity_vector,
 )
 
-from gl_table import table_canonicalize
+from gl_table import canonicalize, table_canonicalize
 
 
 def test_dot_small_table():
@@ -79,19 +76,11 @@ def test_canonicalize_constant_on_brute_force_orbits(s):
     """Exhaustive cross-check against the orbits that orbit_reps closes."""
     n = 1 << s
     funcs = [f for f in product((0, 1, 2), repeat=n) if sum(1 for v in f if v) <= 4]
-    groups = orbit_reps(funcs, s)
-    for rep, members in groups.items():
-        assert canonicalize(rep) == rep
-        for m in members:
-            assert canonicalize(m) == rep
+    assert orbit_reps(funcs, s) == sorted({canonicalize(f) for f in funcs})
 
 
-def test_canonicalize_rank_cap():
-    assert CANONICAL_RANK_CAP == 5
-    with pytest.raises(RankLimitError):
-        canonicalize([0] * 64)
-    # rank 5 still goes through the branch-and-bound path; the least
-    # relabeling pushes the lone nonzero value to the top element
+def test_canonicalize_rank5_one_point():
+    # the least relabeling pushes the lone nonzero value to the top element
     d = [0] * 32
     d[7] = 1
     assert canonicalize(d) == tuple([0] * 31 + [1])
@@ -147,16 +136,14 @@ def test_canonicalize_merges_equivalent_onset_characters():
 def test_orbit_reps_partition():
     s, n = 2, 4
     funcs = list(product((0, 1), repeat=n))
-    groups = orbit_reps(funcs, s)
-    members = [m for ms in groups.values() for m in ms]
-    assert sorted(members) == sorted(funcs)
+    reps = orbit_reps(funcs, s)
+    assert reps == sorted({table_canonicalize(f) for f in funcs})
     # value multiset is orbit-invariant, so count orbits per multiset:
     # weight 0 and 4 are singletons; weight 1 splits by position of the 1
     # only through 0 vs nonzero; weight 2 splits by whether the support
     # is a subgroup.
-    assert len(groups[(0, 0, 0, 0)]) == 1
-    assert len(groups[(1, 1, 1, 1)]) == 1
-    weight1 = [rep for rep in groups if sum(rep) == 1]
+    assert [rep for rep in reps if sum(rep) in (0, 4)] == [(0, 0, 0, 0), (1, 1, 1, 1)]
+    weight1 = [rep for rep in reps if sum(rep) == 1]
     assert len(weight1) == 2  # supported at 0, or at any nonzero element
 
 
@@ -229,15 +216,12 @@ def test_two_generator_orbits_match_full_generating_set(s):
         funcs.append(tuple(f))
     old = _swaps_and_transvections(s)
     pool = set(funcs)
-    groups = orbit_reps(funcs, s)
     reps = set()
     for f in pool:
         orbit = _closure(f, old)
         assert _closure(f, _generator_perms(s)) == orbit
-        rep = min(orbit)
-        assert groups[rep] == sorted(orbit & pool)
-        reps.add(rep)
-    assert len(groups) == len(reps)
+        reps.add(min(orbit))
+    assert orbit_reps(funcs, s) == sorted(reps)
 
 
 @pytest.mark.parametrize("s", [2, 3, 4])
