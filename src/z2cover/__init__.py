@@ -1,58 +1,53 @@
-"""Exact invariants and classification for (Z/2)^s covers of weighted P^3."""
+"""Exact invariants and classification for (Z/2)^s covers of weighted P^3.
 
-from .cover import (
-    BranchData,
-    CoverSpec,
-    CoverSpecError,
-    ValidationReport,
-    eigensheaf_degrees,
-    from_json,
-    from_path,
-    half_point_count,
-    hurwitz_degree,
-    is_flat,
-    to_json,
-    validate,
-)
-from .gf2 import orbit_reps
-from .invariants import (
-    GeographyPoint,
-    InvariantReport,
-    barycenter_ratio,
-    geography_point,
-    hunt_scan,
-    invariant_report,
-    vertex_ratio,
-)
-from .walsh import NonIntegralError
-from .wps import Weights, euler_char_line, monomial_count
+The package exports resolve lazily (PEP 562): ``import z2cover`` loads no
+submodule, and each exported name imports its defining module on first
+access, so a process loads only the modules its command runs.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BranchData",
-    "CoverSpec",
-    "CoverSpecError",
-    "GeographyPoint",
-    "InvariantReport",
-    "NonIntegralError",
-    "ValidationReport",
-    "Weights",
-    "__version__",
-    "barycenter_ratio",
-    "eigensheaf_degrees",
-    "euler_char_line",
-    "from_json",
-    "from_path",
-    "geography_point",
-    "half_point_count",
-    "hunt_scan",
-    "hurwitz_degree",
-    "invariant_report",
-    "is_flat",
-    "monomial_count",
-    "orbit_reps",
-    "to_json",
-    "validate",
-    "vertex_ratio",
-]
+# exported name -> the submodule that defines it
+_EXPORTS = {
+    "BranchData": "cover",
+    "CoverSpec": "cover",
+    "CoverSpecError": "cover",
+    "ValidationReport": "cover",
+    "eigensheaf_degrees": "cover",
+    "from_json": "cover",
+    "from_path": "cover",
+    "half_point_count": "cover",
+    "hurwitz_degree": "cover",
+    "is_flat": "cover",
+    "to_json": "cover",
+    "validate": "cover",
+    "orbit_reps": "gf2",
+    "GeographyPoint": "invariants",
+    "InvariantReport": "invariants",
+    "barycenter_ratio": "invariants",
+    "geography_point": "invariants",
+    "hunt_scan": "invariants",
+    "invariant_report": "invariants",
+    "vertex_ratio": "invariants",
+    "NonIntegralError": "walsh",
+    "Weights": "wps",
+    "euler_char_line": "wps",
+    "monomial_count": "wps",
+}
+
+__all__ = sorted(["__version__", *_EXPORTS])
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -15,16 +15,15 @@ malformed input (bad JSON, bad parameters, out-of-range ranks).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
-import random
 import sys
 from fractions import Fraction
 from operator import attrgetter, itemgetter
 
-from . import classify, moduli
+# only what every command needs is imported here; each handler imports the
+# library module it runs, so a process loads no module its command skips
 from .cover import (
     MAX_RANK,
     BranchData,
@@ -35,24 +34,12 @@ from .cover import (
     to_json,
     validate,
 )
-from .invariants import (
-    SCI_MAX,
-    SCI_MIN,
-    Y_MIN,
-    RatioVector,
-    barycenter_ratio,
-    geography_point,
-    hunt_scan,
-    invariant_report,
-    vertex_ratio,
-)
 from .walsh import NonIntegralError
 from .wps import Weights
 
 __all__ = [
     "main",
     "build_parser",
-    "random_ratio",
     "solutions_to_md",
     "md_to_solutions",
     "families_to_md",
@@ -96,6 +83,8 @@ def _table(fmt: str, columns, rows) -> str:
     cells are ``str`` of the cell value.
     """
     if fmt == "csv":
+        import csv
+
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow([header for header, _ in columns])
@@ -122,21 +111,14 @@ def _cmd_cover_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_cover_invariants(args: argparse.Namespace) -> int:
+    from .invariants import invariant_report
+
     _emit(_fields(invariant_report(from_path(args.path))))
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # geography
-
-
-def random_ratio(s: int, rng: random.Random) -> RatioVector:
-    """Random rational point of the branch-ratio simplex."""
-    n = 1 << s
-    while True:
-        picks = [rng.randint(0, 9) for _ in range(n - 1)]
-        if any(picks):
-            return RatioVector(s, [0] + picks)
 
 
 def _xy_sci(point) -> dict:
@@ -150,6 +132,10 @@ def _rank(s: int) -> int:
 
 
 def _cmd_geo_sample(args: argparse.Namespace) -> int:
+    import random
+
+    from .invariants import geography_point, random_ratio
+
     s = _rank(args.s)
     if args.count < 1:
         raise ValueError(f"count must be positive, got {args.count}")
@@ -166,6 +152,15 @@ def _cmd_geo_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_geo_extremes(args: argparse.Namespace) -> int:
+    from .invariants import (
+        SCI_MAX,
+        SCI_MIN,
+        Y_MIN,
+        barycenter_ratio,
+        geography_point,
+        vertex_ratio,
+    )
+
     s = _rank(args.s)
     vx = geography_point(vertex_ratio(s))
     bc = geography_point(barycenter_ratio(s))
@@ -191,6 +186,8 @@ def _scan_mass(raw: str) -> Fraction:
 
 
 def _cmd_geo_hunt(args: argparse.Namespace) -> int:
+    from .invariants import hunt_scan
+
     s = _rank(args.s)
     values = args.t or list(HUNT_SCAN)
     rows = []
@@ -249,6 +246,8 @@ _FAMILY_CSV = [c for c in _FAMILY_COLUMNS if c[0] not in ("k", "window")]
 
 def solutions_to_md(solutions) -> str:
     """Markdown tables: catalogued rows first, everything else after."""
+    from . import classify
+
     main = [x for x in solutions if x.status == classify.MAIN]
     rest = [x for x in solutions if x.status != classify.MAIN]
     text = _table("md", _SOLUTION_COLUMNS[:5], main)
@@ -259,6 +258,8 @@ def solutions_to_md(solutions) -> str:
 
 def md_to_solutions(text: str) -> list:
     """Inverse of :func:`solutions_to_md`; derived fields are recomputed."""
+    from . import classify
+
     out = []
     for line in text.splitlines():
         line = line.strip()
@@ -302,6 +303,8 @@ def _family_fields(fam) -> dict:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from . import classify
+
     if args.s < 1:
         raise ValueError(f"rank must be positive, got {args.s}")
     _rank(args.s)
@@ -332,12 +335,16 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_deform_check(args: argparse.Namespace) -> int:
+    from . import moduli
+
     rep = moduli.deformation_criteria(from_path(args.path))
     _emit({"ok": rep.ok, **_fields(rep)})
     return EXIT_OK if rep.ok else EXIT_INVALID
 
 
 def _cmd_examples_new_component(args: argparse.Namespace) -> int:
+    from . import moduli
+
     spec = moduli.gen_new_component(args.M)
     l = eigensheaf_degrees(spec.branch).l
     rep = moduli.deformation_criteria(spec)
@@ -356,6 +363,8 @@ def _cmd_examples_new_component(args: argparse.Namespace) -> int:
 
 
 def _cmd_examples_unbounded(args: argparse.Namespace) -> int:
+    from . import moduli
+
     fam = moduli.gen_unbounded(args.s, args.kind)
     _emit(
         {

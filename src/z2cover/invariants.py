@@ -38,6 +38,7 @@ __all__ = [
     "RatioVector",
     "vertex_ratio",
     "barycenter_ratio",
+    "random_ratio",
     "GeographyPoint",
     "geography_point",
     "hunt_scan",
@@ -201,6 +202,16 @@ def vertex_ratio(s: int, g: int = 1) -> RatioVector:
 
 def barycenter_ratio(s: int) -> RatioVector:
     return RatioVector(s, [0] + [1] * ((1 << s) - 1))
+
+
+def random_ratio(s: int, rng) -> RatioVector:
+    """Random rational point of the branch-ratio simplex, drawn from the
+    :class:`random.Random` ``rng``."""
+    n = 1 << s
+    while True:
+        picks = [rng.randint(0, 9) for _ in range(n - 1)]
+        if any(picks):
+            return RatioVector(s, [0] + picks)
 
 
 class GeographyPoint(NamedTuple):

@@ -13,7 +13,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from z2cover import classify
-from z2cover.cli import random_ratio
 from z2cover.cover import BranchData, CoverSpec, half_point_count, is_flat
 from z2cover.invariants import (
     SCI_MAX,
@@ -23,6 +22,7 @@ from z2cover.invariants import (
     geography_point,
     holomorphic_euler,
     hunt_scan,
+    random_ratio,
     topological_euler,
     vertex_ratio,
     volume,

@@ -239,11 +239,15 @@ FROZEN_STDOUT = [
 ]
 
 
+def expand(cover_file, argv):
+    """The arguments of a command line, each {name} written out as a cover file."""
+    return [cover_file(FROZEN_COVERS[a.strip("{}")]) if a.startswith("{") else a
+            for a in argv.split()]
+
+
 def frozen_run(capsys, cover_file, argv):
     """Exit code and stdout sha256 of one FROZEN_STDOUT command line."""
-    args = [cover_file(FROZEN_COVERS[a.strip("{}")]) if a.startswith("{") else a
-            for a in argv.split()]
-    got, out, _ = run_cli(capsys, *args)
+    got, out, _ = run_cli(capsys, *expand(cover_file, argv))
     return got, hashlib.sha256(out.encode()).hexdigest()
 
 
@@ -323,25 +327,76 @@ class TestLargeCovers:
         assert elapsed < 1.0
 
 
-def test_python_dash_m_runs_the_cli(capsys):
-    src = str(Path(z2cover.__file__).resolve().parent.parent)
+SRC = str(Path(z2cover.__file__).resolve().parent.parent)
+
+# one command line per handler, with its exit code; each runs in a fresh
+# interpreter, where a module is imported only when its handler runs
+HANDLER_RUNS = [
+    ("cover check {valid}", EXIT_OK),
+    ("cover check {odd}", EXIT_INVALID),
+    ("cover invariants {valid}", EXIT_OK),
+    ("deform check {valid}", EXIT_OK),
+    ("geography sample --s 3 --count 4 --seed 7", EXIT_OK),
+    ("geography sample --s 2 --count 3 --format csv", EXIT_OK),
+    ("geography extremes --s 3", EXIT_OK),
+    ("geography hunt --s 3", EXIT_OK),
+    ("classify --s 2 --m 1", EXIT_OK),
+    ("classify --s 2 --m 3 --format md", EXIT_OK),
+    ("classify --s 2 --m 1 --format csv", EXIT_OK),
+    ("classify --s 1 --m 1 --format csv", EXIT_OK),
+    ("examples new-component --M 4", EXIT_OK),
+    ("examples new-component --M 5", EXIT_MALFORMED),
+    ("examples unbounded --kind canonical --s 4", EXIT_OK),
+    ("--help", EXIT_OK),
+]
+
+
+def test_python_dash_m_runs_the_cli(capsys, cover_file, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # one help width in and out of process
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    for argv, expected_code in ((["examples", "new-component", "--M", "4"], EXIT_OK),
-                                (["examples", "new-component", "--M", "5"], EXIT_MALFORMED)):
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    for line, expected_code in HANDLER_RUNS:
+        argv = expand(cover_file, line)
         proc = subprocess.run([sys.executable, "-m", "z2cover", *argv],
                               capture_output=True, text=True, env=env, timeout=60)
-        code, out, err = run_cli(capsys, *argv)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (expected_code, out, err)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == expected_code, line
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err), line
+
+
+# modules each command must leave unloaded; none imports dataclasses
+COMMAND_SKIPS = [
+    ("classify --s 2 --m 1", ("z2cover.invariants", "z2cover.moduli", "csv")),
+    ("cover check {valid}", ("z2cover.classify", "z2cover.moduli")),
+    ("geography extremes --s 3", ("z2cover.classify", "z2cover.moduli")),
+    ("deform check {valid}", ("z2cover.classify",)),
+]
+
+
+@pytest.mark.parametrize("line, skipped", COMMAND_SKIPS, ids=[line for line, _ in COMMAND_SKIPS])
+def test_command_loads_only_its_modules(cover_file, line, skipped):
+    skipped += ("dataclasses", "inspect", "ast", "dis")
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from z2cover import cli; "
+        "rc = cli.main(sys.argv[3:]); "
+        "print(rc, sorted(m for m in sys.argv[2].split(',') if m in sys.modules), file=sys.stderr)"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code, SRC, ",".join(skipped),
+                           *expand(cover_file, line)],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "0 []\n")
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
-    src = str(Path(z2cover.__file__).resolve().parent.parent)
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import z2cover.cli; "
         "print(sorted(m for m in ('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules))"
     )
-    proc = subprocess.run([sys.executable, "-S", "-c", code, src],
+    proc = subprocess.run([sys.executable, "-S", "-c", code, SRC],
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 

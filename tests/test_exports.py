@@ -4,6 +4,9 @@ deliberate edit here."""
 
 import importlib
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -55,3 +58,37 @@ PACKAGE_API = [
 
 def test_package_api_is_pinned():
     assert z2cover.__all__ == PACKAGE_API
+
+
+def test_package_import_loads_no_submodule():
+    src = str(Path(z2cover.__file__).resolve().parent.parent)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import z2cover; "
+        "print(sorted(m for m in sys.modules if m.startswith('z2cover.')))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_each_export_is_its_modules_object():
+    exports = {name: getattr(z2cover, name) for name in PACKAGE_API if name != "__version__"}
+    assert [name for name, value in exports.items()
+            if not value.__module__.startswith("z2cover.")
+            or getattr(importlib.import_module(value.__module__), name) is not value] == []
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from z2cover import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == PACKAGE_API
+
+
+def test_dir_lists_the_exports():
+    assert {"__all__", *PACKAGE_API} <= set(dir(z2cover))
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match=r"^module 'z2cover' has no attribute 'nope'$"):
+        z2cover.nope
