@@ -338,6 +338,11 @@ def _cell_reps(s: int, L: int, base: int, D: int) -> tuple[tuple[int, ...], ...]
     other cell is reconstructed from the moment-filtered distributions
     whose values are ``base`` plus multiples of ``L``.
     """
+    # a support inside a proper subgroup leaves a nonzero character that
+    # vanishes on it, with l(chi) = 0 < base; so the support spans (Z/2)^s,
+    # needs s points, and a total below s leaves the cell empty
+    if D < s:
+        return ()
     if L == 1 and D < (1 << s) - 1:
         top = D - 4 * base
         survivors = {
@@ -608,27 +613,6 @@ class RankOneFamily(NamedTuple):
     @property
     def degree_coefficient(self) -> int:
         return 2 * self.weights.L
-
-    def instantiate(self, t: int) -> AdmissibleSolution:
-        if t < self.t_min or (self.t_sup is not None and t >= self.t_sup):
-            raise ValueError(f"parameter {t} outside the family window")
-        L = self.weights.L
-        branch = BranchData(1, (0, 2 * L * t))
-        report = is_pluricanonical(self.weights, branch, self.m)
-        assert report.admissible and report.k is not None and report.p_m is not None
-        return AdmissibleSolution(
-            weights=self.weights,
-            s=1,
-            m=self.m,
-            k=report.k,
-            d=branch.d,
-            l=report.l,
-            D=report.D,
-            p_m=report.p_m,
-            flat=report.flat,
-            status=self.status,
-            note=self.note,
-        )
 
 
 def enumerate_s1(m: int, t_max: int | None = None) -> list[RankOneFamily]:

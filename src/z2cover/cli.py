@@ -26,8 +26,6 @@ from operator import attrgetter, itemgetter
 # library module it runs, so a process loads no module its command skips
 from .cover import (
     MAX_RANK,
-    BranchData,
-    CoverSpec,
     eigensheaf_degrees,
     from_path,
     is_flat,
@@ -41,7 +39,6 @@ __all__ = [
     "main",
     "build_parser",
     "solutions_to_md",
-    "md_to_solutions",
     "families_to_md",
 ]
 
@@ -254,43 +251,6 @@ def solutions_to_md(solutions) -> str:
     if rest:
         text += "\n\nsupplementary:\n\n" + _table("md", _SOLUTION_COLUMNS, rest)
     return text
-
-
-def md_to_solutions(text: str) -> list:
-    """Inverse of :func:`solutions_to_md`; derived fields are recomputed."""
-    from . import classify
-
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line.startswith("|"):
-            continue
-        cells = [c.strip() for c in line.strip("|").split("|")]
-        if cells[0] == "m" or set(cells[0]) <= {"-"}:
-            continue
-        m = int(cells[0])
-        weights = Weights(int(t) for t in cells[1].strip("()").split(","))
-        d = (0,) + tuple(int(t) for t in cells[2].strip("()").split(","))
-        status, note = (cells[5], cells[6]) if len(cells) >= 7 else (classify.MAIN, "")
-        s = len(d).bit_length() - 1
-        branch = BranchData(s, d)
-        out.append(
-            classify.AdmissibleSolution(
-                weights=weights,
-                s=s,
-                m=m,
-                k=int(cells[3]),
-                d=d,
-                l=eigensheaf_degrees(branch).l,
-                D=branch.total,
-                p_m=int(cells[4]),
-                flat=is_flat(CoverSpec(weights, branch)),
-                status=status,
-                note=note,
-            )
-        )
-    out.sort(key=classify.AdmissibleSolution.sort_key)
-    return out
 
 
 def families_to_md(families) -> str:

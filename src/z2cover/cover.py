@@ -45,7 +45,8 @@ class CoverSpecError(ValueError):
 
 
 class BranchData(Frozen):
-    """Nonnegative branch degrees indexed by group element; ``d[0] == 0``.
+    """Nonnegative ``int`` branch degrees (no ``bool``) indexed by group
+    element; ``d[0] == 0``.
 
     Immutable and compared by ``(s, d)``.  The Walsh spectrum of ``d`` is
     transformed on first use and kept, and so is the eigensheaf-degree
@@ -60,12 +61,12 @@ class BranchData(Frozen):
 
     def __init__(self, s: int, d: tuple[int, ...]):
         d = tuple(d)  # a caller's list could change under the kept spectrum
-        if s < 1:
-            raise CoverSpecError(f"rank must be >= 1, got {s}")
+        if type(s) is not int or s < 1:
+            raise CoverSpecError(f"rank must be an int >= 1, got {s!r}")
         if len(d) != 1 << s:
             raise CoverSpecError(f"need {1 << s} degrees for rank {s}, got {len(d)}")
-        if any(not isinstance(v, int) or v < 0 for v in d):
-            raise CoverSpecError("branch degrees must be nonnegative integers")
+        if any(type(v) is not int or v < 0 for v in d):
+            raise CoverSpecError("branch degrees must be nonnegative ints (not bool)")
         if d[0] != 0:
             raise CoverSpecError("the identity must carry degree 0")
         if not any(d):

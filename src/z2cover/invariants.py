@@ -185,12 +185,6 @@ class RatioVector(Frozen):
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "w", w)
 
-    @property
-    def r(self) -> tuple[Fraction, ...]:
-        """The ratios ``w / sum(w)``, which sum to 1."""
-        total = sum(self.w)
-        return tuple(Fraction(v, total) for v in self.w)
-
 
 def vertex_ratio(s: int, g: int = 1) -> RatioVector:
     if not 0 < g < 1 << s:
@@ -219,7 +213,6 @@ class GeographyPoint(NamedTuple):
     a: Fraction  # cubic moment  sum r^3
     b: Fraction  # quadratic moment  sum r^2
     zero_sum_triples: Fraction  # ordered distinct zero-sum triple sum
-    q: Fraction  # sum over characters of (hyperplane mass)^3
     phi: Fraction
     x: Fraction
     y: Fraction
@@ -257,7 +250,6 @@ def geography_point(ratio: RatioVector) -> GeographyPoint:
         a=Fraction(p3, d3),
         b=Fraction(p2, delta * delta),
         zero_sum_triples=Fraction(c3, n * d3),
-        q=Fraction(big_q, 8 * d3),
         phi=Fraction(big_q, n * d3),
         x=Fraction(x_num, 3 * big_q),
         y=Fraction(2 * n * d3, big_q),
@@ -276,10 +268,13 @@ def hunt_scan(s: int, t: Fraction | int) -> tuple[Fraction, GeographyPoint]:
     At rank 3, ``F = -(144t^4 - 200t^3 + 87t^2 - 15t + 2)/9``, and the index
     is positive exactly on ``(t0, t1)``, the quartic's two real roots
     ``t0 ~ 0.54397`` and ``t1 ~ 0.68888``; any ``0 < t <= 1`` is accepted
-    (``t = 1`` is the vertex itself).
+    (``t = 1`` is the vertex itself).  ``t`` must be an ``int`` or a
+    ``Fraction``: a float would be read as its binary expansion.
     """
     if s < 3:
         raise ValueError("the scan family needs rank >= 3")
+    if type(t) is not int and not isinstance(t, Fraction):
+        raise ValueError(f"mass must be an int or a Fraction, got {t!r}")
     t = Fraction(t)
     if not 0 < t <= 1:
         raise ValueError(f"mass {t} outside (0, 1]")

@@ -26,7 +26,7 @@ __all__ = ["Weights", "well_formed", "monomial_count", "euler_char_line"]
 class Weights(Frozen):
     """Sorted quadruple of positive weights for P(a0, a1, a2, a3).
 
-    Immutable, compared, hashed and ordered by ``a``.
+    Immutable, compared and hashed by ``a``.
     """
 
     __slots__ = ("a",)
@@ -43,18 +43,6 @@ class Weights(Frozen):
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.a)
-
-    def __lt__(self, other):
-        return self.a < other.a if other.__class__ is self.__class__ else NotImplemented
-
-    def __le__(self, other):
-        return self.a <= other.a if other.__class__ is self.__class__ else NotImplemented
-
-    def __gt__(self, other):
-        return self.a > other.a if other.__class__ is self.__class__ else NotImplemented
-
-    def __ge__(self, other):
-        return self.a >= other.a if other.__class__ is self.__class__ else NotImplemented
 
     def __str__(self) -> str:
         return "(" + ",".join(str(w) for w in self.a) + ")"

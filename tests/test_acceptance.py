@@ -167,9 +167,10 @@ def test_criterion_01_rank_one_tower_catalog():
     for fam in mains:
         offset = fam.weights.W // fam.weights.L
         for t in range(fam.t_min, 11):
-            sol = fam.instantiate(t)
-            if sol.D != fam.degree_coefficient * t or sol.k != t - offset:
-                failures.append(f"{fam.weights.a} at t={t}: got D={sol.D}, k={sol.k}")
+            branch = BranchData(1, (0, fam.degree_coefficient * t))
+            rep = classify.is_pluricanonical(fam.weights, branch, fam.m)
+            if not rep.admissible or rep.k != t - offset:
+                failures.append(f"{fam.weights.a} at t={t}: {rep.reasons}, k={rep.k}")
     _verdict(1, "rank-one tower catalog", failures, t0, 10.0)
 
 

@@ -537,6 +537,14 @@ def test_rank4_lift_matches_spectral_route(monkeypatch, m, k):
     assert lifted
 
 
+def test_cell_below_its_rank_is_empty_without_recursion():
+    # D < s cannot span (Z/2)^s: rank 16 answers both of its cells at once
+    # instead of recursing through every rank down to the total degree
+    _cell_reps.cache_clear()
+    assert enumerate_L1(16, 1) == []
+    assert _cell_reps.cache_info().currsize == 2
+
+
 def _reconstructed_cells():
     """Every (s, L, base, D) cell the classification reconstructs rather
     than lifts: flat at ranks 2..6 and P^3 at ranks 2..3, with m in 1..6."""
@@ -773,21 +781,19 @@ class TestRankOneTowers:
         assert len(fams) == 9
         assert fams[2].weights.a == (1, 1, 3, 3) and (fams[2].t_min, fams[2].t_sup) == (3, 4)
 
-    def test_instantiate(self):
-        fam = next(f for f in enumerate_s1(1) if f.weights.a == (1, 1, 4, 6))
-        sol = fam.instantiate(2)
-        assert sol.d == (0, 48) and sol.k == 1 and sol.D == 48
-        assert is_pluricanonical(sol.weights, BranchData(1, sol.d), 1).admissible
-        assert fam.instantiate(5).k == 4
-        with pytest.raises(ValueError):
-            fam.instantiate(1)
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_windows_are_tight(self, m):
+        def admissible(fam, t):
+            branch = BranchData(1, (0, fam.degree_coefficient * t))
+            return is_pluricanonical(fam.weights, branch, m).admissible
 
-    def test_instantiate_respects_upper_window(self):
-        fam = next(f for f in enumerate_s1(2) if f.weights.a == (1, 1, 1, 1))
-        sols = [fam.instantiate(t) for t in range(fam.t_min, fam.t_sup)]
-        assert [x.D for x in sols] == [10, 12, 14]
-        with pytest.raises(ValueError):
-            fam.instantiate(fam.t_sup)
+        for fam in enumerate_s1(m):
+            # an unbounded window is checked on its first 8 members
+            top = fam.t_min + 8 if fam.t_sup is None else fam.t_sup
+            assert all(admissible(fam, t) for t in range(fam.t_min, top)), fam
+            assert not admissible(fam, fam.t_min - 1), fam
+            if fam.t_sup is not None:
+                assert not admissible(fam, fam.t_sup), fam
 
     def test_rejects_bad_multiple(self):
         with pytest.raises(ValueError):

@@ -59,6 +59,9 @@ class TestBranchData:
             (2, (1, 1, 1, 1)),       # identity branched
             (2, (0, -1, 2, 1)),      # negative degree
             (2, (0, 0, 0, 0)),       # empty branch divisor
+            (2, (0, 2, True, True)),  # bool degree: to_json would write true
+            (True, (0, 2)),          # bool rank
+            (2, (0, 2.0, 1, 1)),     # float degree
         ],
     )
     def test_rejects(self, s, d):
@@ -321,6 +324,9 @@ def test_json_roundtrip():
     assert again == QUADRIC_PAIR
     # zero entries are omitted from the serialized map
     assert '"000"' not in text and '"00"' not in text
+    # a degree of 1 is written as the number 1, never as true
+    unit = CoverSpec(Weights((1, 1, 1, 1)), BranchData(3, (0, 1, 1, 0, 1, 0, 0, 1)))
+    assert from_json(to_json(unit)) == unit
 
 
 def test_json_bitstring_orientation():

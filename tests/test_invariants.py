@@ -102,14 +102,11 @@ class TestRatioVector:
         assert x == y and hash(x) == hash(y)
         assert y.w == w
         assert RatioVector(2, (0, 4, 0, 6)).w == (0, 2, 0, 3)
-        assert x.r == tuple(Fraction(v, 12) for v in w)
 
     def test_vertex_and_barycenter(self):
         v = vertex_ratio(3)
-        assert v.r[1] == 1 and sum(v.r) == 1
         assert v.w == (0, 1, 0, 0, 0, 0, 0, 0)
         b = barycenter_ratio(2)
-        assert b.r == (0, Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
         assert b.w == (0, 1, 1, 1)
         with pytest.raises(ValueError):
             vertex_ratio(2, 4)
@@ -222,7 +219,8 @@ def test_holomorphic_euler_matches_character_loop():
 
 
 def _geography_by_characters(r):
-    """Reference moments: ``a``, ``b``, ordered zero-sum triples, hyperplane masses."""
+    """Reference moments: ``a``, ``b``, ordered zero-sum triples and ``phi``, the
+    cubed hyperplane masses times ``8 / 2^s``."""
     n = len(r)
     a = sum(v**3 for v in r)
     b = sum(v**2 for v in r)
@@ -232,7 +230,7 @@ def _geography_by_characters(r):
             if p ^ q > q:
                 t3 += r[p] * r[q] * r[p ^ q]
     q = sum(sum(r[g] for g in range(1, n) if dot(chi, g)) ** 3 for chi in range(1, n))
-    return a, b, 6 * t3, q
+    return a, b, 6 * t3, Fraction(8, n) * q
 
 
 def _unlike_denominator_weights(rng, n):
@@ -252,9 +250,9 @@ def test_geography_matches_character_loops():
         s = rng.randint(1, 6)
         r, w = _unlike_denominator_weights(rng, 1 << s)
         ratio = RatioVector(s, w)
-        assert ratio.r == r
+        assert tuple(Fraction(v, sum(ratio.w)) for v in ratio.w) == r
         p = geography_point(ratio)
-        assert (p.a, p.b, p.zero_sum_triples, p.q) == _geography_by_characters(r)
+        assert (p.a, p.b, p.zero_sum_triples, p.phi) == _geography_by_characters(r)
 
 
 def _geography_by_fractions(s, r):
@@ -273,7 +271,7 @@ def _geography_by_fractions(s, r):
     y = 2 / phi
     x = (14 * a + 6 * b + phi) / (3 * phi)
     sci = y * (3 * x + 1) - 4
-    return GeographyPoint(s=s, a=a, b=b, zero_sum_triples=t3, q=q, phi=phi, x=x, y=y, sci=sci)
+    return GeographyPoint(s=s, a=a, b=b, zero_sum_triples=t3, phi=phi, x=x, y=y, sci=sci)
 
 
 def test_geography_integer_weights_match_fraction_reference():
@@ -359,6 +357,10 @@ def test_hunt_scan_domain():
         hunt_scan(3, 0)
     with pytest.raises(ValueError):
         hunt_scan(3, Fraction(6, 5))
+    # Fraction(0.6) is 5404319552844595/9007199254740992, not 3/5
+    for t in (0.6, 1.0, True):
+        with pytest.raises(ValueError, match="mass must be an int or a Fraction"):
+            hunt_scan(3, t)
 
 
 def test_hunt_scan_rank_dependence():

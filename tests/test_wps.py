@@ -46,15 +46,6 @@ class TestWeights:
         assert str(w) == "(1,1,2,3)"
         assert list(w) == [1, 1, 2, 3]
 
-    def test_ordered_by_weights(self):
-        quads = [(1, 2, 3, 6), (1, 1, 1, 1), (2, 3, 10, 15), (1, 1, 2, 2), (1, 1, 1, 3)]
-        got = sorted(Weights(q) for q in quads)
-        assert [w.a for w in got] == sorted(quads)
-        assert Weights((1, 1, 1, 2)) < Weights((1, 1, 1, 3)) <= Weights((1, 1, 1, 3))
-        assert Weights((2, 3, 10, 15)) > Weights((1, 6, 14, 21)) >= Weights((1, 6, 14, 21))
-        with pytest.raises(TypeError):
-            Weights((1, 1, 1, 1)) < (1, 1, 1, 2)
-
     def test_derived_quantities(self):
         w = Weights((1, 2, 3, 6))
         assert (w.L, w.W, w.A) == (6, 12, 36)
