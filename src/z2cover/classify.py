@@ -111,7 +111,7 @@ def is_pluricanonical(weights: Weights, branch: BranchData, m: int) -> Pluricano
     """
     if m < 1:
         raise ValueError(f"multiple m must be positive, got {m}")
-    l = eigensheaf_degrees(branch).l
+    l = eigensheaf_degrees(branch)
     D = branch.total
     L = weights.L
     reasons: list[str] = []
@@ -156,7 +156,7 @@ def max_admissible_m(weights: Weights, branch: BranchData) -> int | None:
     if excess <= 0:
         return None
     try:
-        l = eigensheaf_degrees(branch).l
+        l = eigensheaf_degrees(branch)
     except NonIntegralError:
         return None
     # beyond the largest degree plus a Frobenius allowance every
@@ -512,8 +512,7 @@ class ProjectiveCase(NamedTuple):
     m: int
     k: int
     D: int
-    s_min: int
-    s_max: int | None  # inclusive; None = unbounded
+    s_max: int | None  # inclusive; None = unbounded; every case starts at rank 2
 
 
 def projective_cases(m: int) -> list[ProjectiveCase]:
@@ -534,7 +533,7 @@ def projective_cases(m: int) -> list[ProjectiveCase]:
             D = 8 + 2 * k // m
             num = (2 * m - 1) * k - 2 * m  # num * 2^s <= 2m(k+1)
             if num <= 0:
-                cases.append(ProjectiveCase(m=m, k=k, D=D, s_min=2, s_max=None))
+                cases.append(ProjectiveCase(m=m, k=k, D=D, s_max=None))
                 continue
             bound = Fraction(2 * m * (k + 1), num)
             if bound < 4:
@@ -542,14 +541,15 @@ def projective_cases(m: int) -> list[ProjectiveCase]:
             floor_bound = bound.numerator // bound.denominator
             s_max = floor_bound.bit_length() - 1  # largest s with 2^s <= bound
             if s_max >= 2:
-                cases.append(ProjectiveCase(m=m, k=k, D=D, s_min=2, s_max=s_max))
+                cases.append(ProjectiveCase(m=m, k=k, D=D, s_max=s_max))
     elif m == 4:
-        cases.append(ProjectiveCase(m=4, k=2, D=9, s_min=2, s_max=2))
+        cases.append(ProjectiveCase(m=4, k=2, D=9, s_max=2))
     return cases
 
 
 def _case_active(case: ProjectiveCase, s: int) -> bool:
-    return case.s_min <= s and (case.s_max is None or s <= case.s_max)
+    # bounds_report asks at rank 1 too, where no case applies
+    return 2 <= s and (case.s_max is None or s <= case.s_max)
 
 
 _P3 = Weights((1, 1, 1, 1))

@@ -25,7 +25,7 @@ from operator import attrgetter, itemgetter
 # only what every command needs is imported here; each handler imports the
 # library module it runs, so a process loads no module its command skips
 from .cover import (
-    MAX_RANK,
+    check_rank,
     eigensheaf_degrees,
     from_path,
     is_flat,
@@ -122,18 +122,12 @@ def _xy_sci(point) -> dict:
     return {"x": point.x, "y": point.y, "sci": point.sci}
 
 
-def _rank(s: int) -> int:
-    if not 1 <= s <= MAX_RANK:
-        raise ValueError(f"rank must be an integer in 1..{MAX_RANK}, got {s}")
-    return s
-
-
 def _cmd_geo_sample(args: argparse.Namespace) -> int:
     import random
 
     from .invariants import geography_point, random_ratio
 
-    s = _rank(args.s)
+    s = check_rank(args.s)
     if args.count < 1:
         raise ValueError(f"count must be positive, got {args.count}")
     points = [
@@ -158,7 +152,7 @@ def _cmd_geo_extremes(args: argparse.Namespace) -> int:
         vertex_ratio,
     )
 
-    s = _rank(args.s)
+    s = check_rank(args.s)
     vx = geography_point(vertex_ratio(s))
     bc = geography_point(barycenter_ratio(s))
     _emit(
@@ -185,7 +179,7 @@ def _scan_mass(raw: str) -> Fraction:
 def _cmd_geo_hunt(args: argparse.Namespace) -> int:
     from .invariants import hunt_scan
 
-    s = _rank(args.s)
+    s = check_rank(args.s)
     values = args.t or list(HUNT_SCAN)
     rows = []
     for raw in values:
@@ -265,9 +259,7 @@ def _family_fields(fam) -> dict:
 def _cmd_classify(args: argparse.Namespace) -> int:
     from . import classify
 
-    if args.s < 1:
-        raise ValueError(f"rank must be positive, got {args.s}")
-    _rank(args.s)
+    check_rank(args.s)
     if args.bounds_report:
         print(classify.bounds_report(args.s, args.m), file=sys.stderr)
     if args.s == 1:
@@ -306,7 +298,7 @@ def _cmd_examples_new_component(args: argparse.Namespace) -> int:
     from . import moduli
 
     spec = moduli.gen_new_component(args.M)
-    l = eigensheaf_degrees(spec.branch).l
+    l = eigensheaf_degrees(spec.branch)
     rep = moduli.deformation_criteria(spec)
     _emit(
         {

@@ -22,7 +22,6 @@ from .wps import Weights
 __all__ = [
     "CoverSpecError",
     "BranchData",
-    "EigensheafDegrees",
     "CoverSpec",
     "ValidationReport",
     "eigensheaf_degrees",
@@ -36,7 +35,7 @@ __all__ = [
 ]
 
 
-# largest rank accepted from outside the program: a cover file or a CLI flag
+# largest rank accepted: a cover file, a CLI flag or a dense BranchData
 MAX_RANK = 16
 
 
@@ -44,9 +43,20 @@ class CoverSpecError(ValueError):
     """Malformed cover description (bad JSON shape, keys, or ranges)."""
 
 
+def check_rank(s) -> int:
+    """Return ``s`` if it is an ``int`` (not ``bool``) in ``1..MAX_RANK``;
+    raise :class:`CoverSpecError` otherwise."""
+    if type(s) is not int or not 1 <= s <= MAX_RANK:
+        raise CoverSpecError(f"rank must be an integer in 1..{MAX_RANK}, got {s!r}")
+    return s
+
+
 class BranchData(Frozen):
     """Nonnegative ``int`` branch degrees (no ``bool``) indexed by group
     element; ``d[0] == 0``.
+
+    The one check of branch degrees, cover files included: a bad degree is
+    named by its cover-file key.
 
     Immutable and compared by ``(s, d)``.  The Walsh spectrum of ``d`` is
     transformed on first use and kept, and so is the eigensheaf-degree
@@ -61,12 +71,12 @@ class BranchData(Frozen):
 
     def __init__(self, s: int, d: tuple[int, ...]):
         d = tuple(d)  # a caller's list could change under the kept spectrum
-        if type(s) is not int or s < 1:
-            raise CoverSpecError(f"rank must be an int >= 1, got {s!r}")
+        check_rank(s)
         if len(d) != 1 << s:
             raise CoverSpecError(f"need {1 << s} degrees for rank {s}, got {len(d)}")
-        if any(type(v) is not int or v < 0 for v in d):
-            raise CoverSpecError("branch degrees must be nonnegative ints (not bool)")
+        for g, v in enumerate(d):
+            if type(v) is not int or v < 0:
+                raise CoverSpecError(f"bad degree {v!r} at {_bits(g, s)!r}")
         if d[0] != 0:
             raise CoverSpecError("the identity must carry degree 0")
         if not any(d):
@@ -88,20 +98,14 @@ class BranchData(Frozen):
         return self._spectrum
 
 
-class EigensheafDegrees(NamedTuple):
-    """Integral degrees l(chi), indexed by character; ``l[0] == 0``."""
-
-    s: int
-    l: tuple[int, ...]
-
-
 class CoverSpec(NamedTuple):
     weights: Weights
     branch: BranchData
 
 
-def eigensheaf_degrees(branch: BranchData) -> EigensheafDegrees:
-    """Halved hyperplane sums of the branch degrees, one per character.
+def eigensheaf_degrees(branch: BranchData) -> tuple[int, ...]:
+    """Halved hyperplane sums ``l(chi)`` of the branch degrees, indexed by
+    character; ``l[0] == 0``.
 
     Raises :class:`NonIntegralError` naming the first character whose
     half-sum is fractional.  An integral table is built once per
@@ -120,15 +124,14 @@ def eigensheaf_degrees(branch: BranchData) -> EigensheafDegrees:
                 element=chi,
             )
         out.append(num // 4)
-    object.__setattr__(branch, "_degrees", EigensheafDegrees(branch.s, tuple(out)))
+    object.__setattr__(branch, "_degrees", tuple(out))
     return branch._degrees
 
 
 def is_flat(spec: CoverSpec) -> bool:
     """True when every eigensheaf degree is a multiple of lcm(weights)."""
     L = spec.weights.L
-    degrees = eigensheaf_degrees(spec.branch)
-    return all(v % L == 0 for v in degrees.l)
+    return all(v % L == 0 for v in eigensheaf_degrees(spec.branch))
 
 
 def hurwitz_degree(spec: CoverSpec) -> Fraction:
@@ -255,13 +258,12 @@ def to_json(spec: CoverSpec) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _is_int(value) -> bool:
-    # JSON true/false decode to bool, which Python counts as an int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def from_json(text: str) -> CoverSpec:
-    """Parse a cover description; omitted group elements carry degree 0."""
+    """Parse a cover description; omitted group elements carry degree 0.
+
+    Only the JSON shape, the keys and the rank are checked here;
+    :class:`BranchData` checks the degrees.
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -274,20 +276,14 @@ def from_json(text: str) -> CoverSpec:
         dmap = payload["d"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CoverSpecError(f"bad cover description: {exc}") from exc
-    if not _is_int(s) or not 1 <= s <= MAX_RANK:
-        raise CoverSpecError(f"rank must be an integer in 1..{MAX_RANK}, got {s!r}")
+    check_rank(s)  # before the table of 2^s degrees is allocated
     if not isinstance(dmap, Mapping):
         raise CoverSpecError("'d' must map bitstrings to degrees")
     d = [0] * (1 << s)
     for key, value in dmap.items():
         if not isinstance(key, str) or len(key) != s or set(key) - {"0", "1"}:
             raise CoverSpecError(f"bad group element {key!r} for rank {s}")
-        g = int(key[::-1], 2)  # bit i of g is key[i]
-        if not _is_int(value) or value < 0:
-            raise CoverSpecError(f"bad degree {value!r} at {key!r}")
-        if g == 0 and value:
-            raise CoverSpecError("the identity must carry degree 0")
-        d[g] = value
+        d[int(key[::-1], 2)] = value  # bit i of g is key[i]
     return CoverSpec(weights, BranchData(s, tuple(d)))
 
 

@@ -63,10 +63,9 @@ def holomorphic_euler(spec: CoverSpec) -> int:
     Characters with equal eigensheaf degree give equal terms, so each
     distinct degree is evaluated once and weighted by its multiplicity.
     """
-    degrees = eigensheaf_degrees(spec.branch)
     return sum(
         count * euler_char_line(spec.weights, -lv)
-        for lv, count in Counter(degrees.l).items()
+        for lv, count in Counter(eigensheaf_degrees(spec.branch)).items()
     )
 
 

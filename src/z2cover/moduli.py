@@ -49,19 +49,22 @@ class DeformationReport(NamedTuple):
 
 
 def _failing_pairs(s: int, d, l) -> list[tuple[int, int]]:
-    """Pairs (g, chi), chi vanishing on g, where d(g) >= l(chi).
+    """Pairs (g, chi), g a branch component and chi vanishing on g, where
+    d(g) >= l(chi).
 
-    Only characters with ``l(chi) <= max(d)`` can fail.  For a threshold
-    ``u`` among the branch degrees, the Walsh spectrum ``S_u`` of the
-    indicator ``I_u = [d(g) >= u, g != 0]`` counts, for every character at
-    once, the points of ``chi^perp`` that reach ``u``:
+    An element with ``d(g) = 0`` carries no divisor, so it never fails, not
+    even against a character with ``l(chi) = 0``.  Only characters with
+    ``l(chi) <= max(d)`` can fail.  For a threshold ``u`` among the positive
+    branch degrees, the Walsh spectrum ``S_u`` of the indicator
+    ``I_u = [d(g) >= u]`` counts, for every character at once, the points
+    of ``chi^perp`` that reach ``u``:
     ``(|I_u| + S_u(chi)) / 2``.  Each character reads that count at its
     least threshold ``u >= l(chi)``, one transform per threshold in use,
     and only characters with a nonzero count list their pairs, in the
     order chi ascending, then g ascending.
     """
     n = 1 << s
-    levels = sorted(set(d[1:]))
+    levels = sorted(set(d[1:]) - {0})
     reach: dict[int, tuple[list[int], list[int]]] = {}
     out = []
     for chi in range(1, n):
@@ -82,7 +85,7 @@ def _failing_pairs(s: int, d, l) -> list[tuple[int, int]]:
 
 def deformation_criteria(spec: CoverSpec) -> DeformationReport:
     s = spec.branch.s
-    l = eigensheaf_degrees(spec.branch).l
+    l = eigensheaf_degrees(spec.branch)
     failing = tuple(_failing_pairs(s, spec.branch.d, l))
     total_ok = spec.branch.total > 2 * spec.weights.W
     coprime = all(gcd(a, b) == 1 for a, b in combinations(spec.weights, 2))

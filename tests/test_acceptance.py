@@ -229,7 +229,7 @@ def test_criterion_04_exclusion_windows():
     for m in range(1, 7):
         for case in classify.projective_cases(m):
             top = case.s_max if case.s_max is not None else 6
-            for s in range(case.s_min, top + 1):
+            for s in range(2, top + 1):
                 windows.add((case.m, case.k, case.D, s))
     wanted = {(m, k, D, s) for m, k, D, ranks in PROJECTIVE_WINDOWS for s in ranks}
     if windows != wanted:

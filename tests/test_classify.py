@@ -219,7 +219,7 @@ class TestReconstruct:
                 if not any(d) or parity_vector(d):
                     continue
             s = len(d).bit_length() - 1
-            l = eigensheaf_degrees(BranchData(s, d)).l[1:]
+            l = eigensheaf_degrees(BranchData(s, d))[1:]
             base = min(l)
             counts = tuple(sorted(Counter(l).items()))
             excess = tuple((v, c) for v, c in counts if v != base)
@@ -285,7 +285,7 @@ def _seeded_distributions(rng, s, top, per_kind, max_placements):
             d[g] = rng.randint(1, top)
         if parity_vector(d):
             continue
-        l = eigensheaf_degrees(BranchData(s, tuple(d))).l[1:]
+        l = eigensheaf_degrees(BranchData(s, tuple(d)))[1:]
         counts = tuple(sorted(Counter(l).items()))
         placements = factorial(n - 1)
         for _, c in counts:
@@ -303,7 +303,7 @@ def test_pruned_search_matches_full_placement_oracle():
     cases = []
     for m in range(1, 5):
         for case in projective_cases(m):
-            if case.s_min <= 3 and (case.s_max is None or 3 <= case.s_max):
+            if case.s_max is None or 3 <= case.s_max:
                 cases.append((3, case.D, case.k + 1))
     cases.append((4, 12, 3))
     dists = [(None, dist) for s, D, min_l in cases for dist in l_distribution_candidates(s, D, min_l)]
@@ -327,18 +327,18 @@ def test_pruned_search_matches_full_placement_oracle():
 
 def test_projective_cases():
     assert projective_cases(1) == [
-        ProjectiveCase(m=1, k=1, D=10, s_min=2, s_max=None),
-        ProjectiveCase(m=1, k=2, D=12, s_min=2, s_max=None),
-        ProjectiveCase(m=1, k=3, D=14, s_min=2, s_max=3),
-        ProjectiveCase(m=1, k=4, D=16, s_min=2, s_max=2),
-        ProjectiveCase(m=1, k=5, D=18, s_min=2, s_max=2),
+        ProjectiveCase(m=1, k=1, D=10, s_max=None),
+        ProjectiveCase(m=1, k=2, D=12, s_max=None),
+        ProjectiveCase(m=1, k=3, D=14, s_max=3),
+        ProjectiveCase(m=1, k=4, D=16, s_max=2),
+        ProjectiveCase(m=1, k=5, D=18, s_max=2),
     ]
     assert projective_cases(2) == [
-        ProjectiveCase(m=2, k=1, D=9, s_min=2, s_max=None),
-        ProjectiveCase(m=2, k=2, D=10, s_min=2, s_max=2),
+        ProjectiveCase(m=2, k=1, D=9, s_max=None),
+        ProjectiveCase(m=2, k=2, D=10, s_max=2),
     ]
     assert projective_cases(3) == []
-    assert projective_cases(4) == [ProjectiveCase(m=4, k=2, D=9, s_min=2, s_max=2)]
+    assert projective_cases(4) == [ProjectiveCase(m=4, k=2, D=9, s_max=2)]
     assert projective_cases(5) == []
 
 
@@ -515,7 +515,7 @@ def test_rank4_lift_matches_spectral_route(monkeypatch, m, k):
         (c.m, c.k)
         for mm in range(1, 5)
         for c in projective_cases(mm)
-        if c.s_min <= 4 and (c.s_max is None or 4 <= c.s_max)
+        if c.s_max is None or 4 <= c.s_max
     }
     assert active == {(1, 1), (1, 2), (2, 1)}
     case = next(c for c in projective_cases(m) if c.k == k)
@@ -555,7 +555,7 @@ def _reconstructed_cells():
                 cells.add((s, L, (k + 1) * L, 2 * W + 2 * k * L // m))
         for case in projective_cases(m):
             for s in (2, 3):
-                if case.s_min <= s and (case.s_max is None or s <= case.s_max):
+                if case.s_max is None or s <= case.s_max:
                     cells.add((s, 1, case.k + 1, case.D))
     return sorted(cells)
 
@@ -597,7 +597,7 @@ def test_lift_spectral_bound_is_admissibility(m):
     # nontrivial characters; on P^3 that is exactly is_pluricanonical
     checked = kept = 0
     for case in projective_cases(m):
-        if not (case.s_min <= 4 and (case.s_max is None or 4 <= case.s_max)):
+        if not (case.s_max is None or 4 <= case.s_max):
             continue
         for parent in enumerate_L1(3, m):
             if (parent.k, parent.D) != (case.k, case.D):
@@ -824,6 +824,8 @@ def test_bounds_report_content():
     assert "flat exclusion region hit: True" in text43
     text21 = bounds_report(2, 1)
     assert "case m=1 k=5 D=18" in text21
+    for m in (1, 2, 4):  # these have projective cases, none of them at rank 1
+        assert bounds_report(1, m).endswith("\nprojective base: no (m, k) case admits this rank")
 
 
 def test_thirty_two_deformation_types():

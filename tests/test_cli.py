@@ -89,6 +89,11 @@ class TestCover:
         assert code == EXIT_MALFORMED
         assert out == "" and err == f"error: bad group element {key!r} for rank 3\n"
 
+    def test_check_negative_degree(self, capsys, cover_file):
+        text = '{"weights": [1, 1, 1, 1], "s": 2, "d": {"10": 2, "01": -1}}'
+        code, out, err = run_cli(capsys, "cover", "check", cover_file(text))
+        assert (code, out, err) == (EXIT_MALFORMED, "", "error: bad degree -1 at '01'\n")
+
     def test_check_fails_disconnected_cover(self, capsys, cover_file):
         _, good, _ = run_cli(capsys, "cover", "check", cover_file(QUADRIC))
         # the support 100, 010, 110 lies in a rank-2 subgroup of (Z/2)^3
@@ -238,8 +243,8 @@ FROZEN_STDOUT = [
 
 
 def expand(cover_file, argv):
-    """The arguments of a command line, each {name} written out as a cover file."""
-    return [cover_file(FROZEN_COVERS[a.strip("{}")]) if a.startswith("{") else a
+    """The arguments of a command line, each {name} written out as {name}.json."""
+    return [cover_file(FROZEN_COVERS[a[1:-1]], f"{a[1:-1]}.json") if a.startswith("{") else a
             for a in argv.split()]
 
 
@@ -300,7 +305,7 @@ class TestLargeCovers:
         assert code == EXIT_OK
         assert elapsed < 1.0
         # chi(O(-l)) on P^3 is -C(l - 1, 3) for l >= 1, and every l is positive here
-        l = eigensheaf_degrees(BranchData(12, tuple(d))).l[1:]
+        l = eigensheaf_degrees(BranchData(12, tuple(d)))[1:]
         assert min(l) >= 1
         assert json.loads(out)["chi"] == 1 - sum(comb(v - 1, 3) for v in l)
 
@@ -312,6 +317,19 @@ class TestLargeCovers:
         assert code == EXIT_OK  # cover check and deform check exit 1 when not ok
         assert isinstance(json.loads(out), dict)
         assert elapsed < 10.0
+
+    def test_rank12_disconnected_deform_check(self, capsys, cover_file):
+        # the support spans a rank-2 subgroup: the 1023 characters vanishing
+        # on it (l = 0) fail on all three components, each of the other
+        # 3 * 1024 (l = 2) on the one component in its kernel; the 4093
+        # elements of degree 0 carry no divisor and fail nowhere
+        text = json.dumps({"weights": [1, 1, 1, 1], "s": 12,
+                           "d": {"100000000000": 2, "010000000000": 2, "110000000000": 2}})
+        code, out, _, elapsed = timed_cli(capsys, "deform", "check", cover_file(text))
+        assert code == EXIT_INVALID
+        pairs = json.loads(out)["failing_pairs"]
+        assert len(pairs) == 6141 and {g for g, _ in pairs} == {1, 2, 3}
+        assert elapsed < 1.0
 
     def test_rank1_huge_degree(self, capsys, cover_file):
         path = cover_file(p3_cover_text(1, (0, 2 * 10**6)))
@@ -472,8 +490,7 @@ def test_every_library_function_is_reached(cover_file):
     # a fresh interpreter, because the _cell_reps, _parser and wps._NEWTON
     # caches would answer for calls that earlier tests made
     lines = [line for line, _, _ in FROZEN_STDOUT] + ["classify --s 3 --m 1 --bounds-report"]
-    paths = {f"{{{name}}}": cover_file(text, f"{name}.json") for name, text in FROZEN_COVERS.items()}
-    argvs = [[paths.get(arg, arg) for arg in line.split()] for line in lines]
+    argvs = [expand(cover_file, line) for line in lines]
     proc = subprocess.run([sys.executable, "-S", "-c", REACHABILITY_PROBE, SRC, json.dumps(argvs)],
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
@@ -608,6 +625,9 @@ class TestClassify:
         assert code == EXIT_OK
         assert "cell k=1 L=3 W=8" in err
         assert "cell" not in out
+        code, _, err = run_cli(capsys, "classify", "--s", "1", "--m", "1", "--bounds-report")
+        assert code == EXIT_OK
+        assert err.endswith("\nprojective base: no (m, k) case admits this rank\n")
 
     def test_out_of_range_rank(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--s", "9", "--m", "1")
@@ -617,7 +637,7 @@ class TestClassify:
     def test_nonpositive_rank(self, capsys):
         code, out, err = run_cli(capsys, "classify", "--s", "0", "--m", "1")
         assert code == EXIT_MALFORMED
-        assert out == "" and err == "error: rank must be positive, got 0\n"
+        assert out == "" and err == "error: rank must be an integer in 1..16, got 0\n"
 
     @pytest.mark.parametrize("s", ["17", "2000"])
     def test_rank_above_cap(self, capsys, s):

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-import z2cover.cover
 from z2cover import walsh
 from z2cover.cover import (
     BranchData,
@@ -49,7 +48,7 @@ class TestBranchData:
         assert b == BranchData(2, (0, 6, 2, 6)) and b.d == (0, 6, 2, 6)
         hash(b)
         d[1] = 2  # the caller's list is not the cover's
-        assert eigensheaf_degrees(b).l == (0, 6, 4, 4)
+        assert eigensheaf_degrees(b) == (0, 6, 4, 4)
 
     @pytest.mark.parametrize(
         "s,d",
@@ -61,6 +60,7 @@ class TestBranchData:
             (2, (0, 0, 0, 0)),       # empty branch divisor
             (2, (0, 2, True, True)),  # bool degree: to_json would write true
             (True, (0, 2)),          # bool rank
+            (17, (0, 2)),            # rank above MAX_RANK
             (2, (0, 2.0, 1, 1)),     # float degree
         ],
     )
@@ -101,10 +101,8 @@ def test_value_record_contract(build, other, fields, text):
 
 
 def test_eigensheaf_degrees_known():
-    degs = eigensheaf_degrees(BranchData(2, (0, 6, 2, 6)))
-    assert degs.l == (0, 6, 4, 4)
-    degs333 = eigensheaf_degrees(TRIPLE_333.branch)
-    assert degs333.l == (0, 3, 3, 3)
+    assert eigensheaf_degrees(BranchData(2, (0, 6, 2, 6))) == (0, 6, 4, 4)
+    assert eigensheaf_degrees(TRIPLE_333.branch) == (0, 3, 3, 3)
 
 
 def test_eigensheaf_degrees_parity_failure():
@@ -128,9 +126,9 @@ def test_eigensheaf_degrees_match_direct_half_sums(s):
         degs = eigensheaf_degrees(BranchData(s, tuple(d)))
         for chi in range(n):
             direct = sum(d[g] for g in range(n) if dot(chi, g))
-            assert degs.l[chi] * 2 == direct
+            assert degs[chi] * 2 == direct
         # the degrees sum to 2^(s-2) times the total branch degree
-        assert sum(degs.l) == (1 << (s - 2)) * sum(d) if s >= 2 else True
+        assert sum(degs) == (1 << (s - 2)) * sum(d) if s >= 2 else True
 
 
 def test_flatness():
@@ -254,21 +252,15 @@ def test_one_walsh_transform_per_cover(monkeypatch, run):
 
 
 @pytest.mark.parametrize("run", [validate, invariant_report], ids=["validate", "invariant_report"])
-def test_one_degree_table_per_cover(monkeypatch, run):
-    built = []
-    table = z2cover.cover.EigensheafDegrees
-
-    def counted(s, l):
-        built.append(s)
-        return table(s, l)
-
-    monkeypatch.setattr(z2cover.cover, "EigensheafDegrees", counted)
+def test_one_degree_table_per_cover(run):
     spec = _dense_cover(6, 6)
+    assert spec.branch._degrees is None
     run(spec)
-    assert built == [6]
+    table = spec.branch._degrees
+    assert type(table) is tuple and len(table) == 64
     run(spec)  # the table stays with the branch data
-    assert built == [6]
-    assert eigensheaf_degrees(spec.branch) is eigensheaf_degrees(spec.branch)
+    assert spec.branch._degrees is table
+    assert eigensheaf_degrees(spec.branch) is table
 
 
 def test_fractional_degrees_raise_every_time():
@@ -300,7 +292,7 @@ def test_validate_rank12_support_in_subgroup(r):
     spec = cover((1, 1, 1, 1), d)
     report = validate(spec)
     assert report.connected == (r == s)
-    assert sum(v == 0 for v in eigensheaf_degrees(spec.branch).l) == 1 << (s - r)
+    assert sum(v == 0 for v in eigensheaf_degrees(spec.branch)) == 1 << (s - r)
     if r < s:
         assert not report.ok
         assert report.messages[-1] == (
@@ -345,12 +337,25 @@ def test_json_bitstring_orientation():
         '{"weights": [1, 1, 1, 1], "s": 2, "d": {"01": -1}}',
         '{"weights": [1, 1, 1, 1], "s": 2, "d": {"00": 2}}',
         '{"weights": [1, 1, 1, 1], "s": 2, "d": {"01": "x"}}',
+        '{"weights": [1, 1, 1, 1], "s": true, "d": {"1": 2}}',
+        '{"weights": [1, 1, 1, 1], "s": 17, "d": {}}',
+        '{"weights": [1, 1, 1, 1], "s": "3", "d": {"100": 2}}',
         "not json",
     ],
 )
 def test_from_json_rejects(text):
     with pytest.raises(CoverSpecError):
         from_json(text)
+
+
+@pytest.mark.parametrize("value, shown", [("true", "True"), ("1.5", "1.5"), ("-1", "-1"),
+                                           ('"x"', "'x'")])
+def test_from_json_names_a_bad_degree_by_its_key(value, shown):
+    # BranchData checks the degrees and names the element by its file key
+    text = '{"weights": [1, 1, 1, 1], "s": 3, "d": {"100": 2, "110": %s}}' % value
+    with pytest.raises(CoverSpecError) as info:
+        from_json(text)
+    assert str(info.value) == f"bad degree {shown} at '110'"
 
 
 def test_from_path(tmp_path):

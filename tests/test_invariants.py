@@ -200,8 +200,7 @@ def test_topological_euler_matches_stratum_loops():
 
 def _holomorphic_by_characters(spec):
     """Reference chi(O): one line-bundle term per character."""
-    degrees = eigensheaf_degrees(spec.branch)
-    return sum(euler_char_line(spec.weights, -lv) for lv in degrees.l)
+    return sum(euler_char_line(spec.weights, -lv) for lv in eigensheaf_degrees(spec.branch))
 
 
 def test_holomorphic_euler_matches_character_loop():

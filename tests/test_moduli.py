@@ -58,14 +58,14 @@ class TestDeformationCriteria:
 
 
 def failing_pairs_oracle(s, d, l):
-    """Every (g, chi) with chi vanishing on g and d(g) >= l(chi), by the
-    direct O(4^s) double loop: chi ascending, then g ascending."""
+    """Every (g, chi) with d(g) > 0, chi vanishing on g and d(g) >= l(chi),
+    by the direct O(4^s) double loop: chi ascending, then g ascending."""
     n = 1 << s
     return [
         (g, chi)
         for chi in range(1, n)
         for g in range(1, n)
-        if d[g] >= l[chi] and not dot(chi, g)
+        if d[g] > 0 and d[g] >= l[chi] and not dot(chi, g)
     ]
 
 
@@ -80,7 +80,7 @@ def seeded_covers():
     Dense covers take every palette; sparse ones put small degrees and one
     spike on a few elements, so that the spike fails in every character
     vanishing on it, and a support inside a hyperplane gives a character
-    with ``l = 0`` that every element of degree 0 reaches.
+    with ``l = 0`` that only the elements of positive degree reach.
     """
     rng = random.Random(2024)
     covers = [p3_cover((0, 6, 6, 6)), p3_cover((0, 2, 4, 6)), p3_cover((0, 0, 4, 4))]
@@ -107,7 +107,7 @@ class TestFailingPairs:
         ties = many = 0
         for spec in seeded_covers():
             s, d = spec.branch.s, spec.branch.d
-            l = eigensheaf_degrees(spec.branch).l
+            l = eigensheaf_degrees(spec.branch)
             expected = failing_pairs_oracle(s, d, l)
             assert _failing_pairs(s, d, l) == expected, d
             assert deformation_criteria(spec).failing_pairs == tuple(expected)
@@ -119,17 +119,20 @@ class TestFailingPairs:
     @pytest.mark.parametrize("M", [4, 6, 8, 20, 30])
     def test_matches_double_loop_on_new_component(self, M):
         spec = gen_new_component(M)
-        l = eigensheaf_degrees(spec.branch).l
+        l = eigensheaf_degrees(spec.branch)
         assert _failing_pairs(4, spec.branch.d, l) == failing_pairs_oracle(4, spec.branch.d, l) == []
 
     def test_matches_double_loop_on_arbitrary_bounds(self):
-        # bounds need not be eigensheaf degrees: zero bounds reach the
-        # elements of degree 0, and every bound equal to a degree is a tie
+        # bounds need not be eigensheaf degrees: zero bounds reach every
+        # element of positive degree but none of degree 0, and every bound
+        # equal to a degree is a tie
         rng = random.Random(7)
         for _ in range(300):
             s = rng.randrange(1, 7)
             n = 1 << s
             d = [0] + [rng.choice((0, 0, 1, 2, 3, 5, 8)) for _ in range(n - 1)]
+            if not any(d):  # branch data has a positive degree
+                d[1] = 1
             l = [0] + [rng.randrange(0, 10) for _ in range(n - 1)]
             assert _failing_pairs(s, d, l) == failing_pairs_oracle(s, d, l)
 
@@ -162,9 +165,9 @@ class TestNewComponent:
         assert deformation_criteria(spec).ok
 
     def test_eigensheaf_degrees_split(self):
-        assert set(eigensheaf_degrees(gen_new_component(4).branch).l[1:]) == {15, 16}
-        assert set(eigensheaf_degrees(gen_new_component(6).branch).l[1:]) == {22, 24}
-        assert set(eigensheaf_degrees(gen_new_component(20).branch).l[1:]) == {71, 80}
+        assert set(eigensheaf_degrees(gen_new_component(4).branch)[1:]) == {15, 16}
+        assert set(eigensheaf_degrees(gen_new_component(6).branch)[1:]) == {22, 24}
+        assert set(eigensheaf_degrees(gen_new_component(20).branch)[1:]) == {71, 80}
 
     def test_rejects_bad_degree(self):
         with pytest.raises(ValueError):
@@ -232,8 +235,8 @@ class TestUnbounded:
         fam = gen_unbounded(s, kind)
         spec = fam.cover_spec()
         degs = eigensheaf_degrees(spec.branch)
-        assert Counter(degs.l[1:]) == {fam.l_on: 1, fam.l_off: 2**s - 2}
-        assert degs.l[1] == fam.l_on  # the defining character carries the on-degree
+        assert Counter(degs[1:]) == {fam.l_on: 1, fam.l_off: 2**s - 2}
+        assert degs[1] == fam.l_on  # the defining character carries the on-degree
         assert spec.branch.total == fam.total
         rep = is_pluricanonical(fam.weights, spec.branch, fam.m)
         assert rep.admissible
