@@ -60,8 +60,8 @@ class TestBranchData:
             (2, (0, 0, 0, 0)),       # empty branch divisor
             (2, (0, 2, True, True)),  # bool degree: to_json would write true
             (True, (0, 2)),          # bool rank
-            (17, (0, 2)),            # rank above MAX_RANK
             (2, (0, 2.0, 1, 1)),     # float degree
+            (17, (0, 2)),            # rank above MAX_RANK
         ],
     )
     def test_rejects(self, s, d):
