@@ -6,7 +6,13 @@ degrees are multiples of ``L``, the lcm of the weights, and at least
 ``(k+1)L``.  The cells come from two windows:
 
 * ``L >= 2``: proven inequalities confine ``(k, L, W)`` to finitely many
-  cells, with ``D = 2W + 2kL/m``.
+  cells at every rank, with ``D = 2W + 2kL/m``.  The two ends of
+  ``bound_prune``'s window ``(k+1) beta(s) - k/m <= W/L <= 2 + 2/L``, with
+  ``beta(s) = 2 - 2^(1-s)``, meet exactly when
+  ``L <= 2^s / (k (2^s - 1 - 2^(s-1)/m) - 1)``, the cap on ``L`` in
+  ``_flat_cells``: one inequality in ``s``, not a table per rank.  From
+  rank 6 on it leaves only ``(k, L, W) = (1, 2, 6)`` at ``m = 1``, a cell
+  whose reconstruction places one or two characters and finds no cover.
 * ``L == 1`` (straight projective space): ``W = 4`` and ``D`` is pinned per
   ``(m, k)`` by divisibility, by the same formula.
 
@@ -485,14 +491,16 @@ def _finish_solution(
 def enumerate_flat(s: int, m: int) -> list[AdmissibleSolution]:
     """Complete list of admissible covers over bases with ``L >= 2``.
 
-    Exhaustive for ``2 <= s <= 6``: the cell windows are finite, and each
-    cell's eigensheaf-degree distributions pass the moment tests before one
-    Walsh transform per placement inverts them.  Unlike the projective
-    lists these are never lifted from rank ``s-1``; reconstruction is
-    cheaper at every rank the windows admit.
+    Exhaustive at every rank ``s >= 2``: the cell windows are finite, and
+    each cell's eigensheaf-degree distributions pass the moment tests before
+    one Walsh transform per placement inverts them.  Past rank 5 the only
+    cell is ``(k, L, W) = (1, 2, 6)`` on ``P(1,1,2,2)`` with ``D = 16``,
+    whose degrees exceed the base ``4`` by ``4`` in all, so each placement
+    puts one or two characters.  Unlike the projective lists these are
+    never lifted from rank ``s-1``; reconstruction is cheaper at every rank.
     """
-    if not 2 <= s <= 6:
-        raise ValueError("flat enumeration is exhaustive only for ranks 2..6")
+    if s < 2:
+        raise ValueError("rank-1 towers are families; use enumerate_s1")
     if m < 1:
         raise ValueError("multiple must be positive")
     sols = [
@@ -675,7 +683,7 @@ def bounds_report(s: int, m: int) -> str:
     lines = [f"rank s={s}, multiple m={m}"]
     beta = _beta(s)
     lines.append(f"flat bases: weight window (k+1)*{beta} - k/{m} <= W/L <= 2 + 2/L")
-    cells = _flat_cells(s, m) if 2 <= s <= 6 else []
+    cells = _flat_cells(s, m) if s >= 2 else []
     if cells:
         for k, L, W, w in cells:
             lines.append(f"  cell k={k} L={L} W={W} weights={w}")

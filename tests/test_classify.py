@@ -132,6 +132,24 @@ class TestBounds:
                     assert forbidden_flat(s, m + 1)
                     assert forbidden_flat(s + 1, m)
 
+    def test_forbidden_flat_region_is_empty(self):
+        # the hand-written region against the computed windows
+        for s in range(2, 17):
+            for m in range(1, 13):
+                if forbidden_flat(s, m):
+                    assert enumerate_flat(s, m) == [], (s, m)
+
+    def test_projective_cases_match_bound_prune(self):
+        # the hand-written rank inequalities against the window at L = 1,
+        # W = 4; bound_prune fails there for every k >= 6
+        for s in range(2, 17):
+            for m in range(1, 13):
+                got = {(c.k, c.D) for c in projective_cases(m)
+                       if c.s_max is None or s <= c.s_max}
+                want = {(k, 8 + 2 * k // m) for k in range(1, 64)
+                        if bound_prune(s, m, 1, 4, k) and (2 * k) % m == 0}
+                assert got == want, (s, m)
+
 
 def test_m_profiles_rank4():
     assert m_profiles(4, 9, 2) == [
@@ -393,8 +411,9 @@ def test_enumerate_flat_catalog(cell):
 def test_enumerate_flat_rank_window():
     with pytest.raises(ValueError):
         enumerate_flat(1, 1)
-    with pytest.raises(ValueError):
-        enumerate_flat(7, 1)
+    # past rank 5 the windows leave one cell, (k, L, W) = (1, 2, 6), and no cover
+    for s in range(7, 17):
+        assert enumerate_flat(s, 1) == []
 
 
 def test_enumerate_flat_solutions_verify():
@@ -437,7 +456,7 @@ def _flat_by_excess_partitions(s, m):
     return sols
 
 
-@pytest.mark.parametrize("s", range(2, 7))
+@pytest.mark.parametrize("s", range(2, 17))
 def test_enumerate_flat_matches_excess_partition_loop(s):
     # FLAT_EXPECTED pins only some cells; the moment-filtered route must
     # agree with the unfiltered loop on every (s, m) it covers
@@ -546,8 +565,9 @@ def test_cell_below_its_rank_is_empty_without_recursion():
 
 
 def _reconstructed_cells():
-    """Every (s, L, base, D) cell the classification reconstructs rather
-    than lifts: flat at ranks 2..6 and P^3 at ranks 2..3, with m in 1..6."""
+    """Every (s, L, base, D) cell up to rank 6 that the classification
+    reconstructs rather than lifts: flat at ranks 2..6 and P^3 at ranks
+    2..3, with m in 1..6."""
     cells = set()
     for m in range(1, 7):
         for s in range(2, 7):
@@ -822,6 +842,10 @@ def test_bounds_report_content():
     text43 = bounds_report(4, 3)
     assert "no surviving (k, L, W) cells" in text43
     assert "flat exclusion region hit: True" in text43
+    # the window still holds a cell past rank 6; the exclusion region empties it
+    text71 = bounds_report(7, 1)
+    assert "cell k=1 L=2 W=6 weights=(1,1,2,2)" in text71
+    assert "flat exclusion region hit: True" in text71
     text21 = bounds_report(2, 1)
     assert "case m=1 k=5 D=18" in text21
     for m in (1, 2, 4):  # these have projective cases, none of them at rank 1
@@ -829,14 +853,12 @@ def test_bounds_report_content():
 
 
 def test_thirty_two_deformation_types():
-    # the paper's count of main rows at rank >= 2 over the multiples 1..6;
-    # the flat lists stop at rank 6 and the projective lifting at rank 7,
-    # and every rank not named below is empty
+    # the paper's count of main rows at rank >= 2 over the multiples 1..6,
+    # over every rank the command line accepts, so the empty ranks are checked
     flat, projective = Counter(), Counter()
     for m in range(1, 7):
-        for s in range(2, 7):
+        for s in range(2, 17):
             flat[s] += sum(x.status == MAIN for x in enumerate_flat(s, m))
-        for s in range(2, 8):
             projective[s] += sum(x.status == MAIN for x in enumerate_L1(s, m))
     assert +flat == {2: 15, 3: 5, 4: 2, 5: 1}
     assert +projective == {2: 6, 3: 1, 4: 2}

@@ -203,6 +203,10 @@ FROZEN_STDOUT = [
      "df2f8134f0e9c67633df6d269cb2e0c792f91c220a189bd34b669da7765d4bb1"),
     ("classify --s 1 --m 20", 0,
      "1e26c51bf415d6fcb3fae9736d6ebae479d9df76541499d05c1ceb840ea4a7d9"),
+    ("classify --s 16 --m 1", 0,
+     "84df0ab5886332e096f512c1ef395fb54be700194077145e08339496d33ce4d8"),
+    ("classify --s 7 --m 1 --base flat", 0,
+     "0e52da97023bcf6c3c799a6e9ddab92036cb3891a009ee797b65d0fbdc81ea3e"),
     ("geography sample --s 3 --count 20 --seed 7 --format json", 0,
      "b53aad2bc14188d88f21206104db0046cf37c162b6b9dea5757e9c713a67e7fa"),
     ("geography sample --s 3 --count 20 --seed 7 --format csv", 0,
@@ -630,9 +634,14 @@ class TestClassify:
         assert err.endswith("\nprojective base: no (m, k) case admits this rank\n")
 
     def test_out_of_range_rank(self, capsys):
-        code, _, err = run_cli(capsys, "classify", "--s", "9", "--m", "1")
-        assert code == EXIT_MALFORMED
-        assert "error:" in err
+        for s in ("17", "0"):
+            code, _, err = run_cli(capsys, "classify", "--s", s, "--m", "1")
+            assert code == EXIT_MALFORMED
+            assert "error:" in err
+        # every accepted rank is classified, flat bases included
+        code, out, _ = run_cli(capsys, "classify", "--s", "9", "--m", "1")
+        assert code == EXIT_OK
+        assert json.loads(out)["solutions"] == []
 
     def test_nonpositive_rank(self, capsys):
         code, out, err = run_cli(capsys, "classify", "--s", "0", "--m", "1")
