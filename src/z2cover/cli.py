@@ -60,8 +60,65 @@ def _json_value(v):
     raise TypeError(f"{type(v).__name__} is not JSON serializable")
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_key(key) -> str:
+    """A dict key as ``json.dumps`` converts it before quoting."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return json.dumps(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json_text(value, indent: str) -> str:
+    """``json.dumps(value, indent=2, default=_json_value)``, nested at ``indent``.
+
+    With ``indent`` set, ``json`` runs its pure-Python encoder, which builds
+    the text from generators; this writes the same bytes with one ``join``
+    per container.  The type tests run in the encoder's order (str, None,
+    True, False, int, float, list or tuple, dict, then the default hook), so
+    every subclass lands in the same branch.
+    """
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return json.dumps(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [_json_text(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [_encode_str(_json_key(key)) + ": " + _json_text(item, inner)
+                 for key, item in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    return _json_text(_json_value(value), indent)
+
+
 def _emit(payload) -> None:
-    print(json.dumps(payload, indent=2, default=_json_value))
+    print(_json_text(payload, ""))
 
 
 # record fields whose JSON keys differ from their names

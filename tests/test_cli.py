@@ -8,8 +8,10 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from math import comb
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -20,10 +22,13 @@ from z2cover.cli import (
     EXIT_INVALID,
     EXIT_MALFORMED,
     EXIT_OK,
+    _emit,
+    _json_value,
     build_parser,
     families_to_md,
     main,
 )
+from z2cover.wps import Weights
 
 TRIPLE = '{"weights": [1, 1, 1, 1], "s": 2, "d": {"10": 3, "01": 3, "11": 3}}'
 QUADRIC = '{"weights": [1, 1, 3, 3], "s": 2, "d": {"10": 6, "01": 6, "11": 6}}'
@@ -211,6 +216,8 @@ FROZEN_STDOUT = [
      "b53aad2bc14188d88f21206104db0046cf37c162b6b9dea5757e9c713a67e7fa"),
     ("geography sample --s 3 --count 20 --seed 7 --format csv", 0,
      "21fa2b03122df1d05f93b1d76231d5a5e309dead4e84c56d9f573e6248357255"),
+    ("geography sample --s 6 --count 25 --seed 7 --format json", 0,
+     "cdf8e9b5f46004ca3fd5a3eff48a92c2b91795e8fde06b95f2f5b778cc0ce246"),
     ("geography extremes --s 2", 0,
      "b7cc9cd54642892203d8a945a7f76dc7beeca9ecbd86c48839e452dece8f49fa"),
     ("geography extremes --s 5", 0,
@@ -262,6 +269,41 @@ def frozen_run(capsys, cover_file, argv):
                          ids=[argv for argv, _, _ in FROZEN_STDOUT])
 def test_stdout_frozen(capsys, cover_file, argv, code, digest):
     assert frozen_run(capsys, cover_file, argv) == (code, digest)
+
+
+class Record(NamedTuple):
+    name: str
+    value: Fraction
+
+
+EMIT_PAYLOADS = [
+    {},
+    [],
+    "top-level string",
+    {"nested": {"empty_dict": {}, "empty_list": [], "lists": [[], [{}], [1, [2, []]]]}},
+    [True, False, None, 0, -1, -(10**99), 10**99, 2.5, float("inf")],
+    {"fraction": Fraction(-7, 3), "whole": Fraction(4), "weights": Weights((3, 1, 3, 1)),
+     "record": Record("r", Fraction(1, 2)), "records": [Record("", Fraction(0))], "tuple": (1, "a")},
+    {'quote"': "back\\slash", "control": "\x00\x1f\t\n\r\b\f\x7f", "text": "é ∑ 😀 \u2028"},
+    {1: "int key", -5: 0, None: 1, 2.5: 2, False: 3},
+    {True: "true key"},
+]
+
+
+@pytest.mark.parametrize("payload", EMIT_PAYLOADS)
+def test_emit_prints_what_json_dumps_prints(capsys, payload):
+    _emit(payload)
+    assert capsys.readouterr().out == json.dumps(payload, indent=2, default=_json_value) + "\n"
+
+
+@pytest.mark.parametrize("payload", [{(1, 2): 0}, {"x": [object()]}])
+def test_emit_rejects_what_json_dumps_rejects(capsys, payload):
+    with pytest.raises(TypeError) as want:
+        json.dumps(payload, indent=2, default=_json_value)
+    with pytest.raises(TypeError) as got:
+        _emit(payload)
+    assert str(got.value) == str(want.value)
+    assert capsys.readouterr().out == ""
 
 
 def test_main_builds_one_parser_per_process(capsys, monkeypatch, cover_file):

@@ -20,6 +20,7 @@ from z2cover.invariants import (
     holomorphic_euler,
     hunt_scan,
     invariant_report,
+    random_ratio,
     topological_euler,
     vertex_ratio,
     volume,
@@ -110,6 +111,24 @@ class TestRatioVector:
         assert b.w == (0, 1, 1, 1)
         with pytest.raises(ValueError):
             vertex_ratio(2, 4)
+
+
+def random_ratio_by_randint(s, rng):
+    """The draw ``random_ratio`` must reproduce: one ``randint(0, 9)`` per weight."""
+    while True:
+        picks = [rng.randint(0, 9) for _ in range((1 << s) - 1)]
+        if any(picks):
+            return RatioVector(s, [0] + picks)
+
+
+@pytest.mark.parametrize("s", range(1, 9))
+def test_random_ratio_draws_as_randint(s):
+    # at s = 1 a tenth of the draws are all zero and drawn again
+    for k in range(200):
+        rng, ref = random.Random(f"{s}:{k}"), random.Random(f"{s}:{k}")
+        got = [random_ratio(s, rng) for _ in range(3)]
+        assert got == [random_ratio_by_randint(s, ref) for _ in range(3)]
+        assert rng.getstate() == ref.getstate()
 
 
 def test_vertex_geography_is_rank_free():

@@ -1,9 +1,12 @@
-"""Exact Walsh spectra: butterfly vs definition, inversion, pruning sums."""
+"""Exact Walsh spectra: packed kernel vs butterfly vs definition, inversion,
+pruning sums."""
 
 import random
+import time
 
 import pytest
 
+from z2cover import walsh
 from z2cover.gf2 import dot
 from z2cover.walsh import (
     NonIntegralError,
@@ -19,7 +22,67 @@ def forward_naive(d):
     return [sum(v if not dot(chi, x) else -v for x, v in enumerate(d)) for chi in range(n)]
 
 
-@pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+def forward_butterfly(d):
+    """The in-place butterfly, one pair at a time, as an oracle for the packed kernel."""
+    out = list(d)
+    h = 1
+    while h < len(out):
+        for start in range(0, len(out), h * 2):
+            for i in range(start, start + h):
+                a, b = out[i], out[i + h]
+                out[i], out[i + h] = a + b, a - b
+        h *= 2
+    return out
+
+
+def signed_with_total(rng, n, total):
+    """``n`` random signed ints whose absolute values sum to exactly ``total``."""
+    shares = [rng.randrange(1, 1000) for _ in range(n)]
+    whole = sum(shares)
+    size = [total * v // whole for v in shares]
+    size[rng.randrange(n)] += total - sum(size)
+    return [v if rng.randrange(2) else -v for v in size]
+
+
+# each side of every lane-width boundary: 16-, 32- and 64-bit lanes hold
+# sum(|d|) < 2^15, 2^31 and 2^63, and from 2^63 the butterfly takes over;
+# 2^14, 2^30 and 2^62 are the boundaries of a lane with two spare bits
+LANE_TOTALS = [2**k + e for k in (14, 15, 30, 31, 62, 63) for e in (-1, 0)] + [2**70]
+
+
+@pytest.mark.parametrize("s", range(17))
+def test_forward_matches_butterfly_at_lane_boundaries(s):
+    rng = random.Random(100 + s)
+    for total in LANE_TOTALS:
+        d = signed_with_total(rng, 1 << s, total)
+        assert sum(map(abs, d)) == total
+        assert forward(d) == forward_butterfly(d), total
+
+
+def test_packed_inverse_roundtrip_and_error_element():
+    rng = random.Random(6)
+    d = [rng.randrange(-9, 10) for _ in range(64)]
+    spectrum = forward(d)
+    assert inverse(spectrum) == d
+    # moving one unit of S(0) to S(32) adds 1 - (-1)^(x_5) to 64 * d(x),
+    # which first breaks divisibility at element 32
+    spectrum[0] += 1
+    spectrum[32] -= 1
+    with pytest.raises(NonIntegralError) as info:
+        inverse(spectrum)
+    assert info.value.element == 32
+
+
+@pytest.mark.parametrize("total", [9, 2**40])
+def test_cold_rank16_forward_is_fast(total):
+    d = signed_with_total(random.Random(16), 1 << 16, total)
+    walsh._plan.cache_clear()
+    start = time.perf_counter()
+    forward(d)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_forward_matches_naive(s):
     n = 1 << s
     rng = random.Random(40 + s)
