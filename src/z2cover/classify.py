@@ -3,18 +3,17 @@
 A cell fixes the base weights, ``k`` and the total branch degree ``D``; the
 covers it holds are the branch functions whose nontrivial eigensheaf
 degrees are multiples of ``L``, the lcm of the weights, and at least
-``(k+1)L``.  The cells come from two windows:
-
-* ``L >= 2``: proven inequalities confine ``(k, L, W)`` to finitely many
-  cells at every rank, with ``D = 2W + 2kL/m``.  The two ends of
-  ``bound_prune``'s window ``(k+1) beta(s) - k/m <= W/L <= 2 + 2/L``, with
-  ``beta(s) = 2 - 2^(1-s)``, meet exactly when
-  ``L <= 2^s / (k (2^s - 1 - 2^(s-1)/m) - 1)``, the cap on ``L`` in
-  ``_flat_cells``: one inequality in ``s``, not a table per rank.  From
-  rank 6 on it leaves only ``(k, L, W) = (1, 2, 6)`` at ``m = 1``, a cell
-  whose reconstruction places one or two characters and finds no cover.
-* ``L == 1`` (straight projective space): ``W = 4`` and ``D`` is pinned per
-  ``(m, k)`` by divisibility, by the same formula.
+``(k+1)L``.  One window holds every cell: proven inequalities confine
+``(k, L, W)`` to finitely many cells at every rank, with
+``D = 2W + 2kL/m``.  The two ends of ``bound_prune``'s window
+``(k+1) beta(s) - k/m <= W/L <= 2 + 2/L``, with ``beta(s) = 2 - 2^(1-s)``,
+meet exactly when ``L <= 2^s / (k (2^s - 1 - 2^(s-1)/m) - 1)``, the cap on
+``L`` in ``_cells``: one inequality in ``s``, not a table per rank.  The
+straight projective space ``P^3`` is the cell ``L = 1``, ``W = 4``, where
+``W/L`` peaks, so there ``D = 8 + 2k/m``.  From rank 6 on the window leaves
+``P^3`` with ``k <= 2`` at ``m = 1`` and ``k = 1`` at ``m = 2``, and one cell
+with ``L >= 2``: ``(k, L, W) = (1, 2, 6)`` at ``m = 1``, whose
+reconstruction places one or two characters and finds no cover.
 
 One cached routine answers every cell, keyed by ``(s, L, (k+1)L, D)``.
 The cell's eigensheaf-degree distributions are enumerated once, filtered by
@@ -48,14 +47,12 @@ __all__ = [
     "PluricanonicalReport",
     "AdmissibleSolution",
     "DistributionCounts",
-    "ProjectiveCase",
     "is_pluricanonical",
     "max_admissible_m",
     "bound_prune",
     "forbidden_flat",
     "l_distribution_candidates",
     "reconstruct_branch",
-    "projective_cases",
     "enumerate_flat",
     "enumerate_L1",
     "RankOneFamily",
@@ -367,7 +364,7 @@ def _cell_reps(s: int, L: int, base: int, D: int) -> tuple[tuple[int, ...], ...]
 
 
 # ---------------------------------------------------------------------------
-# flat bases (L >= 2)
+# the cell window
 
 
 def _divisor_quadruples(L: int, W: int) -> list[Weights]:
@@ -417,31 +414,21 @@ def _weights_from_reciprocals(quad: tuple[int, ...]) -> Weights | None:
     return Weights(a)
 
 
-def _degenerate_flat_weights() -> list[Weights]:
-    """Bases with W = 2L: the one window where L is not bounded by the cell."""
-    out = []
-    for quad in _unit_fraction_quadruples(Fraction(2)):
-        w = _weights_from_reciprocals(quad)
-        if w is not None and w.L >= 2:
-            out.append(w)
-    return out
-
-
-def _flat_cells(s: int, m: int) -> list[tuple[int, int, int, Weights]]:
-    """All ``(k, L, W, weights)`` cells surviving the proven windows."""
+def _cells(s: int, m: int) -> list[tuple[int, int, int, Weights]]:
+    """All ``(k, L, W, weights)`` cells surviving the proven window."""
     cells: list[tuple[int, int, int, Weights]] = []
     k = 1
-    while True:
-        if not bound_prune(s, m, 2, 6, k):  # W/L <= 2 + 2/L peaks at 3 for L = 2
-            break
+    while bound_prune(s, m, 1, 4, k):  # W/L <= 2 + 2/L peaks at 4, on P^3
         bracket = k * ((1 << s) - 1 - Fraction(1 << (s - 1), m)) - 1
         if bracket <= 0:
             # only (s, m, k) = (2, 1, 1); W = 2L is closed by reciprocal sums
             assert (s, m, k) == (2, 1, 1), "unbounded cell outside the known window"
-            for w in _degenerate_flat_weights():
-                cells.append((k, w.L, 2 * w.L, w))
+            for quad in _unit_fraction_quadruples(Fraction(2)):
+                w = _weights_from_reciprocals(quad)
+                if w is not None:
+                    cells.append((k, w.L, 2 * w.L, w))
             for c in (1, 2):  # W = 2L + c leaves excess 2c, and L must divide it
-                for L in range(2, 2 * c + 1):
+                for L in range(1, 2 * c + 1):
                     if (2 * c) % L:
                         continue
                     W = 2 * L + c
@@ -450,7 +437,7 @@ def _flat_cells(s: int, m: int) -> list[tuple[int, int, int, Weights]]:
             k += 1
             continue
         L_max = math.floor(Fraction(1 << s) / bracket)
-        for L in range(2, L_max + 1):
+        for L in range(1, L_max + 1):
             if (2 * k * L) % m:
                 continue
             for W in range(1, 2 * L + 3):
@@ -485,7 +472,47 @@ def _finish_solution(
             status=SUPPLEMENTARY,
             note=f"also admissible with m = {top}; listed there",
         )
+    if weights.L == 1:
+        sol = _apply_projective_status(sol)
     return sol
+
+
+def _apply_projective_status(sol: AdmissibleSolution) -> AdmissibleSolution:
+    if sol.status == SUPPLEMENTARY:  # non-maximal m wins over the P^3 labels
+        return sol
+    if sol.m == 1 and sol.k == 1:
+        return sol._replace(
+            status=CLASSICAL,
+            note="classical family of low-degree canonical covers",
+        )
+    if (sol.m, sol.k) in ((1, 2), (2, 1)) and sol.s <= 3:
+        return sol._replace(
+            status=SUPPLEMENTARY,
+            note="not among the catalogued families at this rank",
+        )
+    if sol.s == 4 and sol.m == 2 and max(sol.d) == 1:
+        return sol._replace(
+            status=SUPPLEMENTARY,
+            note="branch divisor splits into distinct planes; listed separately",
+        )
+    return sol
+
+
+def _enumerate(s: int, m: int, projective: bool) -> list[AdmissibleSolution]:
+    """Admissible covers of the cells with ``L == 1`` or, if not
+    ``projective``, with ``L >= 2``."""
+    if s < 2:
+        raise ValueError("rank-1 towers are families; use enumerate_s1")
+    if m < 1:
+        raise ValueError("multiple must be positive")
+    sols = [
+        _finish_solution(weights, s, m, rep)
+        for k, L, W, weights in _cells(s, m)
+        if (L == 1) == projective
+        for rep in _cell_reps(s, L, (k + 1) * L, 2 * W + 2 * k * L // m)
+    ]
+    sols.sort(key=AdmissibleSolution.sort_key)
+    return sols
 
 
 def enumerate_flat(s: int, m: int) -> list[AdmissibleSolution]:
@@ -499,105 +526,12 @@ def enumerate_flat(s: int, m: int) -> list[AdmissibleSolution]:
     puts one or two characters.  Unlike the projective lists these are
     never lifted from rank ``s-1``; reconstruction is cheaper at every rank.
     """
-    if s < 2:
-        raise ValueError("rank-1 towers are families; use enumerate_s1")
-    if m < 1:
-        raise ValueError("multiple must be positive")
-    sols = [
-        _finish_solution(weights, s, m, rep)
-        for k, L, W, weights in _flat_cells(s, m)
-        for rep in _cell_reps(s, L, (k + 1) * L, 2 * W + 2 * k * L // m)
-    ]
-    sols.sort(key=AdmissibleSolution.sort_key)
-    return sols
-
-
-# ---------------------------------------------------------------------------
-# projective base (L == 1)
-
-
-class ProjectiveCase(NamedTuple):
-    m: int
-    k: int
-    D: int
-    s_max: int | None  # inclusive; None = unbounded; every case starts at rank 2
-
-
-def projective_cases(m: int) -> list[ProjectiveCase]:
-    """Admissible ``(k, D)`` windows over the straight projective space.
-
-    Derived from the proven degree inequalities: for ``m = 1`` a rank-s
-    cover needs ``(k-2) 2^s <= 2k+2``, for ``m = 2`` it needs
-    ``(3k-4) 2^s <= 4k+4``, and ``m >= 3`` admits only ``(m, k) = (4, 2)``
-    at rank 2.  ``D = 8 + 2k/m`` must be an integer.
-    """
-    if m < 1:
-        raise ValueError("multiple must be positive")
-    cases: list[ProjectiveCase] = []
-    if m in (1, 2):
-        for k in range(1, 64):
-            if (2 * k) % m:
-                continue
-            D = 8 + 2 * k // m
-            num = (2 * m - 1) * k - 2 * m  # num * 2^s <= 2m(k+1)
-            if num <= 0:
-                cases.append(ProjectiveCase(m=m, k=k, D=D, s_max=None))
-                continue
-            bound = Fraction(2 * m * (k + 1), num)
-            if bound < 4:
-                break
-            floor_bound = bound.numerator // bound.denominator
-            s_max = floor_bound.bit_length() - 1  # largest s with 2^s <= bound
-            if s_max >= 2:
-                cases.append(ProjectiveCase(m=m, k=k, D=D, s_max=s_max))
-    elif m == 4:
-        cases.append(ProjectiveCase(m=4, k=2, D=9, s_max=2))
-    return cases
-
-
-def _case_active(case: ProjectiveCase, s: int) -> bool:
-    # bounds_report asks at rank 1 too, where no case applies
-    return 2 <= s and (case.s_max is None or s <= case.s_max)
-
-
-_P3 = Weights((1, 1, 1, 1))
+    return _enumerate(s, m, projective=False)
 
 
 def enumerate_L1(s: int, m: int) -> list[AdmissibleSolution]:
     """Complete list of admissible covers of the straight projective space."""
-    if s < 2:
-        raise ValueError("rank-1 towers are families; use enumerate_s1")
-    if m < 1:
-        raise ValueError("multiple must be positive")
-    sols: list[AdmissibleSolution] = []
-    for case in projective_cases(m):
-        if not _case_active(case, s):
-            continue
-        for rep in _cell_reps(s, 1, case.k + 1, case.D):
-            sols.append(_apply_projective_status(_finish_solution(_P3, s, m, rep), case))
-    sols.sort(key=AdmissibleSolution.sort_key)
-    return sols
-
-
-def _apply_projective_status(sol: AdmissibleSolution, case: ProjectiveCase) -> AdmissibleSolution:
-    if sol.status == SUPPLEMENTARY:  # non-maximal m wins over case labels
-        return sol
-    if case.m == 1 and case.k == 1:
-        return sol._replace(
-            status=CLASSICAL,
-            note="classical family of low-degree canonical covers",
-        )
-    if (case.m, case.k) in ((1, 2), (2, 1)) and sol.s <= 3:
-        return sol._replace(
-            status=SUPPLEMENTARY,
-            note="not among the catalogued families at this rank",
-        )
-    if sol.s == 4 and case.m == 2 and max(sol.d) == 1:
-        return sol._replace(
-            status=SUPPLEMENTARY,
-            note="branch divisor splits into distinct planes; listed separately",
-        )
-    return sol
+    return _enumerate(s, m, projective=True)
 
 
 # ---------------------------------------------------------------------------
@@ -679,23 +613,15 @@ def enumerate_s1(m: int, t_max: int | None = None) -> list[RankOneFamily]:
 
 
 def bounds_report(s: int, m: int) -> str:
-    """Human-readable certificate of the windows behind an enumeration."""
-    lines = [f"rank s={s}, multiple m={m}"]
-    beta = _beta(s)
-    lines.append(f"flat bases: weight window (k+1)*{beta} - k/{m} <= W/L <= 2 + 2/L")
-    cells = _flat_cells(s, m) if s >= 2 else []
-    if cells:
-        for k, L, W, w in cells:
-            lines.append(f"  cell k={k} L={L} W={W} weights={w}")
-    else:
+    """Human-readable certificate of the window behind an enumeration."""
+    lines = [
+        f"rank s={s}, multiple m={m}",
+        f"weight window (k+1)*{_beta(s)} - k/{m} <= W/L <= 2 + 2/L, D = 2W + 2kL/m",
+    ]
+    cells = _cells(s, m) if s >= 2 else []
+    for k, L, W, w in cells:
+        lines.append(f"  cell k={k} L={L} W={W} weights={w} D={2 * W + 2 * k * L // m}")
+    if not cells:
         lines.append("  no surviving (k, L, W) cells")
     lines.append(f"flat exclusion region hit: {forbidden_flat(s, m)}")
-    cases = [c for c in projective_cases(m) if _case_active(c, s)]
-    if cases:
-        lines.append("projective base: degree pinned per (m, k) by the rank inequality")
-        for c in cases:
-            top = "unbounded" if c.s_max is None else f"s<={c.s_max}"
-            lines.append(f"  case m={c.m} k={c.k} D={c.D} ({top})")
-    else:
-        lines.append("projective base: no (m, k) case admits this rank")
     return "\n".join(lines)

@@ -10,6 +10,7 @@ integrality of all these half-sums is exactly the buildability of the cover.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
@@ -258,14 +259,25 @@ def to_json(spec: CoverSpec) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A JSON object's dict, refusing a key that appears twice."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        counts = Counter(key for key, _ in pairs)
+        key = next(key for key, _ in pairs if counts[key] > 1)
+        raise CoverSpecError(f"duplicate key {key!r}")
+    return out
+
+
 def from_json(text: str) -> CoverSpec:
     """Parse a cover description; omitted group elements carry degree 0.
 
     Only the JSON shape, the keys and the rank are checked here;
-    :class:`BranchData` checks the degrees.
+    :class:`BranchData` checks the degrees.  A key repeated in any object
+    is an error rather than a silent last-one-wins.
     """
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise CoverSpecError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):

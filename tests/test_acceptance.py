@@ -227,10 +227,10 @@ def test_criterion_04_exclusion_windows():
 
     windows = set()
     for m in range(1, 7):
-        for case in classify.projective_cases(m):
-            top = case.s_max if case.s_max is not None else 6
-            for s in range(2, top + 1):
-                windows.add((case.m, case.k, case.D, s))
+        for s in range(2, 7):
+            for k, L, W, _ in classify._cells(s, m):
+                if L == 1:
+                    windows.add((m, k, 2 * W + 2 * k // m, s))
     wanted = {(m, k, D, s) for m, k, D, ranks in PROJECTIVE_WINDOWS for s in ranks}
     if windows != wanted:
         failures.append(f"projective windows mismatch: {windows ^ wanted}")

@@ -22,11 +22,10 @@ from z2cover.classify import (
     SUPPLEMENTARY,
     AdmissibleSolution,
     DistributionCounts,
-    ProjectiveCase,
     RankOneFamily,
     _cell_reps,
+    _cells,
     _finish_solution,
-    _flat_cells,
     _lift_candidates,
     _partitions,
     _reconstruct_distribution,
@@ -41,7 +40,6 @@ from z2cover.classify import (
     is_pluricanonical,
     l_distribution_candidates,
     max_admissible_m,
-    projective_cases,
     reconstruct_branch,
 )
 from z2cover.cover import BranchData, CoverSpec, eigensheaf_degrees, is_flat
@@ -53,6 +51,11 @@ from gl_table import canonicalize
 from profile_oracle import distributions_by_profile, m_profiles
 
 P3 = Weights((1, 1, 1, 1))
+
+
+def _p3_cells(s, m):
+    """``(k, D)`` of the window's ``P^3`` cells (``L = 1``, ``W = 4``)."""
+    return [(k, 2 * W + 2 * k // m) for k, L, W, _ in _cells(s, m) if L == 1]
 
 
 def branch(d):
@@ -133,22 +136,28 @@ class TestBounds:
                     assert forbidden_flat(s + 1, m)
 
     def test_forbidden_flat_region_is_empty(self):
-        # the hand-written region against the computed windows
+        # the hand-written region against the computed windows: exactly the
+        # (s, m) whose flat lists are empty
         for s in range(2, 17):
             for m in range(1, 13):
-                if forbidden_flat(s, m):
-                    assert enumerate_flat(s, m) == [], (s, m)
+                assert forbidden_flat(s, m) == (enumerate_flat(s, m) == []), (s, m)
 
     def test_projective_cases_match_bound_prune(self):
-        # the hand-written rank inequalities against the window at L = 1,
-        # W = 4; bound_prune fails there for every k >= 6
+        # the paper's closed rank inequalities against the window's L = 1
+        # cells, where D = 8 + 2k/m must be an integer
+        def admits(s, m, k):
+            if m == 1:
+                return (k - 2) * 2**s <= 2 * k + 2
+            if m == 2:
+                return (3 * k - 4) * 2**s <= 4 * k + 4
+            return (s, m, k) == (2, 4, 2)
+
         for s in range(2, 17):
             for m in range(1, 13):
-                got = {(c.k, c.D) for c in projective_cases(m)
-                       if c.s_max is None or s <= c.s_max}
-                want = {(k, 8 + 2 * k // m) for k in range(1, 64)
-                        if bound_prune(s, m, 1, 4, k) and (2 * k) % m == 0}
-                assert got == want, (s, m)
+                assert all((L, W, w) == (1, 4, P3) for k, L, W, w in _cells(s, m) if L < 2)
+                want = [(k, 8 + 2 * k // m) for k in range(1, 64)
+                        if (2 * k) % m == 0 and admits(s, m, k)]
+                assert _p3_cells(s, m) == want, (s, m)
 
 
 def test_m_profiles_rank4():
@@ -318,11 +327,7 @@ def _seeded_distributions(rng, s, top, per_kind, max_placements):
 
 
 def test_pruned_search_matches_full_placement_oracle():
-    cases = []
-    for m in range(1, 5):
-        for case in projective_cases(m):
-            if case.s_max is None or 3 <= case.s_max:
-                cases.append((3, case.D, case.k + 1))
+    cases = [(3, D, k + 1) for m in range(1, 5) for k, D in _p3_cells(3, m)]
     cases.append((4, 12, 3))
     dists = [(None, dist) for s, D, min_l in cases for dist in l_distribution_candidates(s, D, min_l)]
     assert len(dists) == 15  # 12 at rank 3, 3 for (s, D, min_l) = (4, 12, 3)
@@ -344,20 +349,17 @@ def test_pruned_search_matches_full_placement_oracle():
 
 
 def test_projective_cases():
-    assert projective_cases(1) == [
-        ProjectiveCase(m=1, k=1, D=10, s_max=None),
-        ProjectiveCase(m=1, k=2, D=12, s_max=None),
-        ProjectiveCase(m=1, k=3, D=14, s_max=3),
-        ProjectiveCase(m=1, k=4, D=16, s_max=2),
-        ProjectiveCase(m=1, k=5, D=18, s_max=2),
-    ]
-    assert projective_cases(2) == [
-        ProjectiveCase(m=2, k=1, D=9, s_max=None),
-        ProjectiveCase(m=2, k=2, D=10, s_max=2),
-    ]
-    assert projective_cases(3) == []
-    assert projective_cases(4) == [ProjectiveCase(m=4, k=2, D=9, s_max=2)]
-    assert projective_cases(5) == []
+    assert _p3_cells(2, 1) == [(1, 10), (2, 12), (3, 14), (4, 16), (5, 18)]
+    assert _p3_cells(3, 1) == [(1, 10), (2, 12), (3, 14)]
+    assert _p3_cells(2, 2) == [(1, 9), (2, 10)]
+    assert _p3_cells(2, 4) == [(2, 9)]
+    for s in range(2, 17):
+        if s >= 4:
+            assert _p3_cells(s, 1) == [(1, 10), (2, 12)], s
+        if s >= 3:
+            assert _p3_cells(s, 2) == [(1, 9)], s
+            assert _p3_cells(s, 4) == [], s
+        assert _p3_cells(s, 3) == _p3_cells(s, 5) == [], s
 
 
 # (weights, d, k, p_m) for every flat solution over bases with L >= 2
@@ -438,7 +440,9 @@ def _flat_by_excess_partitions(s, m):
     inverted, and one orbit_reps over the cell's survivors."""
     n_chars = (1 << s) - 1
     sols = []
-    for k, L, W, weights in _flat_cells(s, m):
+    for k, L, W, weights in _cells(s, m):
+        if L == 1:
+            continue
         D = 2 * W + 2 * k * L // m
         base = (k + 1) * L
         excess_total = (1 << (s - 2)) * D - n_chars * base
@@ -530,28 +534,23 @@ def test_enumerate_projective_rank4_canonical():
 
 @pytest.mark.parametrize("m, k", [(1, 1), (1, 2), (2, 1)])
 def test_rank4_lift_matches_spectral_route(monkeypatch, m, k):
-    active = {
-        (c.m, c.k)
-        for mm in range(1, 5)
-        for c in projective_cases(mm)
-        if c.s_max is None or 4 <= c.s_max
-    }
-    assert active == {(1, 1), (1, 2), (2, 1)}
-    case = next(c for c in projective_cases(m) if c.k == k)
-    assert case.D < (1 << 4) - 1
+    active = {(mm, kk): D for mm in range(1, 5) for kk, D in _p3_cells(4, mm)}
+    assert active.keys() == {(1, 1), (1, 2), (2, 1)}
+    D = active[m, k]
+    assert D < (1 << 4) - 1
     spectral = set()
-    for dist in l_distribution_candidates(4, case.D, k + 1):
+    for dist in l_distribution_candidates(4, D, k + 1):
         spectral.update(reconstruct_branch(dist))
     # a rank-4 cell cached by an earlier test would never reach the lift
     _cell_reps.cache_clear()
-    _cell_reps(3, 1, k + 1, case.D)  # the parents, reconstructed before it is forbidden
+    _cell_reps(3, 1, k + 1, D)  # the parents, reconstructed before it is forbidden
 
     def forbidden(*args):
         raise AssertionError("rank 4 must lift from rank 3, not reconstruct")
 
     monkeypatch.setattr(z2cover.classify, "reconstruct_branch", forbidden)
     monkeypatch.setattr(z2cover.classify, "_reconstruct_distribution", forbidden)
-    lifted = _cell_reps(4, 1, k + 1, case.D)
+    lifted = _cell_reps(4, 1, k + 1, D)
     assert lifted == tuple(sorted(spectral))
     assert lifted
 
@@ -571,12 +570,9 @@ def _reconstructed_cells():
     cells = set()
     for m in range(1, 7):
         for s in range(2, 7):
-            for k, L, W, _ in _flat_cells(s, m):
-                cells.add((s, L, (k + 1) * L, 2 * W + 2 * k * L // m))
-        for case in projective_cases(m):
-            for s in (2, 3):
-                if case.s_max is None or s <= case.s_max:
-                    cells.add((s, 1, case.k + 1, case.D))
+            for k, L, W, _ in _cells(s, m):
+                if L >= 2 or s <= 3:
+                    cells.add((s, L, (k + 1) * L, 2 * W + 2 * k * L // m))
     return sorted(cells)
 
 
@@ -616,16 +612,14 @@ def test_lift_spectral_bound_is_admissibility(m):
     # the lift keeps a candidate when max S(chi) <= D - 4(k+1) over the
     # nontrivial characters; on P^3 that is exactly is_pluricanonical
     checked = kept = 0
-    for case in projective_cases(m):
-        if not (case.s_max is None or 4 <= case.s_max):
-            continue
+    for k, D in _p3_cells(4, m):
         for parent in enumerate_L1(3, m):
-            if (parent.k, parent.D) != (case.k, case.D):
+            if (parent.k, parent.D) != (k, D):
                 continue
             for cand in _lift_candidates(parent.d, 4):
                 if parity_vector(cand):
                     continue
-                spectral = max(forward(cand)[1:]) <= case.D - 4 * (case.k + 1)
+                spectral = max(forward(cand)[1:]) <= D - 4 * (k + 1)
                 report = is_pluricanonical(P3, BranchData(4, cand), m)
                 assert spectral == report.admissible, cand
                 checked += 1
@@ -838,18 +832,19 @@ def test_bounds_report_content():
     text = bounds_report(2, 3)
     assert "s=2" in text and "m=3" in text
     assert "cell k=1 L=3 W=8" in text
-    assert "no (m, k) case admits this rank" in text  # m = 3 has no projective window
+    assert " L=1 " not in text  # m = 3 has no P^3 cell
     text43 = bounds_report(4, 3)
     assert "no surviving (k, L, W) cells" in text43
     assert "flat exclusion region hit: True" in text43
     # the window still holds a cell past rank 6; the exclusion region empties it
     text71 = bounds_report(7, 1)
-    assert "cell k=1 L=2 W=6 weights=(1,1,2,2)" in text71
+    assert "cell k=1 L=2 W=6 weights=(1,1,2,2) D=16" in text71
     assert "flat exclusion region hit: True" in text71
     text21 = bounds_report(2, 1)
-    assert "case m=1 k=5 D=18" in text21
-    for m in (1, 2, 4):  # these have projective cases, none of them at rank 1
-        assert bounds_report(1, m).endswith("\nprojective base: no (m, k) case admits this rank")
+    assert "  cell k=5 L=1 W=4 weights=(1,1,1,1) D=18" in text21.splitlines()
+    for m in (1, 2, 4):  # these have P^3 cells, none of them at rank 1
+        assert bounds_report(1, m).endswith(
+            "\n  no surviving (k, L, W) cells\nflat exclusion region hit: False")
 
 
 def test_thirty_two_deformation_types():

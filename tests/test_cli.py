@@ -94,6 +94,14 @@ class TestCover:
         assert code == EXIT_MALFORMED
         assert out == "" and err == f"error: bad group element {key!r} for rank 3\n"
 
+    @pytest.mark.parametrize("argv", [("cover", "check"), ("cover", "invariants"),
+                                      ("deform", "check")])
+    def test_rejects_duplicate_key(self, capsys, cover_file, argv):
+        # with last-one-wins the degree 2 on 11 would be checked, and pass
+        text = '{"weights":[1,1,1,1],"s":2,"d":{"10":6,"01":6,"11":6,"11":2}}'
+        code, out, err = run_cli(capsys, *argv, cover_file(text))
+        assert (code, out, err) == (EXIT_MALFORMED, "", "error: duplicate key '11'\n")
+
     def test_check_negative_degree(self, capsys, cover_file):
         text = '{"weights": [1, 1, 1, 1], "s": 2, "d": {"10": 2, "01": -1}}'
         code, out, err = run_cli(capsys, "cover", "check", cover_file(text))
@@ -673,7 +681,7 @@ class TestClassify:
         assert "cell" not in out
         code, _, err = run_cli(capsys, "classify", "--s", "1", "--m", "1", "--bounds-report")
         assert code == EXIT_OK
-        assert err.endswith("\nprojective base: no (m, k) case admits this rank\n")
+        assert err.endswith("\n  no surviving (k, L, W) cells\nflat exclusion region hit: False\n")
 
     def test_out_of_range_rank(self, capsys):
         for s in ("17", "0"):

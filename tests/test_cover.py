@@ -341,6 +341,9 @@ def test_json_bitstring_orientation():
         '{"weights": [1, 1, 1, 1], "s": 17, "d": {}}',
         '{"weights": [1, 1, 1, 1], "s": "3", "d": {"100": 2}}',
         "not json",
+        # json.loads alone keeps the last value of a repeated key
+        '{"weights": [1, 1, 1, 1], "s": 2, "d": {"10": 6, "01": 6, "11": 6, "11": 2}}',
+        '{"s": 2, "weights": [1, 1, 1, 1], "s": 3, "d": {"100": 2}}',
     ],
 )
 def test_from_json_rejects(text):
