@@ -38,7 +38,7 @@ from math import gcd, lcm
 from typing import Iterator, NamedTuple, Sequence
 
 from . import walsh
-from .cover import BranchData, CoverSpec, eigensheaf_degrees, is_flat
+from .cover import BranchData, CoverSpec, eigensheaf_degrees, hurwitz_degree, is_flat
 from .gf2 import orbit_reps, parity_vector
 from .walsh import NonIntegralError
 from .wps import Weights, monomial_count, well_formed
@@ -115,10 +115,10 @@ def is_pluricanonical(weights: Weights, branch: BranchData, m: int) -> Pluricano
     if m < 1:
         raise ValueError(f"multiple m must be positive, got {m}")
     l = eigensheaf_degrees(branch)
-    D = branch.total
+    spec = CoverSpec(weights, branch)
     L = weights.L
     reasons: list[str] = []
-    M = Fraction(m, 2) * D - m * weights.W
+    M = m * hurwitz_degree(spec)
     if M <= 0:
         reasons.append(f"multiple degree {M} is not positive")
     if M.denominator != 1:
@@ -138,15 +138,14 @@ def is_pluricanonical(weights: Weights, branch: BranchData, m: int) -> Pluricano
                     f"sections survive in character {chi}: degree {M_int - l[chi]} is effective"
                 )
                 break
-    flat = is_flat(CoverSpec(weights, branch))
     return PluricanonicalReport(
         m=m,
-        D=D,
+        D=branch.total,
         M=M,
         k=k,
         l=l,
         p_m=p_m,
-        flat=flat,
+        flat=is_flat(spec),
         admissible=not reasons,
         reasons=tuple(reasons),
     )
@@ -154,8 +153,7 @@ def is_pluricanonical(weights: Weights, branch: BranchData, m: int) -> Pluricano
 
 def max_admissible_m(weights: Weights, branch: BranchData) -> int | None:
     """Largest admissible multiple for fixed branch data, or None."""
-    D = branch.total
-    excess = Fraction(D, 2) - weights.W
+    excess = hurwitz_degree(CoverSpec(weights, branch))
     if excess <= 0:
         return None
     try:

@@ -63,31 +63,16 @@ def _json_value(v):
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _json_key(key) -> str:
-    """A dict key as ``json.dumps`` converts it before quoting."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return json.dumps(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
 def _json_text(value, indent: str) -> str:
     """``json.dumps(value, indent=2, default=_json_value)``, nested at ``indent``.
 
     With ``indent`` set, ``json`` runs its pure-Python encoder, which builds
     the text from generators; this writes the same bytes with one ``join``
     per container.  The type tests run in the encoder's order (str, None,
-    True, False, int, float, list or tuple, dict, then the default hook), so
-    every subclass lands in the same branch.
+    True, False, int, list or tuple, dict, then the default hook), so every
+    subclass lands in the same branch.  Only the payloads the commands build
+    are written: a ``float`` reaches the hook and a dict key that is not a
+    ``str`` reaches the quoting, and both raise :class:`TypeError`.
     """
     if isinstance(value, str):
         return _encode_str(value)
@@ -99,8 +84,6 @@ def _json_text(value, indent: str) -> str:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, float):
-        return json.dumps(value)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -111,7 +94,7 @@ def _json_text(value, indent: str) -> str:
         if not value:
             return "{}"
         inner = indent + "  "
-        items = [_encode_str(_json_key(key)) + ": " + _json_text(item, inner)
+        items = [_encode_str(key) + ": " + _json_text(item, inner)
                  for key, item in value.items()]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
     return _json_text(_json_value(value), indent)
@@ -375,6 +358,13 @@ def _cmd_examples_unbounded(args: argparse.Namespace) -> int:
     from . import moduli
 
     fam = moduli.gen_unbounded(args.s, args.kind)
+    # the total degree is the widest integer printed; a limit of 0 is no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and fam.total >= 10**limit:
+        raise ValueError(
+            f"--s {args.s} is too large: the total degree would print with more than"
+            f" {limit} digits, the interpreter's limit (sys.set_int_max_str_digits)"
+        )
     _emit(
         {
             "kind": fam.kind,

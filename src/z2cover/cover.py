@@ -16,7 +16,6 @@ from typing import Mapping, NamedTuple
 
 from . import walsh
 from ._frozen import Frozen
-from .gf2 import parity_vector
 from .walsh import NonIntegralError
 from .wps import Weights
 
@@ -28,6 +27,7 @@ __all__ = [
     "eigensheaf_degrees",
     "is_flat",
     "hurwitz_degree",
+    "zero_sum_triple_mass",
     "half_point_count",
     "validate",
     "to_json",
@@ -60,12 +60,12 @@ class BranchData(Frozen):
     named by its cover-file key.
 
     Immutable and compared by ``(s, d)``.  The Walsh spectrum of ``d`` is
-    transformed on first use and kept, and so is the eigensheaf-degree
-    table built from it, so every invariant of one cover reads the same
-    transform and the same table.
+    transformed on first use and kept, and so are the eigensheaf-degree
+    table and the zero-sum triple mass read off it, so every invariant of
+    one cover reads the same transform, table and mass.
     """
 
-    __slots__ = ("s", "d", "_spectrum", "_degrees")
+    __slots__ = ("s", "d", "_spectrum", "_degrees", "_triple_mass")
     _fields = ("s", "d")
     s: int
     d: tuple[int, ...]
@@ -86,6 +86,7 @@ class BranchData(Frozen):
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "_spectrum", None)
         object.__setattr__(self, "_degrees", None)
+        object.__setattr__(self, "_triple_mass", None)
 
     @property
     def total(self) -> int:
@@ -137,7 +138,25 @@ def is_flat(spec: CoverSpec) -> bool:
 
 def hurwitz_degree(spec: CoverSpec) -> Fraction:
     """Degree excess ``D/2 - W`` controlling the sign of the canonical class."""
-    return Fraction(spec.branch.total, 2) - spec.weights.W
+    weights, branch = spec
+    return Fraction(branch.total - 2 * weights.W, 2)
+
+
+def zero_sum_triple_mass(branch: BranchData) -> Fraction:
+    """``sum(S^3) / (6 * 2^s)`` for the Walsh spectrum ``S`` of ``d``, kept on
+    the branch data after the first call.
+
+    ``sum(S^3) / 2^s`` is the triple self-convolution of ``d`` at the
+    origin, ``sum over x ^ y ^ z = 0 of d(x) d(y) d(z)``: the weighted count
+    of ordered zero-sum triples.  Since ``d(0) = 0`` every such triple has
+    three distinct elements, and the sixth returned here is the unordered
+    mass: ``d_p d_q d_r`` summed over the sets ``{p, q, r}`` with
+    ``p ^ q ^ r = 0``, unlike the ordered ``GeographyPoint.zero_sum_triples``.
+    """
+    if branch._triple_mass is None:
+        cubes = sum(v**3 for v in branch.spectrum)
+        object.__setattr__(branch, "_triple_mass", Fraction(cubes, 6 << branch.s))
+    return branch._triple_mass
 
 
 def half_point_count(spec: CoverSpec) -> int:
@@ -147,12 +166,10 @@ def half_point_count(spec: CoverSpec) -> int:
     zero meet; by Bezout each such unordered triple ``{p, q, r}`` meets in
     ``d_p * d_q * d_r / prod(weights)`` points.  Above each one the cover
     has ``2^(s-2)`` points of type ``1/2(1,1,1)``.  A fractional total
-    raises :class:`NonIntegralError`.  Since ``d(0) = 0``, every weighted
-    zero-sum triple has three distinct elements, so the unordered count is
-    a sixth of the spectral triple convolution ``sum(S^3) / 2^s``.
+    raises :class:`NonIntegralError`.  The triples are counted by
+    :func:`zero_sum_triple_mass`.
     """
-    triples = walsh.triple_convolution_at_zero(spec.branch.spectrum) / 6
-    total = triples / spec.weights.A
+    total = zero_sum_triple_mass(spec.branch) / spec.weights.A
     if total.denominator != 1:
         raise NonIntegralError(f"half-point count {total} is not integral")
     return int(total)
@@ -196,14 +213,13 @@ def validate(spec: CoverSpec) -> ValidationReport:
     connected exactly when ``r = s``.
     """
     messages: list[str] = []
-    parity_ok = parity_vector(spec.branch.d) == 0
-    if not parity_ok:
-        messages.append("branch parity vector is nonzero: no square root of the divisor class")
     integral = True
     try:
         eigensheaf_degrees(spec.branch)
     except NonIntegralError as exc:
+        # every half-sum is integral iff the branch parity vector is zero
         integral = False
+        messages.append("branch parity vector is nonzero: no square root of the divisor class")
         messages.append(str(exc))
     wf = spec.weights.well_formed
     if not wf:
@@ -229,7 +245,7 @@ def validate(spec: CoverSpec) -> ValidationReport:
         half_ok = False
         messages.append(str(exc))
     return ValidationReport(
-        parity_ok=parity_ok,
+        parity_ok=integral,
         integral_degrees=integral,
         weights_well_formed=wf,
         flat=flat,

@@ -22,7 +22,14 @@ from typing import NamedTuple
 
 from . import walsh
 from ._frozen import Frozen
-from .cover import CoverSpec, eigensheaf_degrees, half_point_count, hurwitz_degree, is_flat
+from .cover import (
+    CoverSpec,
+    eigensheaf_degrees,
+    half_point_count,
+    hurwitz_degree,
+    is_flat,
+    zero_sum_triple_mass,
+)
 from .walsh import NonIntegralError
 from .wps import euler_char_line
 
@@ -94,7 +101,7 @@ def topological_euler(spec: CoverSpec) -> tuple[Fraction, bool]:
     p3 = sum(v**3 for v in d)
     e2 = (p1 * p1 - p2) // 2
     e3 = (p1**3 - 3 * p1 * p2 + 2 * p3) // 6
-    zero_sum = walsh.triple_convolution_at_zero(spec.branch.spectrum) / 6
+    zero_sum = zero_sum_triple_mass(spec.branch)
     singles = Fraction(p3 - W * p2 + sigma2 * p1, A)
     pairs = Fraction(W * e2 - (p1 * p2 - p3), A)
     triples = (e3 - zero_sum) / A

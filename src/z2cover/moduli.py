@@ -17,7 +17,7 @@ from math import gcd
 from typing import NamedTuple
 
 from . import walsh
-from .cover import BranchData, CoverSpec, eigensheaf_degrees
+from .cover import BranchData, CoverSpec, eigensheaf_degrees, hurwitz_degree
 from .gf2 import affine_hyperplane_min_intersection, dot
 from .wps import Weights, monomial_count
 
@@ -87,7 +87,7 @@ def deformation_criteria(spec: CoverSpec) -> DeformationReport:
     s = spec.branch.s
     l = eigensheaf_degrees(spec.branch)
     failing = tuple(_failing_pairs(s, spec.branch.d, l))
-    total_ok = spec.branch.total > 2 * spec.weights.W
+    total_ok = hurwitz_degree(spec) > 0
     coprime = all(gcd(a, b) == 1 for a, b in combinations(spec.weights, 2))
     messages = []
     for g, chi in failing:

@@ -8,11 +8,10 @@ below rank 4, and whenever ``sum(|d|) >= 2^63`` leaves no lane wide enough,
 it runs the usual in-place butterfly one pair at a time.  Both give the same
 exact integers.  Every invariant of a cover is a moment of this spectrum:
 the sum of a function over the affine hyperplane ``chi.x = 1`` is
-``(S(0) - S(chi)) / 2``, and ``sum(S^3) / 2^s`` (see
-:func:`triple_convolution_at_zero`) is the weighted count of ordered
-zero-sum triples.  ``inverse`` divides the same transform by ``2**s`` and
-insists on an integral result, so a spectrum with no integer preimage raises
-:class:`NonIntegralError` instead of rounding.
+``(S(0) - S(chi)) / 2``, and ``sum(S^3) / 2^s`` is the weighted count of
+ordered zero-sum triples.  ``inverse`` divides the same transform by
+``2**s`` and insists on an integral result, so a spectrum with no integer
+preimage raises :class:`NonIntegralError` instead of rounding.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ __all__ = [
     "NonIntegralError",
     "forward",
     "inverse",
-    "triple_convolution_at_zero",
 ]
 
 # below this rank packing and unpacking cost at least what the packed stages save
@@ -145,16 +143,3 @@ def inverse(spectrum: Sequence[int]) -> list[int]:
                 f"spectrum inverts to {Fraction(value, n)} at element {x}", element=x
             )
     return [value // n for value in back]
-
-
-def triple_convolution_at_zero(spectrum: Sequence[int]) -> Fraction:
-    """``2^-s * sum(S^3)``, the triple self-convolution at the origin.
-
-    For the spectrum of a function ``d`` this is
-    ``sum over x ^ y ^ z = 0 of d(x) d(y) d(z)``, the weighted count of
-    ordered zero-sum triples that ``half_point_count`` and
-    ``topological_euler`` read off.
-    """
-    n = len(spectrum)
-    _rank(n)
-    return Fraction(sum(v**3 for v in spectrum), n)

@@ -19,6 +19,7 @@ from z2cover.cover import (
     is_flat,
     to_json,
     validate,
+    zero_sum_triple_mass,
 )
 from z2cover.gf2 import dot
 from z2cover.invariants import RatioVector, invariant_report
@@ -261,6 +262,18 @@ def test_one_degree_table_per_cover(run):
     run(spec)  # the table stays with the branch data
     assert spec.branch._degrees is table
     assert eigensheaf_degrees(spec.branch) is table
+
+
+def test_one_triple_mass_per_cover():
+    spec = _dense_cover(6, 6)
+    assert spec.branch._triple_mass is None
+    validate(spec)
+    mass = spec.branch._triple_mass
+    assert type(mass) is Fraction
+    report = invariant_report(spec)  # half points and e(X) both read the kept mass
+    assert spec.branch._triple_mass is mass
+    assert zero_sum_triple_mass(spec.branch) is mass
+    assert report.half_points == mass / spec.weights.A
 
 
 def test_fractional_degrees_raise_every_time():

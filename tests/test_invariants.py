@@ -282,7 +282,7 @@ def _geography_by_fractions(s, r):
     s0 = spectrum[0]
     a = Fraction(sum(v**3 for v in num), delta**3)
     b = Fraction(sum(v * v for v in num), delta**2)
-    t3 = walsh.triple_convolution_at_zero(spectrum) / delta**3
+    t3 = Fraction(sum(v**3 for v in spectrum), n * delta**3)
     q = Fraction(sum((s0 - sc) ** 3 for sc in spectrum), 8 * delta**3)
     phi = Fraction(8, n) * q
     assert phi == 3 * b - t3 + 1

@@ -1,19 +1,16 @@
 """Exact Walsh spectra: packed kernel vs butterfly vs definition, inversion,
-pruning sums."""
+zero-sum triple counts."""
 
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from z2cover import walsh
+from z2cover.cover import BranchData, zero_sum_triple_mass
 from z2cover.gf2 import dot
-from z2cover.walsh import (
-    NonIntegralError,
-    forward,
-    inverse,
-    triple_convolution_at_zero,
-)
+from z2cover.walsh import NonIntegralError, forward, inverse
 
 
 def forward_naive(d):
@@ -153,16 +150,9 @@ def test_convolution_theorem():
 def test_triple_convolution_counts_zero_sum_triples(s):
     n = 1 << s
     rng = random.Random(80 + s)
-    d = [rng.randrange(0, 4) for _ in range(n)]
+    d = [0] + [rng.randrange(0, 4) for _ in range(n - 1)]
     direct = sum(
         d[x] * d[y] * d[x ^ y] for x in range(n) for y in range(n)
     )
-    assert triple_convolution_at_zero(forward(d)) == direct
-
-
-def test_triple_convolution_prunes_impossible_spectra():
-    # an integer spectrum that no nonnegative function realises
-    value = triple_convolution_at_zero([2, 2, 2, -6])
-    assert value < 0
-    frac = triple_convolution_at_zero([1, 1, 1, 0])
-    assert frac.denominator != 1
+    # sum(S^3) / 2^s counts the ordered triples; the cover keeps the unordered sixth
+    assert zero_sum_triple_mass(BranchData(s, d)) == Fraction(direct, 6)
