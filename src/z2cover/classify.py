@@ -50,7 +50,6 @@ __all__ = [
     "is_pluricanonical",
     "max_admissible_m",
     "bound_prune",
-    "forbidden_flat",
     "l_distribution_candidates",
     "reconstruct_branch",
     "enumerate_flat",
@@ -186,18 +185,6 @@ def bound_prune(s: int, m: int, L: int, W: int, k: int) -> bool:
         raise ValueError("all arguments must be positive")
     lower = (k + 1) * _beta(s) - Fraction(k, m)
     return Fraction(W, L) >= lower and W <= 2 * L + 2
-
-
-def forbidden_flat(s: int, m: int) -> bool:
-    """Proven exclusion region for flat covers over bases with L >= 2."""
-    if s < 1 or m < 1:
-        raise ValueError("rank and multiple must be positive")
-    return (
-        (s >= 2 and m >= 4)
-        or (s >= 3 and m >= 3)
-        or (s >= 4 and m >= 2)
-        or s >= 6
-    )
 
 
 def _partitions(total: int, max_part: int, max_parts: int) -> Iterator[tuple[int, ...]]:
@@ -611,15 +598,31 @@ def enumerate_s1(m: int, t_max: int | None = None) -> list[RankOneFamily]:
 
 
 def bounds_report(s: int, m: int) -> str:
-    """Human-readable certificate of the window behind an enumeration."""
+    """Human-readable certificate of the window behind an enumeration.
+
+    The last line counts the rows of ``enumerate_flat(s, m)`` from the
+    listed cells with ``L >= 2``, through the same cached ``_cell_reps``,
+    and when there are none it says why: the window has no such cell, or
+    every such cell reconstructs to nothing.
+    """
     lines = [
         f"rank s={s}, multiple m={m}",
         f"weight window (k+1)*{_beta(s)} - k/{m} <= W/L <= 2 + 2/L, D = 2W + 2kL/m",
     ]
     cells = _cells(s, m) if s >= 2 else []
+    flat_cells = rows = 0
     for k, L, W, w in cells:
-        lines.append(f"  cell k={k} L={L} W={W} weights={w} D={2 * W + 2 * k * L // m}")
+        D = 2 * W + 2 * k * L // m
+        lines.append(f"  cell k={k} L={L} W={W} weights={w} D={D}")
+        if L >= 2:
+            flat_cells += 1
+            rows += len(_cell_reps(s, L, (k + 1) * L, D))
     if not cells:
         lines.append("  no surviving (k, L, W) cells")
-    lines.append(f"flat exclusion region hit: {forbidden_flat(s, m)}")
+    if rows:
+        lines.append(f"flat rows: {rows}")
+    elif flat_cells:
+        lines.append("flat rows: 0 (every L >= 2 cell reconstructs to nothing)")
+    else:
+        lines.append("flat rows: 0 (no L >= 2 cell in the window)")
     return "\n".join(lines)

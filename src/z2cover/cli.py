@@ -357,10 +357,13 @@ def _cmd_examples_new_component(args: argparse.Namespace) -> int:
 def _cmd_examples_unbounded(args: argparse.Namespace) -> int:
     from . import moduli
 
-    fam = moduli.gen_unbounded(args.s, args.kind)
     # the total degree is the widest integer printed; a limit of 0 is no limit
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and fam.total >= 10**limit:
+    # the total is at least 2^(s-1), so a rank past the bit length of the
+    # bound is refused before the family's integers are built
+    too_large = limit and args.s > (10**limit).bit_length()
+    fam = None if too_large else moduli.gen_unbounded(args.s, args.kind)
+    if too_large or (limit and fam.total >= 10**limit):
         raise ValueError(
             f"--s {args.s} is too large: the total degree would print with more than"
             f" {limit} digits, the interpreter's limit (sys.set_int_max_str_digits)"

@@ -5,6 +5,12 @@ on the group with ``d(0) = 0``: the component of the branch divisor indexed
 by ``g`` has degree ``d(g)``.  The eigensheaf attached to a character chi has
 degree ``l(chi) = (1/2) * sum of d over the affine hyperplane chi.g = 1``;
 integrality of all these half-sums is exactly the buildability of the cover.
+
+Two bit orders are in use.  A cover-file key, and the key that names a bad
+degree, writes bit 0 of the element first, so ``"100"`` is element 1.  The
+check messages write elements and characters as ``f"{g:0{s}b}"``, bit 0
+last: on ``P^3`` the file ``{"100": 2, "010": 10, "001": 4}`` gets
+``deform check``'s ``branch degree 4 at 100`` for its key ``"001"``.
 """
 
 from __future__ import annotations

@@ -2,13 +2,15 @@
 
 The cover-level quantities (canonical volume, holomorphic and topological
 Euler characteristics) are computed from branch data by closed formulas over
-the strata of the branch configuration.  The geography side works with the
-normalized ratio vector ``r = d / sum(d)`` and studies the exact rational
-coordinates
+the strata of the branch configuration.  The geography side studies the
+exact rational coordinates
 
-    x = c1 c2 / c3-like ratio   y = volume ratio   SCI = y(3x + 1) - 4
+    x = e / (24 chi) = c3 / (c1 c2)    y = -K^3 / (24 chi) = c1^3 / (c1 c2)
+    SCI = y(3x + 1) - 4
 
-in the limit of large branch degree.  A ratio vector is held as integer
+in the limit of large branch degree, as functions of the normalized ratio
+vector ``r = d / sum(d)``.  They depend only on the ray through ``d``: a
+point of the branch-ratio simplex is the :class:`BranchData` of any integer
 weights ``w`` with ``r = w / sum(w)``, so its moments are integer sums and
 only the returned coordinates are Fractions; no floats anywhere.
 """
@@ -17,12 +19,10 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import gcd
 from typing import NamedTuple
 
-from . import walsh
-from ._frozen import Frozen
 from .cover import (
+    BranchData,
     CoverSpec,
     eigensheaf_degrees,
     half_point_count,
@@ -42,7 +42,6 @@ __all__ = [
     "topological_euler",
     "InvariantReport",
     "invariant_report",
-    "RatioVector",
     "vertex_ratio",
     "barycenter_ratio",
     "random_ratio",
@@ -160,53 +159,21 @@ def invariant_report(spec: CoverSpec) -> InvariantReport:
     )
 
 
-class RatioVector(Frozen):
-    """Point ``r = w / sum(w)`` of the branch-ratio simplex.
-
-    ``w`` are nonnegative ``int`` weights, one per group element, with
-    ``w[0] = 0`` and not all zero; they are divided by their gcd, so the
-    record is immutable and compared by ``(s, w)`` in lowest terms.
-    """
-
-    __slots__ = ("s", "w")
-    _fields = ("s", "w")
-    s: int
-    w: tuple[int, ...]
-
-    def __init__(self, s: int, w):
-        w = tuple(w)
-        if len(w) != 1 << s:
-            raise ValueError("weight vector length must be 2**s")
-        if any(type(v) is not int for v in w):
-            raise ValueError("weights must be int (not bool, float or Fraction)")
-        if w[0] != 0:
-            raise ValueError("the identity weight must be 0")
-        if min(w) < 0:
-            raise ValueError("weights must be nonnegative")
-        g = gcd(*w)
-        if not g:
-            raise ValueError("weights must not all be zero")
-        if g != 1:
-            w = tuple(v // g for v in w)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "w", w)
-
-
-def vertex_ratio(s: int, g: int = 1) -> RatioVector:
+def vertex_ratio(s: int, g: int = 1) -> BranchData:
     if not 0 < g < 1 << s:
         raise ValueError("vertex must be a nonzero group element")
     w = [0] * (1 << s)
     w[g] = 1
-    return RatioVector(s, w)
+    return BranchData(s, w)
 
 
-def barycenter_ratio(s: int) -> RatioVector:
-    return RatioVector(s, [0] + [1] * ((1 << s) - 1))
+def barycenter_ratio(s: int) -> BranchData:
+    return BranchData(s, [0] + [1] * ((1 << s) - 1))
 
 
-def random_ratio(s: int, rng) -> RatioVector:
+def random_ratio(s: int, rng) -> BranchData:
     """Random rational point of the branch-ratio simplex, drawn from the
-    :class:`random.Random` ``rng``.
+    :class:`random.Random` ``rng`` as the branch data of its weights.
 
     Each nonzero element gets a weight in ``0..9``: ``rng.getrandbits(4)``,
     drawn again while it exceeds 9.  That is exactly how ``randint(0, 9)``
@@ -224,7 +191,7 @@ def random_ratio(s: int, rng) -> RatioVector:
                 r = draw(4)
             picks.append(r)
         if any(picks):
-            return RatioVector(s, picks)
+            return BranchData(s, picks)
 
 
 class GeographyPoint(NamedTuple):
@@ -238,23 +205,25 @@ class GeographyPoint(NamedTuple):
     sci: Fraction
 
 
-def geography_point(ratio: RatioVector) -> GeographyPoint:
-    """Limit Chern-ratio coordinates of a branch-ratio vector.
+def geography_point(branch: BranchData) -> GeographyPoint:
+    """Limit Chern-ratio coordinates of the branch-ratio vector of ``branch``.
 
-    With ``r = w / delta``, ``delta = sum(w)``, and ``S`` the Walsh spectrum
-    of the integer weights ``w`` (so ``S(0) = delta``), the hyperplane mass
-    of character chi is ``(delta - S(chi)) / (2 delta)`` and the ordered
+    With ``w = branch.d``, ``r = w / delta``, ``delta = sum(w)``, and ``S``
+    the kept Walsh spectrum of ``w`` (so ``S(0) = delta``), the hyperplane
+    mass of character chi is ``(delta - S(chi)) / (2 delta)`` and the ordered
     zero-sum triple sum is ``sum(S^3) / (2^s delta^3)``.  Every moment is an
     integer sum over ``delta`` powers, and each returned field is one
-    Fraction of integers.  ``phi`` is computed both from the character sums
-    and from the moment identity ``phi = 3b - T + 1``, which times
+    Fraction of integer sums of equal degree in ``w``, so every multiple of
+    ``w`` gives the same point.  ``phi`` is computed both from the character
+    sums and from the moment identity ``phi = 3b - T + 1``, which times
     ``2^s delta^3`` reads ``Q = 3 * 2^s p2 delta - sum(S^3) + 2^s delta^3``
     with ``Q = sum((delta - S)^3)``; disagreement would mean an arithmetic
-    bug, so it is asserted.
+    bug, so it is asserted.  The cube sum is taken here in integers, not
+    through ``zero_sum_triple_mass``, which would build one more Fraction.
     """
-    s, w = ratio.s, ratio.w
+    s, w = branch.s, branch.d
     n = 1 << s
-    spectrum = walsh.forward(w)
+    spectrum = branch.spectrum
     delta = spectrum[0]
     d3 = delta**3
     p2 = sum(v * v for v in w)
@@ -302,7 +271,7 @@ def hunt_scan(s: int, t: Fraction | int) -> tuple[Fraction, GeographyPoint]:
     # (1 - t) / (h - 1) on each other one, as weights over (h - 1) t.denominator
     w = [0, t.denominator - t.numerator] * h
     w[1] = t.numerator * (h - 1)
-    point = geography_point(RatioVector(s, w))
+    point = geography_point(BranchData(s, w))
     assert point.zero_sum_triples == 0
     f = 7 * point.a - 9 * point.b**2
     assert 4 * f == point.sci * point.phi**2

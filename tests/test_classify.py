@@ -36,7 +36,6 @@ from z2cover.classify import (
     enumerate_L1,
     enumerate_flat,
     enumerate_s1,
-    forbidden_flat,
     is_pluricanonical,
     l_distribution_candidates,
     max_admissible_m,
@@ -120,27 +119,39 @@ class TestBounds:
             bound_prune(2, 1, 0, 6, 1)
 
     def test_forbidden_flat_region(self):
-        assert forbidden_flat(2, 4)
-        assert forbidden_flat(3, 3)
-        assert forbidden_flat(4, 2)
-        assert forbidden_flat(6, 1)
-        assert not forbidden_flat(2, 3)
-        assert not forbidden_flat(3, 2)
-        assert not forbidden_flat(4, 1)
-        assert not forbidden_flat(5, 1)
-        # monotone in both arguments
+        # the bounds report's last line: no flat row from (2, 4), (3, 3),
+        # (4, 2) and (6, 1) on, and some just below
+        for s, m in ((2, 4), (3, 3), (4, 2), (6, 1)):
+            assert flat_rows(s, m) == 0, (s, m)
+        for s, m in ((2, 3), (3, 2), (4, 1), (5, 1)):
+            assert flat_rows(s, m) > 0, (s, m)
+        # the empty region is monotone in both arguments
         for s in range(2, 7):
             for m in range(1, 6):
-                if forbidden_flat(s, m):
-                    assert forbidden_flat(s, m + 1)
-                    assert forbidden_flat(s + 1, m)
+                if not flat_rows(s, m):
+                    assert not flat_rows(s, m + 1)
+                    assert not flat_rows(s + 1, m)
 
     def test_forbidden_flat_region_is_empty(self):
-        # the hand-written region against the computed windows: exactly the
-        # (s, m) whose flat lists are empty
+        # the count read off the window's L >= 2 cells against the flat
+        # lists, and the reason given for each empty one
+        by_reconstruction = [(2, 4)] + [(s, 1) for s in range(6, 17)]
+        reasons = Counter()
         for s in range(2, 17):
             for m in range(1, 13):
-                assert forbidden_flat(s, m) == (enumerate_flat(s, m) == []), (s, m)
+                last = bounds_report(s, m).splitlines()[-1]
+                assert int(last.split()[2]) == len(enumerate_flat(s, m)), (s, m)
+                if (s, m) in by_reconstruction:
+                    assert last == "flat rows: 0 (every L >= 2 cell reconstructs to nothing)"
+                elif last.startswith("flat rows: 0"):
+                    assert last == "flat rows: 0 (no L >= 2 cell in the window)", (s, m)
+                    assert all(L == 1 for _, L, _, _ in _cells(s, m)), (s, m)
+                reasons[last.partition(" (")[2]] += 1
+        assert reasons == {
+            "every L >= 2 cell reconstructs to nothing)": 12,
+            "no L >= 2 cell in the window)": 161,
+            "": 7,
+        }
 
     def test_projective_cases_match_bound_prune(self):
         # the paper's closed rank inequalities against the window's L = 1
@@ -828,23 +839,30 @@ class TestRankOneTowers:
         assert time.perf_counter() - start < 5
 
 
+def flat_rows(s, m):
+    """The flat row count on the last line of ``bounds_report(s, m)``."""
+    return int(bounds_report(s, m).splitlines()[-1].split()[2])
+
+
 def test_bounds_report_content():
     text = bounds_report(2, 3)
     assert "s=2" in text and "m=3" in text
     assert "cell k=1 L=3 W=8" in text
     assert " L=1 " not in text  # m = 3 has no P^3 cell
+    assert text.endswith("\nflat rows: 1")
     text43 = bounds_report(4, 3)
     assert "no surviving (k, L, W) cells" in text43
-    assert "flat exclusion region hit: True" in text43
-    # the window still holds a cell past rank 6; the exclusion region empties it
+    assert text43.endswith("\nflat rows: 0 (no L >= 2 cell in the window)")
+    # the window still holds a cell past rank 6, and it reconstructs to nothing
     text71 = bounds_report(7, 1)
     assert "cell k=1 L=2 W=6 weights=(1,1,2,2) D=16" in text71
-    assert "flat exclusion region hit: True" in text71
+    assert text71.endswith("\nflat rows: 0 (every L >= 2 cell reconstructs to nothing)")
     text21 = bounds_report(2, 1)
     assert "  cell k=5 L=1 W=4 weights=(1,1,1,1) D=18" in text21.splitlines()
+    assert text21.endswith("\nflat rows: 11")
     for m in (1, 2, 4):  # these have P^3 cells, none of them at rank 1
         assert bounds_report(1, m).endswith(
-            "\n  no surviving (k, L, W) cells\nflat exclusion region hit: False")
+            "\n  no surviving (k, L, W) cells\nflat rows: 0 (no L >= 2 cell in the window)")
 
 
 def test_thirty_two_deformation_types():

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -684,11 +685,12 @@ class TestClassify:
         code, out, err = run_cli(capsys, "classify", "--s", "2", "--m", "3",
                                  "--bounds-report")
         assert code == EXIT_OK
-        assert "cell k=1 L=3 W=8" in err
-        assert "cell" not in out
+        assert "cell k=1 L=3 W=8" in err and err.endswith("\nflat rows: 1\n")
+        assert "cell" not in out and len(json.loads(out)["solutions"]) == 1
         code, _, err = run_cli(capsys, "classify", "--s", "1", "--m", "1", "--bounds-report")
         assert code == EXIT_OK
-        assert err.endswith("\n  no surviving (k, L, W) cells\nflat exclusion region hit: False\n")
+        assert err.endswith(
+            "\n  no surviving (k, L, W) cells\nflat rows: 0 (no L >= 2 cell in the window)\n")
 
     def test_out_of_range_rank(self, capsys):
         for s in ("17", "0"):
@@ -761,6 +763,22 @@ class TestExamples:
         assert err == (f"error: --s {last + 1} is too large: the total degree would print with"
                        " more than 4300 digits, the interpreter's limit"
                        " (sys.set_int_max_str_digits)\n")
+
+    @pytest.mark.parametrize("kind", ["canonical", "bicanonical"])
+    def test_unbounded_refuses_a_huge_rank_before_building(self, capsys, monkeypatch, kind):
+        # the total is at least 2^(s-1), so this rank is refused before the
+        # family's integers, 12 MB each, are built
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "examples", "unbounded", "--kind", kind,
+                                     "--s", str(10**8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (EXIT_MALFORMED, "")
+        assert err.startswith(f"error: --s {10**8} is too large: the total degree")
+        assert peak < 1 << 20
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                         reason="this interpreter has no digit limit to lift")

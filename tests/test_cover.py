@@ -22,7 +22,7 @@ from z2cover.cover import (
     zero_sum_triple_mass,
 )
 from z2cover.gf2 import dot
-from z2cover.invariants import RatioVector, invariant_report
+from z2cover.invariants import invariant_report
 from z2cover.walsh import NonIntegralError
 from z2cover.wps import Weights
 
@@ -63,6 +63,7 @@ class TestBranchData:
             (True, (0, 2)),          # bool rank
             (2, (0, 2.0, 1, 1)),     # float degree
             (17, (0, 2)),            # rank above MAX_RANK
+            (2, (0, 1, Fraction(1, 2), 1)),  # Fraction degree
         ],
     )
     def test_rejects(self, s, d):
@@ -76,13 +77,10 @@ RECORDS = [
      "Weights(a=(1, 1, 1, 2))"),
     (lambda: BranchData(2, (0, 6, 2, 6)), BranchData(2, (0, 6, 6, 2)), (2, (0, 6, 2, 6)),
      "BranchData(s=2, d=(0, 6, 2, 6))"),
-    (lambda: RatioVector(1, (0, 1)), RatioVector(2, (0, 1, 0, 0)), (1, (0, 1)),
-     "RatioVector(s=1, w=(0, 1))"),
 ]
 
 
-@pytest.mark.parametrize("build,other,fields,text", RECORDS,
-                         ids=["Weights", "BranchData", "RatioVector"])
+@pytest.mark.parametrize("build,other,fields,text", RECORDS, ids=["Weights", "BranchData"])
 def test_value_record_contract(build, other, fields, text):
     x, y = build(), build()
     assert x is not y and x == y and hash(x) == hash(y)

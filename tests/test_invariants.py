@@ -14,7 +14,6 @@ from z2cover.invariants import (
     SCI_MIN,
     Y_MIN,
     GeographyPoint,
-    RatioVector,
     barycenter_ratio,
     geography_point,
     holomorphic_euler,
@@ -83,34 +82,26 @@ def test_invariant_report_chi_zero_leaves_geography_empty():
     assert rep.x is None and rep.y is None and rep.sci is None
 
 
-class TestRatioVector:
-    def test_validates(self):
-        with pytest.raises(ValueError):
-            RatioVector(2, (1, 0, 0, 0))  # nonzero identity
-        with pytest.raises(ValueError):
-            RatioVector(1, (0, 1, 0, 0))  # wrong length
-        with pytest.raises(ValueError):
-            RatioVector(2, (0, 1, -1, 1))  # negative weight
-        with pytest.raises(ValueError):
-            RatioVector(2, (0, 0, 0, 0))  # all zero
-        for bad in (Fraction(1, 2), 1.0, True):
-            with pytest.raises(ValueError):
-                RatioVector(2, (0, 1, bad, 1))
+def test_vertex_and_barycenter():
+    assert vertex_ratio(3).d == (0, 1, 0, 0, 0, 0, 0, 0)
+    assert barycenter_ratio(2).d == (0, 1, 1, 1)
+    with pytest.raises(ValueError):
+        vertex_ratio(2, 4)
 
-    def test_weights_in_lowest_terms(self):
-        w = (0, 3, 1, 2, 0, 0, 5, 1)
-        x, y = RatioVector(3, w), RatioVector(3, tuple(2 * v for v in w))
-        assert x == y and hash(x) == hash(y)
-        assert y.w == w
-        assert RatioVector(2, (0, 4, 0, 6)).w == (0, 2, 0, 3)
 
-    def test_vertex_and_barycenter(self):
-        v = vertex_ratio(3)
-        assert v.w == (0, 1, 0, 0, 0, 0, 0, 0)
-        b = barycenter_ratio(2)
-        assert b.w == (0, 1, 1, 1)
-        with pytest.raises(ValueError):
-            vertex_ratio(2, 4)
+def test_geography_is_scale_invariant():
+    # every field is a quotient of integer sums of equal degree in the
+    # weights, so the point depends only on the ray through them
+    rng = random.Random(6)
+    for _ in range(120):
+        s = rng.randint(1, 6)
+        w = [0] + [rng.randint(0, 9) for _ in range((1 << s) - 1)]
+        if not any(w):
+            w[rng.randrange(1, 1 << s)] = 1
+        c = rng.randint(2, 7)
+        assert geography_point(BranchData(s, w)) == geography_point(
+            BranchData(s, [c * v for v in w])
+        )
 
 
 def random_ratio_by_randint(s, rng):
@@ -118,7 +109,7 @@ def random_ratio_by_randint(s, rng):
     while True:
         picks = [rng.randint(0, 9) for _ in range((1 << s) - 1)]
         if any(picks):
-            return RatioVector(s, [0] + picks)
+            return BranchData(s, [0] + picks)
 
 
 @pytest.mark.parametrize("s", range(1, 9))
@@ -165,7 +156,7 @@ def test_geography_moment_identity_random():
             masses = [rng.randrange(0, 5) for _ in range(n - 1)]
             if not any(masses):
                 continue
-            p = geography_point(RatioVector(s, [0] + masses))
+            p = geography_point(BranchData(s, [0] + masses))
             # the identity phi = 3b - T + 1 is asserted inside; check ranges
             assert SCI_MIN <= p.sci <= SCI_MAX
             assert p.y >= Y_MIN
@@ -267,9 +258,8 @@ def test_geography_matches_character_loops():
     for _ in range(300):
         s = rng.randint(1, 6)
         r, w = _unlike_denominator_weights(rng, 1 << s)
-        ratio = RatioVector(s, w)
-        assert tuple(Fraction(v, sum(ratio.w)) for v in ratio.w) == r
-        p = geography_point(ratio)
+        assert tuple(Fraction(v, sum(w)) for v in w) == r
+        p = geography_point(BranchData(s, w))
         assert (p.a, p.b, p.zero_sum_triples, p.phi) == _geography_by_characters(r)
 
 
@@ -312,7 +302,7 @@ def test_geography_integer_weights_match_fraction_reference():
             w = [0] * n
             w[g] = rng.randint(1, 5)
             r = tuple(Fraction(int(x == g)) for x in range(n))
-        point = geography_point(RatioVector(s, w))
+        point = geography_point(BranchData(s, w))
         assert point == _geography_by_fractions(s, r)
         assert all(type(v) is Fraction for v in point[1:])
 
@@ -329,6 +319,25 @@ def test_geography_limit_matches_large_covers():
         if prev is not None:
             assert gap < prev / 2  # better than linear convergence in 1/t
         prev = gap
+    # on P^3, e, chi and K^3 of the cover 2t d are cubics in t, so their
+    # third forward differences over t = 1..4 are six times the leading
+    # coefficients, whose ratios are the limit point exactly
+    rng = random.Random(1993)
+    for i in range(40):
+        s = 2 + i % 5
+        n = 1 << s
+        d = [0] + [rng.choice((0, 0, 1, 2, 3, 5, 8)) for _ in range(n - 1)]
+        if not any(d):
+            d[rng.randrange(1, n)] = 1
+        e, chi, k3 = [], [], []
+        for t in range(1, 5):
+            spec = cover((1, 1, 1, 1), [2 * t * v for v in d])
+            e.append(topological_euler(spec)[0])
+            chi.append(holomorphic_euler(spec))
+            k3.append(volume(spec))
+        de, dchi, dk3 = (f[3] - 3 * f[2] + 3 * f[1] - f[0] for f in (e, chi, k3))
+        point = geography_point(BranchData(s, d))
+        assert (point.x, point.y) == (de / (24 * dchi), -dk3 / (24 * dchi)), d
 
 
 def test_hunt_scan_window_values():
