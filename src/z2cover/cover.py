@@ -65,16 +65,18 @@ class BranchData(Frozen):
     The one check of branch degrees, cover files included: a bad degree is
     named by its cover-file key.
 
-    Immutable and compared by ``(s, d)``.  The Walsh spectrum of ``d`` is
-    transformed on first use and kept, and so are the eigensheaf-degree
-    table and the zero-sum triple mass read off it, so every invariant of
-    one cover reads the same transform, table and mass.
+    Immutable and compared by ``(s, d)``.  ``spectrum`` is
+    ``walsh.forward(d)``, transformed once on construction; the
+    eigensheaf-degree table and the cube sum ``sum(S^3)`` read off it are
+    computed on first use and kept, so every invariant of one cover reads
+    the same transform, table and cube sum.
     """
 
-    __slots__ = ("s", "d", "_spectrum", "_degrees", "_triple_mass")
+    __slots__ = ("s", "d", "spectrum", "_degrees", "_cube_sum")
     _fields = ("s", "d")
     s: int
     d: tuple[int, ...]
+    spectrum: tuple[int, ...]
 
     def __init__(self, s: int, d: tuple[int, ...]):
         d = tuple(d)  # a caller's list could change under the kept spectrum
@@ -90,20 +92,20 @@ class BranchData(Frozen):
             raise CoverSpecError("at least one branch degree must be positive")
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "_spectrum", None)
+        object.__setattr__(self, "spectrum", tuple(walsh.forward(d)))
         object.__setattr__(self, "_degrees", None)
-        object.__setattr__(self, "_triple_mass", None)
+        object.__setattr__(self, "_cube_sum", None)
 
     @property
     def total(self) -> int:
-        return sum(self.d)
+        return self.spectrum[0]
 
     @property
-    def spectrum(self) -> tuple[int, ...]:
-        """``walsh.forward(d)``, computed once per instance."""
-        if self._spectrum is None:
-            object.__setattr__(self, "_spectrum", tuple(walsh.forward(self.d)))
-        return self._spectrum
+    def cube_sum(self) -> int:
+        """``sum(S^3)`` over the spectrum, computed on first use and kept."""
+        if self._cube_sum is None:
+            object.__setattr__(self, "_cube_sum", sum(v**3 for v in self.spectrum))
+        return self._cube_sum
 
 
 class CoverSpec(NamedTuple):
@@ -149,8 +151,8 @@ def hurwitz_degree(spec: CoverSpec) -> Fraction:
 
 
 def zero_sum_triple_mass(branch: BranchData) -> Fraction:
-    """``sum(S^3) / (6 * 2^s)`` for the Walsh spectrum ``S`` of ``d``, kept on
-    the branch data after the first call.
+    """``sum(S^3) / (6 * 2^s)`` for the Walsh spectrum ``S`` of ``d``, from the
+    cube sum kept on the branch data.
 
     ``sum(S^3) / 2^s`` is the triple self-convolution of ``d`` at the
     origin, ``sum over x ^ y ^ z = 0 of d(x) d(y) d(z)``: the weighted count
@@ -159,10 +161,7 @@ def zero_sum_triple_mass(branch: BranchData) -> Fraction:
     mass: ``d_p d_q d_r`` summed over the sets ``{p, q, r}`` with
     ``p ^ q ^ r = 0``, unlike the ordered ``GeographyPoint.zero_sum_triples``.
     """
-    if branch._triple_mass is None:
-        cubes = sum(v**3 for v in branch.spectrum)
-        object.__setattr__(branch, "_triple_mass", Fraction(cubes, 6 << branch.s))
-    return branch._triple_mass
+    return Fraction(branch.cube_sum, 6 << branch.s)
 
 
 def half_point_count(spec: CoverSpec) -> int:

@@ -1,4 +1,4 @@
-"""Elementary (Z/2)^s arithmetic: pairings, parity data, GL_s(F_2) orbits.
+"""Elementary (Z/2)^s arithmetic: pairings, GL_s(F_2) orbits, hyperplane sections.
 
 Group elements and characters are both encoded as Python ints in
 ``range(2**s)``; bit ``i`` is coordinate ``i``.  A function on the group is
@@ -16,7 +16,6 @@ from .walsh import forward
 
 __all__ = [
     "dot",
-    "parity_vector",
     "orbit_reps",
     "affine_hyperplane_min_intersection",
 ]
@@ -25,19 +24,6 @@ __all__ = [
 def dot(chi: int, g: int) -> int:
     """Standard bilinear pairing (Z/2)^s x (Z/2)^s -> Z/2, as 0 or 1."""
     return (chi & g).bit_count() & 1
-
-
-def parity_vector(d: Sequence[int]) -> int:
-    """XOR of all group elements where ``d`` takes an odd value.
-
-    This is the obstruction to halving the character sums of ``d``: every
-    half-sum (over an affine hyperplane) is integral iff the result is 0.
-    """
-    acc = 0
-    for g, value in enumerate(d):
-        if value & 1:
-            acc ^= g
-    return acc
 
 
 def _generator_perms(s: int) -> list[list[int]]:

@@ -218,8 +218,8 @@ def geography_point(branch: BranchData) -> GeographyPoint:
     sums and from the moment identity ``phi = 3b - T + 1``, which times
     ``2^s delta^3`` reads ``Q = 3 * 2^s p2 delta - sum(S^3) + 2^s delta^3``
     with ``Q = sum((delta - S)^3)``; disagreement would mean an arithmetic
-    bug, so it is asserted.  The cube sum is taken here in integers, not
-    through ``zero_sum_triple_mass``, which would build one more Fraction.
+    bug, so it is asserted.  ``sum(S^3)`` is the integer cube sum kept on
+    ``branch``, the one ``zero_sum_triple_mass`` reads.
     """
     s, w = branch.s, branch.d
     n = 1 << s
@@ -228,7 +228,7 @@ def geography_point(branch: BranchData) -> GeographyPoint:
     d3 = delta**3
     p2 = sum(v * v for v in w)
     p3 = sum(v**3 for v in w)
-    c3 = sum(v**3 for v in spectrum)
+    c3 = branch.cube_sum
     big_q = sum((delta - v) ** 3 for v in spectrum)
     assert big_q == 3 * n * p2 * delta - c3 + n * d3, "moment identity failed"
     # phi = Q / (n delta^3), y = 2 / phi, x = (14a + 6b + phi) / (3 phi)

@@ -1,12 +1,12 @@
 """Unnormalized Walsh-Hadamard transforms of integer group functions.
 
 ``forward`` computes ``S(chi) = sum_x d(x) * (-1)^(chi.x)``, and it is the
-one place in the library where a character sum is taken.  From rank 4 on it
-packs all ``2^s`` entries into one Python ``int`` and runs each butterfly
+one place in the library where a character sum is taken.  At every rank
+it packs all ``2^s`` entries into one Python ``int`` and runs each butterfly
 stage as a handful of whole-integer operations (see :func:`_packed_forward`);
-below rank 4, and whenever ``sum(|d|) >= 2^63`` leaves no lane wide enough,
-it runs the usual in-place butterfly one pair at a time.  Both give the same
-exact integers.  Every invariant of a cover is a moment of this spectrum:
+when ``sum(|d|) >= 2^63`` leaves no lane wide enough, it transforms the low
+digits of the entries in 64-bit lanes, the high digits recursively, and
+adds the two.  Every invariant of a cover is a moment of this spectrum:
 the sum of a function over the affine hyperplane ``chi.x = 1`` is
 ``(S(0) - S(chi)) / 2``, and ``sum(S^3) / 2^s`` is the weighted count of
 ordered zero-sum triples.  ``inverse`` divides the same transform by
@@ -27,8 +27,6 @@ __all__ = [
     "inverse",
 ]
 
-# below this rank packing and unpacking cost at least what the packed stages save
-_PACKED_MIN_RANK = 4
 # lane widths in bits with their signed little-endian ``struct`` codes
 _LANES = ((16, "h"), (32, "i"), (64, "q"))
 
@@ -55,20 +53,14 @@ def _rank(n: int) -> int:
 def forward(d: Sequence[int]) -> list[int]:
     """Spectrum of ``d``; entry ``chi`` is the signed sum over the group."""
     s = _rank(len(d))
-    if s >= _PACKED_MIN_RANK:
-        total = sum(map(abs, d))
-        for width, code in _LANES:
-            if total < 1 << (width - 1):
-                return _packed_forward(d, s, width, code)
-    out = list(d)
-    h = 1
-    for _ in range(s):
-        for start in range(0, len(out), h * 2):
-            for i in range(start, start + h):
-                a, b = out[i], out[i + h]
-                out[i], out[i + h] = a + b, a - b
-        h *= 2
-    return out
+    total = sum(map(abs, d))
+    for width, code in _LANES:
+        if total < 1 << (width - 1):
+            return _packed_forward(d, s, width, code)
+    # no lane is wide enough: split every entry at bit b (see _packed_forward)
+    b = 62 - s
+    low = _packed_forward([v & ((1 << b) - 1) for v in d], s, 64, "q")
+    return [(h << b) + v for h, v in zip(forward([v >> b for v in d]), low)]
 
 
 @functools.cache
@@ -118,6 +110,13 @@ def _packed_forward(d: Sequence[int], s: int, width: int, code: str) -> list[int
     them.  Flipping the high bit of a lane turns ``v + 2^(width-1)`` into
     the two's complement of ``v`` and back, so ``struct``'s signed codes
     pack and unpack the bias in C.
+
+    From ``sum(|d|) >= 2^63`` :func:`forward` splits ``v = high * 2^b + low``
+    with ``b = 62 - s`` and ``low = v & (2^b - 1)``: the low digits sum to
+    less than ``2^s * 2^b = 2^62`` and fit 64-bit lanes, the high ones to at
+    most ``sum(|d|) / 2^b + 2^s < sum(|d|)`` (``2^s`` is far below ``2^62``
+    for any list in memory), so the recursion ends, and by linearity
+    ``forward(d) = forward(high) * 2^b + forward(low)`` exactly.
     """
     top, stages = _plan(s, width)
     fmt = f"<{len(d)}{code}"

@@ -42,11 +42,12 @@ from z2cover.classify import (
     reconstruct_branch,
 )
 from z2cover.cover import BranchData, CoverSpec, eigensheaf_degrees, is_flat
-from z2cover.gf2 import orbit_reps, parity_vector
+from z2cover.gf2 import orbit_reps
 from z2cover.walsh import NonIntegralError, forward
 from z2cover.wps import Weights, monomial_count
 
 from gl_table import canonicalize
+from parity_oracle import parity_vector
 from profile_oracle import distributions_by_profile, m_profiles
 
 P3 = Weights((1, 1, 1, 1))
@@ -860,9 +861,19 @@ def test_bounds_report_content():
     text21 = bounds_report(2, 1)
     assert "  cell k=5 L=1 W=4 weights=(1,1,1,1) D=18" in text21.splitlines()
     assert text21.endswith("\nflat rows: 11")
-    for m in (1, 2, 4):  # these have P^3 cells, none of them at rank 1
-        assert bounds_report(1, m).endswith(
-            "\n  no surviving (k, L, W) cells\nflat rows: 0 (no L >= 2 cell in the window)")
+    # rank 1 states the tower window and counts the towers enumerate_s1 lists
+    text11 = bounds_report(1, 1).splitlines()
+    assert text11[0] == "rank s=1, multiple m=1"
+    assert text11[1] == "towers d = 2Lt on weights L/b, sum(1/b) = W/L = c/1 <= 4, W/L < t"
+    assert text11[2:] == [f"  target W/L={c}: t >= {c + 1}" for c in range(1, 5)] + ["towers: 14"]
+    text12 = bounds_report(1, 2)
+    assert "W/L = c/2 <= 4, W/L < t < (1 + 1/1) W/L, 1 | 2W\n" in text12
+    assert "\n  target W/L=5/2: 3 <= t < 5\n" in text12
+    assert "W/L=1/2" not in text12  # floor(1/2) + 1 = 1 is not below ceil(1)
+    for m in range(1, 7):
+        text = bounds_report(1, m)
+        assert "cell" not in text and "flat rows" not in text
+        assert text.endswith(f"\ntowers: {len(enumerate_s1(m))}")
 
 
 def test_thirty_two_deformation_types():

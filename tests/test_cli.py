@@ -687,10 +687,11 @@ class TestClassify:
         assert code == EXIT_OK
         assert "cell k=1 L=3 W=8" in err and err.endswith("\nflat rows: 1\n")
         assert "cell" not in out and len(json.loads(out)["solutions"]) == 1
-        code, _, err = run_cli(capsys, "classify", "--s", "1", "--m", "1", "--bounds-report")
+        code, out, err = run_cli(capsys, "classify", "--s", "1", "--m", "1", "--bounds-report")
         assert code == EXIT_OK
-        assert err.endswith(
-            "\n  no surviving (k, L, W) cells\nflat rows: 0 (no L >= 2 cell in the window)\n")
+        towers = len(json.loads(out)["families"])
+        assert towers == 14 and err.endswith(f"\n  target W/L=4: t >= 5\ntowers: {towers}\n")
+        assert "cell" not in err
 
     def test_out_of_range_rank(self, capsys):
         for s in ("17", "0"):

@@ -264,14 +264,26 @@ def test_one_degree_table_per_cover(run):
 
 def test_one_triple_mass_per_cover():
     spec = _dense_cover(6, 6)
-    assert spec.branch._triple_mass is None
+    assert spec.branch._cube_sum is None
     validate(spec)
-    mass = spec.branch._triple_mass
-    assert type(mass) is Fraction
-    report = invariant_report(spec)  # half points and e(X) both read the kept mass
-    assert spec.branch._triple_mass is mass
-    assert zero_sum_triple_mass(spec.branch) is mass
+    cubes = spec.branch._cube_sum
+    assert type(cubes) is int
+    report = invariant_report(spec)  # half points and e(X) both read the kept cube sum
+    assert spec.branch._cube_sum is cubes
+    mass = zero_sum_triple_mass(spec.branch)
+    assert mass == Fraction(cubes, 6 * 64)
     assert report.half_points == mass / spec.weights.A
+
+
+@pytest.mark.parametrize("s", [1, 4, 9, 16])
+def test_spectrum_survives_pickling(s):
+    rng = random.Random(30 + s)
+    d = [0] + [rng.randrange(1, 6) for _ in range((1 << s) - 1)]
+    branch = BranchData(s, d)
+    back = pickle.loads(pickle.dumps(branch))
+    assert back == branch
+    assert back.spectrum == branch.spectrum == tuple(walsh.forward(d))
+    assert back.total == sum(d)
 
 
 def test_fractional_degrees_raise_every_time():

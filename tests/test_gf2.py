@@ -7,15 +7,26 @@ from operator import itemgetter
 import pytest
 
 from z2cover.classify import enumerate_flat, enumerate_L1
+from z2cover.cover import BranchData, eigensheaf_degrees
 from z2cover.gf2 import (
     _generator_perms,
     affine_hyperplane_min_intersection,
     dot,
     orbit_reps,
-    parity_vector,
 )
+from z2cover.walsh import NonIntegralError
 
 from gl_table import canonicalize, table_canonicalize
+from parity_oracle import parity_vector
+
+
+def spectrum_is_integral(d):
+    """Whether ``eigensheaf_degrees`` accepts ``d``: the spectral integrality test."""
+    try:
+        eigensheaf_degrees(BranchData(len(d).bit_length() - 1, d))
+    except NonIntegralError:
+        return False
+    return True
 
 
 def test_dot_small_table():
@@ -35,23 +46,35 @@ def test_dot_is_bilinear():
 
 
 def test_parity_vector_examples():
-    assert parity_vector([0, 0, 0, 0]) == 0
-    # odd values at 1 and 2 xor to 3
-    assert parity_vector([0, 1, 1, 2]) == 3
-    assert parity_vector([0, 1, 2, 2]) == 1
-    assert parity_vector([0, 2, 6, 6, 0, 2, 2, 6]) == 0
+    # the oracle's value, and whether the spectrum of the same d is integral
+    for d, parity in [
+        ((0, 2), 0),
+        ((0, 1), 1),
+        ((0, 1, 1, 2), 3),  # odd values at 1 and 2 xor to 3
+        ((0, 1, 2, 2), 1),
+        ((0, 2, 6, 6, 0, 2, 2, 6), 0),
+        ((0, 1, 1, 1, 0, 0, 0, 0), 0),  # three odd values xor to zero
+    ]:
+        assert parity_vector(d) == parity
+        assert spectrum_is_integral(d) == (parity == 0)
 
 
-@pytest.mark.parametrize("s", [2, 3, 4])
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 6])
 def test_parity_vector_is_the_half_sum_obstruction(s):
-    """parity_vector(d) == 0 iff every affine half-sum of d is even."""
+    """parity_vector(d) == 0 iff every affine half-sum of d is even, iff
+    ``eigensheaf_degrees`` accepts d."""
     n = 1 << s
     rng = random.Random(100 + s)
+    seen = set()
     for _ in range(60):
         d = [0] + [rng.randrange(7) for _ in range(n - 1)]
+        if not any(d):
+            continue
         halves = [sum(d[g] for g in range(n) if dot(chi, g)) for chi in range(1, n)]
         all_even = all(h % 2 == 0 for h in halves)
-        assert (parity_vector(d) == 0) == all_even
+        assert (parity_vector(d) == 0) == all_even == spectrum_is_integral(d)
+        seen.add(all_even)
+    assert seen == {False, True}
 
 
 def test_canonicalize_known_pair():

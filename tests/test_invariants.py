@@ -7,8 +7,8 @@ from math import lcm
 import pytest
 
 from z2cover import walsh
-from z2cover.cover import BranchData, CoverSpec, eigensheaf_degrees
-from z2cover.gf2 import dot, parity_vector
+from z2cover.cover import BranchData, CoverSpec, eigensheaf_degrees, zero_sum_triple_mass
+from z2cover.gf2 import dot
 from z2cover.invariants import (
     SCI_MAX,
     SCI_MIN,
@@ -25,6 +25,8 @@ from z2cover.invariants import (
     volume,
 )
 from z2cover.wps import Weights, euler_char_line
+
+from parity_oracle import parity_vector
 
 
 def cover(weights, d):
@@ -261,6 +263,27 @@ def test_geography_matches_character_loops():
         assert tuple(Fraction(v, sum(w)) for v in w) == r
         p = geography_point(BranchData(s, w))
         assert (p.a, p.b, p.zero_sum_triples, p.phi) == _geography_by_characters(r)
+
+
+def test_geography_reads_the_kept_cube_sum():
+    # the ordered triple sum is sum(S^3) / (2^s delta^3), and sum(S^3) is
+    # 6 * 2^s times the unordered mass, whichever of the two is read first
+    rng = random.Random(2718)
+    for i in range(60):
+        s = rng.randint(1, 8)
+        w = [0] + [rng.randint(0, 9) for _ in range((1 << s) - 1)]
+        if not any(w):
+            continue
+        branch = BranchData(s, w)
+        if i % 2:
+            mass = zero_sum_triple_mass(branch)
+            point = geography_point(branch)
+        else:
+            point = geography_point(branch)
+            mass = zero_sum_triple_mass(branch)
+        cubes = point.zero_sum_triples * (1 << s) * sum(w) ** 3
+        assert cubes == branch.cube_sum == 6 * (1 << s) * mass
+        assert cubes == sum(v**3 for v in walsh.forward(w))
 
 
 def _geography_by_fractions(s, r):

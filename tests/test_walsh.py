@@ -42,9 +42,12 @@ def signed_with_total(rng, n, total):
 
 
 # each side of every lane-width boundary: 16-, 32- and 64-bit lanes hold
-# sum(|d|) < 2^15, 2^31 and 2^63, and from 2^63 the butterfly takes over;
-# 2^14, 2^30 and 2^62 are the boundaries of a lane with two spare bits
-LANE_TOTALS = [2**k + e for k in (14, 15, 30, 31, 62, 63) for e in (-1, 0)] + [2**70]
+# sum(|d|) < 2^15, 2^31 and 2^63, and from 2^63 the entries are split into
+# low digits in 64-bit lanes and high digits transformed again; 2^14, 2^30
+# and 2^62 are the boundaries of a lane with two spare bits.  At ranks 0-16
+# the split recurses once at 2^70 and twice at 2^127 and 2^130
+LANE_TOTALS = [2**k + e for k in (14, 15, 30, 31, 62, 63) for e in (-1, 0)]
+LANE_TOTALS += [2**70, 2**127, 2**130]
 
 
 @pytest.mark.parametrize("s", range(17))
