@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import gcd, lcm
 from typing import Iterator, NamedTuple, Sequence
 
@@ -159,10 +159,10 @@ def max_admissible_m(weights: Weights, branch: BranchData) -> int | None:
         l = eigensheaf_degrees(branch)
     except NonIntegralError:
         return None
-    # Frobenius allowance: well-formed weights have gcd 1 and a Frobenius
-    # number below max(a)^2 (Erdos-Graham), so past this bound every twisted
-    # degree M - l(chi) is effective and no larger m is admissible
-    top = max(l) + 4 * max(weights) ** 2
+    # well-formed weights have gcd 1 and a Frobenius number below max(a)^2
+    # (Erdos-Graham): once the largest twisted degree M - min l(chi != 0)
+    # passes it, that degree is effective and no larger m is admissible
+    top = min(l[1:]) + max(weights) ** 2
     best = None
     m = 1
     while m * excess <= top:
@@ -234,19 +234,18 @@ def l_distribution_candidates(s: int, D: int, min_l: int) -> list[DistributionCo
 
 
 def _reconstruct_distribution(
-    s: int, D: int, base: int, excess: Sequence[tuple[int, int]]
+    s: int, D: int, counts: Sequence[tuple[int, int]]
 ) -> Iterator[tuple[int, ...]]:
     """At least one branch function from every GL_s orbit matching the distribution.
 
-    ``excess`` lists ``(value, multiplicity)`` pairs of l-values above the
-    base; the base takes the remaining characters.  A placement of the
-    classes on the nonzero characters fixes the spectrum
-    ``S(chi) = D - 4 l(chi)``, and ``walsh.inverse`` gives the one function
-    with that spectrum; it is kept when it is integral and nonnegative.
+    ``counts`` lists the ``(value, multiplicity)`` pairs of the l-values of
+    the nonzero characters.  A placement of the classes on those characters
+    fixes the spectrum ``S(chi) = D - 4 l(chi)``, and ``walsh.inverse`` gives
+    the one function with that spectrum; it is kept when it is integral and
+    nonnegative.
     """
     n = 1 << s
-    mult = dict(excess)
-    mult[base] = n - 1 - sum(mult.values())
+    mult = dict(counts)
     values = sorted((v for v in mult if mult[v]), key=lambda v: mult[v])
     l = [0] * n
 
@@ -277,38 +276,44 @@ def _reconstruct_distribution(
 def reconstruct_branch(dist: DistributionCounts) -> list[tuple[int, ...]]:
     """Branch functions realizing an eigensheaf-degree multiset, up to GL_s."""
     s, D = dist.s, dist.D
-    excess = tuple((v, c) for v, c in dist.counts if v != dist.base)
-    placed = sum(c for _, c in excess)
-    base_count = dict(dist.counts).get(dist.base, 0)
-    if base_count + placed != (1 << s) - 1:
+    if sum(c for _, c in dist.counts) != (1 << s) - 1:
         raise ValueError("distribution does not cover every character")
     if sum(v * c for v, c in dist.counts) != (1 << (s - 2)) * D:
         raise ValueError(f"eigensheaf degrees do not sum to 2^(s-2) D for D = {D}")
-    return orbit_reps(_reconstruct_distribution(s, D, dist.base, excess), s)
+    return orbit_reps(_reconstruct_distribution(s, D, dist.counts), s)
 
 
 # ---------------------------------------------------------------------------
 # one cell: rank, lcm, least eigensheaf degree and total branch degree
 
 
-def _lift_candidates(parent: tuple[int, ...], s: int) -> Iterator[tuple[int, ...]]:
-    """Rank-s branch functions projecting to ``parent`` along the top axis."""
+def _lift_candidates(parent: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Integral branch functions of one rank more projecting to ``parent``
+    along the new top axis.
+
+    ``parent`` must be integral (its parity vector, the XOR of the elements
+    where it is odd, is 0).  Below the top bit a lift's parity vector is then
+    the parent's, and its top bit counts the odd values on the top half; so
+    exactly the lifts whose top half has an even sum are integral, and only
+    those are yielded.
+    """
     half = len(parent)
     support = [g for g in range(1, half) if parent[g]]
     top = half
 
-    def rec(idx: int, d: list[int]) -> Iterator[tuple[int, ...]]:
+    def rec(idx: int, d: list[int], odd: int) -> Iterator[tuple[int, ...]]:
         if idx == len(support):
-            yield tuple(d)
+            if not odd:
+                yield tuple(d)
             return
         g = support[idx]
         for up in range(parent[g] + 1):
             d[g] = parent[g] - up
             d[g | top] = up
-            yield from rec(idx + 1, d)
+            yield from rec(idx + 1, d, odd ^ (up & 1))
         d[g] = d[g | top] = 0
 
-    yield from rec(0, [0] * (2 * half))
+    yield from rec(0, [0] * (2 * half), 0)
 
 
 @functools.cache
@@ -324,7 +329,7 @@ def _cell_reps(s: int, L: int, base: int, D: int) -> tuple[tuple[int, ...], ...]
     direction, so its projection to rank ``s-1`` is again a solution of the
     cell there: those representatives are lifted and a candidate kept when
     every nontrivial ``S(chi) = D - 4 l(chi)`` of its spectrum is at most
-    ``D - 4 base`` and congruent to ``D`` mod 4 (so ``l`` is integral).  Every
+    ``D - 4 base``; the lift yields only integral candidates.  Every
     other cell is reconstructed from the moment-filtered distributions
     whose values are ``base`` plus multiples of ``L``.
     """
@@ -338,8 +343,8 @@ def _cell_reps(s: int, L: int, base: int, D: int) -> tuple[tuple[int, ...], ...]
         survivors = {
             cand
             for parent in _cell_reps(s - 1, L, base, D)
-            for cand in _lift_candidates(parent, s)
-            if all(v <= top and (D - v) % 4 == 0 for v in walsh.forward(cand)[1:])
+            for cand in _lift_candidates(parent)
+            if max(walsh.forward(cand)[1:]) <= top
         }
         return tuple(orbit_reps(survivors, s))
     reps: set[tuple[int, ...]] = set()
@@ -352,18 +357,6 @@ def _cell_reps(s: int, L: int, base: int, D: int) -> tuple[tuple[int, ...], ...]
 
 # ---------------------------------------------------------------------------
 # the cell window
-
-
-def _divisor_quadruples(L: int, W: int) -> list[Weights]:
-    divs = [d for d in range(1, L + 1) if L % d == 0]
-    out = []
-    for quad in combinations_with_replacement(divs, 4):
-        if sum(quad) != W or lcm(*quad) != L:
-            continue
-        if not well_formed(quad):
-            continue
-        out.append(Weights(quad))
-    return out
 
 
 def _unit_fraction_quadruples(target: Fraction) -> Iterator[tuple[int, ...]]:
@@ -392,35 +385,40 @@ def _unit_fraction_quadruples(target: Fraction) -> Iterator[tuple[int, ...]]:
     yield from rec((), target.numerator, target.denominator)
 
 
-def _weights_from_reciprocals(quad: tuple[int, ...]) -> Weights | None:
-    """Weights ``L/b_i`` when they are lcm-exact and well formed."""
-    L = lcm(*quad)
-    a = tuple(L // b for b in quad)
-    if lcm(*a) != L or not well_formed(a):
-        return None
-    return Weights(a)
+def _weights_with_ratio(target: Fraction) -> Iterator[Weights]:
+    """Well-formed weights with ``W/L = target``.
+
+    Each reciprocal quadruple ``b`` of ``target`` gives ``a = L/b`` with
+    ``L = lcm(b)``; it is kept when ``lcm(a) = L`` and ``a`` is well formed,
+    in the order of the quadruples.
+    """
+    for quad in _unit_fraction_quadruples(target):
+        L = lcm(*quad)
+        a = tuple(L // b for b in quad)
+        if lcm(*a) == L and well_formed(a):
+            yield Weights(a)
 
 
 def _cells(s: int, m: int) -> list[tuple[int, int, int, Weights]]:
     """All ``(k, L, W, weights)`` cells surviving the proven window."""
+    if m < 1:
+        raise ValueError("multiple must be positive")
     cells: list[tuple[int, int, int, Weights]] = []
+
+    def add(k: int, L: int, W: int) -> None:
+        cells.extend((k, L, W, w) for w in _weights_with_ratio(Fraction(W, L)) if w.L == L)
+
     k = 1
     while bound_prune(s, m, 1, 4, k):  # W/L <= 2 + 2/L peaks at 4, on P^3
         bracket = k * ((1 << s) - 1 - Fraction(1 << (s - 1), m)) - 1
         if bracket <= 0:
             # only (s, m, k) = (2, 1, 1); W = 2L is closed by reciprocal sums
             assert (s, m, k) == (2, 1, 1), "unbounded cell outside the known window"
-            for quad in _unit_fraction_quadruples(Fraction(2)):
-                w = _weights_from_reciprocals(quad)
-                if w is not None:
-                    cells.append((k, w.L, 2 * w.L, w))
+            cells.extend((k, w.L, 2 * w.L, w) for w in _weights_with_ratio(Fraction(2)))
             for c in (1, 2):  # W = 2L + c leaves excess 2c, and L must divide it
                 for L in range(1, 2 * c + 1):
-                    if (2 * c) % L:
-                        continue
-                    W = 2 * L + c
-                    for w in _divisor_quadruples(L, W):
-                        cells.append((k, L, W, w))
+                    if (2 * c) % L == 0:
+                        add(k, L, 2 * L + c)
             k += 1
             continue
         L_max = math.floor(Fraction(1 << s) / bracket)
@@ -428,10 +426,8 @@ def _cells(s: int, m: int) -> list[tuple[int, int, int, Weights]]:
             if (2 * k * L) % m:
                 continue
             for W in range(1, 2 * L + 3):
-                if not bound_prune(s, m, L, W, k):
-                    continue
-                for w in _divisor_quadruples(L, W):
-                    cells.append((k, L, W, w))
+                if bound_prune(s, m, L, W, k):
+                    add(k, L, W)
         k += 1
     return cells
 
@@ -495,8 +491,6 @@ def _enumerate(s: int, m: int, projective: bool) -> list[AdmissibleSolution]:
     ``projective``, with ``L >= 2``."""
     if s < 2:
         raise ValueError("rank-1 towers are families; use enumerate_s1")
-    if m < 1:
-        raise ValueError("multiple must be positive")
     sols = [
         _finish_solution(weights, s, m, rep)
         for k, L, W, weights in _cells(s, m)
@@ -580,10 +574,7 @@ def enumerate_s1(m: int, t_max: int | None = None) -> list[RankOneFamily]:
                 continue
             if t_sup is None or t_sup > t_max + 1:
                 t_sup = t_max + 1
-        for quad in _unit_fraction_quadruples(target):
-            w = _weights_from_reciprocals(quad)
-            if w is None:
-                continue
+        for w in _weights_with_ratio(target):
             status, note = MAIN, ""
             if m == 1 and w.a == (2, 3, 3, 4):
                 status = SUPPLEMENTARY

@@ -8,7 +8,7 @@ integrality of all these half-sums is exactly the buildability of the cover.
 
 Two bit orders are in use.  A cover-file key, and the key that names a bad
 degree, writes bit 0 of the element first, so ``"100"`` is element 1.  The
-check messages write elements and characters as ``f"{g:0{s}b}"``, bit 0
+check messages write elements and characters with ``_message_bits``, bit 0
 last: on ``P^3`` the file ``{"100": 2, "010": 10, "001": 4}`` gets
 ``deform check``'s ``branch degree 4 at 100`` for its key ``"001"``.
 """
@@ -130,7 +130,8 @@ def eigensheaf_degrees(branch: BranchData) -> tuple[int, ...]:
         num = s0 - sc
         if num % 4:
             raise NonIntegralError(
-                f"degree {Fraction(num, 4)} at character {chi:0{branch.s}b} is not integral",
+                f"degree {Fraction(num, 4)} at character"
+                f" {_message_bits(chi, branch.s)} is not integral",
                 element=chi,
             )
         out.append(num // 4)
@@ -265,6 +266,11 @@ def validate(spec: CoverSpec) -> ValidationReport:
 
 def _bits(g: int, s: int) -> str:
     return "".join("1" if (g >> i) & 1 else "0" for i in range(s))
+
+
+def _message_bits(g: int, s: int) -> str:
+    """An element or character as check messages write it, bit 0 last."""
+    return f"{g:0{s}b}"
 
 
 def to_json(spec: CoverSpec) -> str:

@@ -17,7 +17,7 @@ from math import gcd
 from typing import NamedTuple
 
 from . import walsh
-from .cover import BranchData, CoverSpec, eigensheaf_degrees, hurwitz_degree
+from .cover import BranchData, CoverSpec, _message_bits, eigensheaf_degrees, hurwitz_degree
 from .gf2 import affine_hyperplane_min_intersection, dot
 from .wps import Weights, monomial_count
 
@@ -92,8 +92,8 @@ def deformation_criteria(spec: CoverSpec) -> DeformationReport:
     messages = []
     for g, chi in failing:
         messages.append(
-            f"branch degree {spec.branch.d[g]} at {g:0{s}b} reaches the"
-            f" eigensheaf degree {l[chi]} of character {chi:0{s}b}"
+            f"branch degree {spec.branch.d[g]} at {_message_bits(g, s)} reaches the"
+            f" eigensheaf degree {l[chi]} of character {_message_bits(chi, s)}"
         )
     if not total_ok:
         messages.append("total branch degree does not exceed twice the weight sum")

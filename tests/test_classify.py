@@ -10,7 +10,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 from math import factorial
 
 import pytest
@@ -30,7 +30,7 @@ from z2cover.classify import (
     _partitions,
     _reconstruct_distribution,
     _unit_fraction_quadruples,
-    _weights_from_reciprocals,
+    _weights_with_ratio,
     bound_prune,
     bounds_report,
     enumerate_L1,
@@ -41,10 +41,10 @@ from z2cover.classify import (
     max_admissible_m,
     reconstruct_branch,
 )
-from z2cover.cover import BranchData, CoverSpec, eigensheaf_degrees, is_flat
+from z2cover.cover import BranchData, CoverSpec, eigensheaf_degrees, hurwitz_degree, is_flat
 from z2cover.gf2 import orbit_reps
 from z2cover.walsh import NonIntegralError, forward
-from z2cover.wps import Weights, monomial_count
+from z2cover.wps import Weights, monomial_count, well_formed
 
 from gl_table import canonicalize
 from parity_oracle import parity_vector
@@ -105,6 +105,57 @@ def test_max_admissible_m():
     assert max_admissible_m(Weights((1, 1, 1, 1)), branch((0, 6, 6, 6))) == 1
     # no positive excess: never pluricanonical
     assert max_admissible_m(Weights((1, 1, 1, 1)), branch((0, 2, 2, 2))) is None
+
+
+def _max_admissible_m_by_wide_loop(weights, branch_data):
+    """max_admissible_m before its loop was cut at min l(chi != 0) + max(a)^2,
+    kept as its oracle: every m up to max(l) + 4 max(a)^2 is tried."""
+    excess = hurwitz_degree(CoverSpec(weights, branch_data))
+    if excess <= 0:
+        return None
+    try:
+        l = eigensheaf_degrees(branch_data)
+    except NonIntegralError:
+        return None
+    best = None
+    m = 1
+    while m * excess <= max(l) + 4 * max(weights) ** 2:
+        if is_pluricanonical(weights, branch_data, m).admissible:
+            best = m
+        m += 1
+    return best
+
+
+def test_max_admissible_m_matches_wide_loop():
+    # the catalog rows, each admissible at its own m, and seeded integral
+    # covers over P^3 and weighted bases
+    cases = [
+        (x.weights, BranchData(s, x.d))
+        for s in (2, 3, 4)
+        for m in range(1, 5)
+        for x in enumerate_L1(s, m) + enumerate_flat(s, m)
+    ]
+    # admissible past min l(chi != 0) = 5, at M = 6: M - 5 = 1 is the gap
+    # of the weights (2, 2, 3, 3)
+    gapped = [BranchData(2, (0, 0, 10, 14)), BranchData(2, (0, 2, 8, 12))]
+    cases += [(Weights((2, 2, 3, 3)), branch_data) for branch_data in gapped]
+    rng = random.Random(29)
+    bases = [P3, Weights((1, 1, 1, 2)), Weights((1, 1, 2, 2)), Weights((1, 1, 3, 3)),
+             Weights((1, 2, 3, 6)), Weights((2, 2, 3, 3)), Weights((2, 3, 5, 7))]
+    for weights in bases:
+        for _ in range(12):
+            s = rng.randint(2, 4)
+            d = [0] + [rng.randrange(8) for _ in range((1 << s) - 1)]
+            odd = parity_vector(d)
+            if odd:  # one more unit at the parity vector makes it integral
+                d[odd] += 1
+            cases.append((weights, BranchData(s, tuple(d))))
+    found = Counter()
+    for weights, branch_data in cases:
+        got = max_admissible_m(weights, branch_data)
+        assert got == _max_admissible_m_by_wide_loop(weights, branch_data), (weights, branch_data.d)
+        found[got is None] += 1
+    assert found[True] > 0 and found[False] > 40
 
 
 class TestBounds:
@@ -464,8 +515,9 @@ def _flat_by_excess_partitions(s, m):
         cap = (D // 2 - base) // L
         survivors = set()
         for part in _partitions(u, cap, n_chars) if cap >= 0 or u == 0 else []:
-            excess = tuple(sorted(Counter(base + t * L for t in part).items()))
-            survivors.update(_reconstruct_distribution(s, D, base, excess))
+            counts = Counter(base + t * L for t in part)
+            counts[base] += n_chars - len(part)
+            survivors.update(_reconstruct_distribution(s, D, sorted(counts.items())))
         for rep in orbit_reps(survivors, s):
             sols.append(_finish_solution(weights, s, m, rep))
     sols.sort(key=AdmissibleSolution.sort_key)
@@ -621,22 +673,50 @@ def test_enumerations_return_fresh_lists():
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_lift_spectral_bound_is_admissibility(m):
-    # the lift keeps a candidate when max S(chi) <= D - 4(k+1) over the
-    # nontrivial characters; on P^3 that is exactly is_pluricanonical
+    # the lift yields only integral candidates and keeps one when
+    # max S(chi) <= D - 4(k+1) over the nontrivial characters; on P^3 that
+    # is exactly is_pluricanonical
     checked = kept = 0
     for k, D in _p3_cells(4, m):
         for parent in enumerate_L1(3, m):
             if (parent.k, parent.D) != (k, D):
                 continue
-            for cand in _lift_candidates(parent.d, 4):
-                if parity_vector(cand):
-                    continue
+            for cand in _lift_candidates(parent.d):
+                assert not parity_vector(cand), cand
                 spectral = max(forward(cand)[1:]) <= D - 4 * (k + 1)
                 report = is_pluricanonical(P3, BranchData(4, cand), m)
                 assert spectral == report.admissible, cand
                 checked += 1
                 kept += spectral
     assert 0 < kept < checked
+
+
+def _all_splits(parent):
+    """Every function projecting to ``parent`` along a new top axis, in the
+    order of ``_lift_candidates``, integral or not."""
+    half = len(parent)
+    support = [g for g in range(1, half) if parent[g]]
+    for ups in product(*(range(parent[g] + 1) for g in support)):
+        d = [0] * (2 * half)
+        for g, up in zip(support, ups):
+            d[g], d[g | half] = parent[g] - up, up
+        yield tuple(d)
+
+
+def test_lift_candidates_are_the_integral_splits():
+    # an integral parent's split is integral exactly when its top half has
+    # an even sum; the lift yields those splits and no others
+    parents = sorted({x.d for s in (3, 4) for m in range(1, 7) for x in enumerate_L1(s, m)})
+    assert {len(d) for d in parents} == {8, 16}
+    kept = odd = 0
+    for parent in parents:
+        splits = list(_all_splits(parent))
+        want = [d for d in splits if not parity_vector(d)]
+        assert list(_lift_candidates(parent)) == want, parent
+        assert all(sum(d[len(parent):]) % 2 == 0 for d in want)
+        kept += len(want)
+        odd += len(splits) - len(want)
+    assert kept > 0 and odd > 0
 
 
 def test_admissible_cover_need_not_be_flat():
@@ -726,6 +806,31 @@ def test_unit_fraction_quadruples_match_fraction_recursion():
     assert total > 1000
 
 
+def _divisor_quadruples(L, W):
+    """The divisor search the cell window used before the reciprocal-sum
+    search, kept as its oracle."""
+    divs = [d for d in range(1, L + 1) if L % d == 0]
+    return [
+        Weights(quad)
+        for quad in combinations_with_replacement(divs, 4)
+        if sum(quad) == W and math.lcm(*quad) == L and well_formed(quad)
+    ]
+
+
+def test_weights_with_ratio_match_divisor_search():
+    # the window reaches only 2L <= W <= 2L + 2; there the reciprocal-sum
+    # search gives the divisor search's weights in its order
+    reached = {(L, W) for s in range(2, 17) for m in range(1, 13) for _, L, W, _ in _cells(s, m)}
+    assert all(L <= 40 and 2 * L <= W <= 2 * L + 2 for L, W in reached)
+    total = 0
+    for L in range(1, 41):
+        for W in range(2 * L, 2 * L + 3):
+            got = [w for w in _weights_with_ratio(Fraction(W, L)) if w.L == L]
+            assert got == _divisor_quadruples(L, W), (L, W)
+            total += len(got)
+    assert total == 44
+
+
 def _towers_by_full_search(m, t_max, quads):
     """enumerate_s1 before its window moved ahead of the quadruple search,
     kept as its oracle: every target is searched and empty windows are
@@ -740,10 +845,12 @@ def _towers_by_full_search(m, t_max, quads):
         if target not in quads:
             quads[target] = list(_unit_fraction_quadruples(target))
         for quad in quads[target]:
-            w = _weights_from_reciprocals(quad)
-            if w is None:
+            L = math.lcm(*quad)
+            a = tuple(L // b for b in quad)
+            if math.lcm(*a) != L or not Weights(a).well_formed:
                 continue
-            L, W = w.L, w.W
+            w = Weights(a)
+            W = w.W
             if m == 1:
                 t_min, t_sup = W // L + 1, None
                 status, note = MAIN, ""

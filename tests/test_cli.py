@@ -693,6 +693,15 @@ class TestClassify:
         assert towers == 14 and err.endswith(f"\n  target W/L=4: t >= 5\ntowers: {towers}\n")
         assert "cell" not in err
 
+    def test_nonpositive_multiple_same_error_with_bounds_report(self, capsys):
+        # the bounds report raises the enumeration's own error, not the
+        # window test's, on one check for every rank
+        for s in ("1", "2", "5"):
+            for m in ("0", "-1"):
+                plain = run_cli(capsys, "classify", "--s", s, "--m", m)
+                report = run_cli(capsys, "classify", "--s", s, "--m", m, "--bounds-report")
+                assert plain == report == (EXIT_MALFORMED, "", "error: multiple must be positive\n")
+
     def test_out_of_range_rank(self, capsys):
         for s in ("17", "0"):
             code, _, err = run_cli(capsys, "classify", "--s", s, "--m", "1")
