@@ -125,17 +125,16 @@ def eigensheaf_degrees(branch: BranchData) -> tuple[int, ...]:
         return branch._degrees
     spectrum = branch.spectrum
     s0 = spectrum[0]
-    out = []
-    for chi, sc in enumerate(spectrum):
-        num = s0 - sc
-        if num % 4:
-            raise NonIntegralError(
-                f"degree {Fraction(num, 4)} at character"
-                f" {_message_bits(chi, branch.s)} is not integral",
-                element=chi,
-            )
-        out.append(num // 4)
-    object.__setattr__(branch, "_degrees", tuple(out))
+    table = tuple([(s0 - v) >> 2 for v in spectrum])
+    # exact degrees total 2^(s-2) S(0) (sum(S) = 2^s d(0) = 0); a fractional one's floor is less
+    if sum(table) << 2 != s0 << branch.s:
+        chi = next(chi for chi, v in enumerate(spectrum) if (s0 - v) & 3)
+        raise NonIntegralError(
+            f"degree {Fraction(s0 - spectrum[chi], 4)} at character"
+            f" {_message_bits(chi, branch.s)} is not integral",
+            element=chi,
+        )
+    object.__setattr__(branch, "_degrees", table)
     return branch._degrees
 
 
@@ -296,6 +295,9 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
     return out
 
 
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def from_json(text: str) -> CoverSpec:
     """Parse a cover description; omitted group elements carry degree 0.
 
@@ -304,8 +306,10 @@ def from_json(text: str) -> CoverSpec:
     is an error rather than a silent last-one-wins.
     """
     try:
-        payload = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+        if text.startswith("\ufeff"):  # refused as json.loads refuses it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        payload = _DECODER.decode(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CoverSpecError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise CoverSpecError("top level must be an object")
@@ -320,7 +324,7 @@ def from_json(text: str) -> CoverSpec:
         raise CoverSpecError("'d' must map bitstrings to degrees")
     d = [0] * (1 << s)
     for key, value in dmap.items():
-        if not isinstance(key, str) or len(key) != s or set(key) - {"0", "1"}:
+        if len(key) != s or key.strip("01"):
             raise CoverSpecError(f"bad group element {key!r} for rank {s}")
         d[int(key[::-1], 2)] = value  # bit i of g is key[i]
     return CoverSpec(weights, BranchData(s, tuple(d)))
@@ -328,7 +332,8 @@ def from_json(text: str) -> CoverSpec:
 
 def from_path(path: str) -> CoverSpec:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return from_json(fh.read())
-    except OSError as exc:
+        with open(path, "rb") as fh:  # bytes: cheaper than a text-mode read
+            text = fh.read().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise CoverSpecError(f"cannot read {path}: {exc}") from exc
+    return from_json(text.replace("\r\n", "\n").replace("\r", "\n"))  # newlines as text mode reads

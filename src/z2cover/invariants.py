@@ -28,7 +28,6 @@ from .cover import (
     half_point_count,
     hurwitz_degree,
     is_flat,
-    zero_sum_triple_mass,
 )
 from .walsh import NonIntegralError
 from .wps import euler_char_line
@@ -58,9 +57,10 @@ Y_MIN = Fraction(1, 2)
 
 
 def volume(spec: CoverSpec) -> Fraction:
-    """Self-intersection ``K^3`` of the canonical class of the cover."""
-    excess = hurwitz_degree(spec)
-    return Fraction(1 << spec.branch.s, spec.weights.A) * excess**3
+    """Self-intersection ``K^3 = 2^s / A * ((D - 2W) / 2)^3`` of the
+    canonical class of the cover."""
+    weights, branch = spec
+    return Fraction((branch.total - 2 * weights.W) ** 3 << branch.s, 8 * weights.A)
 
 
 def holomorphic_euler(spec: CoverSpec) -> int:
@@ -87,7 +87,8 @@ def topological_euler(spec: CoverSpec) -> tuple[Fraction, bool]:
     Each stratum is a symmetric polynomial in the power sums ``p_k`` of the
     branch degrees: the singles, the pairs ``d_p d_q (W - d_p - d_q)`` and
     the triples ``d_p d_q d_r``, the last minus the zero-sum triple mass
-    ``sum(S^3) / (6 * 2^s)`` of the Walsh spectrum ``S`` of ``d``.
+    ``sum(S^3) / (6 * 2^s)`` of the Walsh spectrum ``S`` of ``d``.  Then
+    ``e = 2^s (4 - singles/2 + pairs/4 - triples/8)``, one fraction over ``48 A``.
     """
     d = spec.branch.d
     s = spec.branch.s
@@ -95,22 +96,16 @@ def topological_euler(spec: CoverSpec) -> tuple[Fraction, bool]:
     A = spec.weights.A
     W = spec.weights.W
     sigma2 = sum(a[i] * a[j] for i in range(4) for j in range(i + 1, 4))
-    p1 = sum(d)
+    p1 = spec.branch.total
     p2 = sum(v * v for v in d)
     p3 = sum(v**3 for v in d)
     e2 = (p1 * p1 - p2) // 2
     e3 = (p1**3 - 3 * p1 * p2 + 2 * p3) // 6
-    zero_sum = zero_sum_triple_mass(spec.branch)
-    singles = Fraction(p3 - W * p2 + sigma2 * p1, A)
-    pairs = Fraction(W * e2 - (p1 * p2 - p3), A)
-    triples = (e3 - zero_sum) / A
-    e = (
-        Fraction(4 << s)
-        - Fraction(1 << s, 2) * singles
-        + Fraction(1 << s, 4) * pairs
-        - Fraction(1 << s, 8) * triples
-    )
-    return e, a == (1, 1, 1, 1)
+    singles = p3 - W * p2 + sigma2 * p1
+    pairs = W * e2 - (p1 * p2 - p3)
+    # with the strata over A, the zero-sum mass enters as 2^s/8 * sum(S^3) / (6 * 2^s A)
+    num = ((192 * A - 24 * singles + 12 * pairs - 6 * e3) << s) + spec.branch.cube_sum
+    return Fraction(num, 48 * A), a == (1, 1, 1, 1)
 
 
 class InvariantReport(NamedTuple):
@@ -142,9 +137,10 @@ def invariant_report(spec: CoverSpec) -> InvariantReport:
         half = None
     x = y = sci = None
     if chi:
-        x = e / (24 * chi)
-        y = -k3 / (24 * chi)
-        sci = y * (3 * x + 1) - 4
+        xd, yd = 24 * chi * e.denominator, 24 * chi * k3.denominator
+        x, y = Fraction(e.numerator, xd), Fraction(-k3.numerator, yd)
+        # y (3x + 1) - 4 over the common denominator yd * xd
+        sci = Fraction(-k3.numerator * (3 * e.numerator + xd) - 4 * yd * xd, yd * xd)
     return InvariantReport(
         k3=k3,
         chi=chi,

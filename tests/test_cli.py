@@ -46,6 +46,9 @@ def cover_file(tmp_path):
     return write
 
 
+COVER_COMMANDS = [("cover", "check"), ("cover", "invariants"), ("deform", "check")]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -95,13 +98,38 @@ class TestCover:
         assert code == EXIT_MALFORMED
         assert out == "" and err == f"error: bad group element {key!r} for rank 3\n"
 
-    @pytest.mark.parametrize("argv", [("cover", "check"), ("cover", "invariants"),
-                                      ("deform", "check")])
+    @pytest.mark.parametrize("argv", COVER_COMMANDS)
     def test_rejects_duplicate_key(self, capsys, cover_file, argv):
         # with last-one-wins the degree 2 on 11 would be checked, and pass
         text = '{"weights":[1,1,1,1],"s":2,"d":{"10":6,"01":6,"11":6,"11":2}}'
         code, out, err = run_cli(capsys, *argv, cover_file(text))
         assert (code, out, err) == (EXIT_MALFORMED, "", "error: duplicate key '11'\n")
+
+    @pytest.mark.parametrize("argv", COVER_COMMANDS)
+    @pytest.mark.parametrize("depth", [1_000, 100_000])
+    @pytest.mark.parametrize("opener", ["[", '{"a": '], ids=["array", "object"])
+    def test_deep_nesting_is_malformed(self, capsys, cover_file, argv, depth, opener):
+        # the decoder runs out of stack (RecursionError) or input: exit 2, not 1
+        code, out, err = run_cli(capsys, *argv, cover_file(opener * depth))
+        assert (code, out) == (EXIT_MALFORMED, "") and err.startswith("error: invalid JSON: ")
+
+    def test_deep_nesting_is_malformed_in_a_fresh_interpreter(self, cover_file):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "z2cover", "cover", "check", cover_file("[" * 100_000)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (EXIT_MALFORMED, "")
+        assert proc.stderr.startswith("error: invalid JSON: ")
+
+    @pytest.mark.parametrize("argv", COVER_COMMANDS)
+    def test_names_a_file_that_is_not_utf8(self, capsys, tmp_path, argv):
+        p = tmp_path / "latin1.json"
+        p.write_bytes('{"weights": [1, 1, 1, 1], "s": 1, "d": {"1": 2}, "note": "caf\xe9"}'
+                      .encode("latin-1"))
+        code, out, err = run_cli(capsys, *argv, str(p))
+        assert (code, out) == (EXIT_MALFORMED, "")
+        assert err.startswith(f"error: cannot read {p}: 'utf-8' codec can't decode byte 0xe9")
 
     def test_check_negative_degree(self, capsys, cover_file):
         text = '{"weights": [1, 1, 1, 1], "s": 2, "d": {"10": 2, "01": -1}}'

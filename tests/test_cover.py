@@ -1,5 +1,6 @@
 """Cover descriptions: eigensheaf degrees, flatness, validation, JSON I/O."""
 
+import json
 import pickle
 import random
 from fractions import Fraction
@@ -20,6 +21,7 @@ from z2cover.cover import (
     to_json,
     validate,
     zero_sum_triple_mass,
+    _unique_keys,
 )
 from z2cover.gf2 import dot
 from z2cover.invariants import invariant_report
@@ -27,6 +29,7 @@ from z2cover.walsh import NonIntegralError
 from z2cover.wps import Weights
 
 from gl_table import canonicalize
+from parity_oracle import parity_vector
 
 
 def cover(weights, d):
@@ -110,6 +113,43 @@ def test_eigensheaf_degrees_parity_failure():
         eigensheaf_degrees(BranchData(2, (0, 1, 2, 2)))
     assert info.value.element == 1
     assert "3/2" in str(info.value)
+
+
+def _degrees_by_characters(branch):
+    """Reference table: one mod-4 test per character, raising at the first
+    fractional one."""
+    s0 = branch.spectrum[0]
+    out = []
+    for chi, sc in enumerate(branch.spectrum):
+        if (s0 - sc) % 4:
+            raise NonIntegralError(
+                f"degree {Fraction(s0 - sc, 4)} at character {chi:0{branch.s}b} is not integral",
+                element=chi,
+            )
+        out.append((s0 - sc) // 4)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("s", range(1, 9))
+def test_eigensheaf_degrees_match_character_loop(s):
+    rng = random.Random(900 + s)
+    n = 1 << s
+    odd = 0
+    for i in range(30):
+        d = [0] + [rng.choice((0, 0, 1, 2, 3, 4)) for _ in range(n - 1)]
+        d[rng.randrange(1, n)] += 1
+        if i % 2 and parity_vector(d):  # every other cover made integral
+            d[parity_vector(d)] += 1
+        try:
+            expected = _degrees_by_characters(BranchData(s, d))
+        except NonIntegralError as exc:
+            odd += 1
+            with pytest.raises(NonIntegralError) as info:
+                eigensheaf_degrees(BranchData(s, d))
+            assert (str(info.value), info.value.element) == (str(exc), exc.element)
+        else:
+            assert eigensheaf_degrees(BranchData(s, d)) == expected
+    assert 0 < odd < 30
 
 
 @pytest.mark.parametrize("s", [2, 3, 4])
@@ -384,9 +424,146 @@ def test_from_json_names_a_bad_degree_by_its_key(value, shown):
     assert str(info.value) == f"bad degree {shown} at '110'"
 
 
+def _key(g, s):
+    """The cover-file key of element ``g``, bit 0 first."""
+    return "".join("1" if (g >> i) & 1 else "0" for i in range(s))
+
+
+def _from_json_by_loops(text):
+    """Reference loader: one set test per key in file order, then one type
+    and sign test per degree in element order.  The files fed to it have
+    a well-formed shape, so the shape checks are left out."""
+    try:
+        payload = json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as exc:
+        raise CoverSpecError(f"invalid JSON: {exc}") from exc
+    weights, s, dmap = Weights(payload["weights"]), payload["s"], payload["d"]
+    d = [0] * (1 << s)
+    for key, value in dmap.items():
+        if not isinstance(key, str) or len(key) != s or set(key) - {"0", "1"}:
+            raise CoverSpecError(f"bad group element {key!r} for rank {s}")
+        d[int(key[::-1], 2)] = value
+    for g, v in enumerate(d):
+        if type(v) is not int or v < 0:
+            raise CoverSpecError(f"bad degree {v!r} at {_key(g, s)!r}")
+    return CoverSpec(weights, BranchData(s, tuple(d)))
+
+
+def _outcome(load, text):
+    try:
+        return load(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+BAD_KEYS = ("short", "long", "x", "space", "arabic")
+BAD_DEGREES = ("true", "1.5", "null", '"x"', "-2")
+CLEAN_FAULTS = ("", "identity", "odd", "empty", "crlf")
+
+
+def _bad_key(rng, kind, s):
+    key = _key(rng.randrange(1, 1 << s), s)
+    if kind in ("short", "long"):
+        return key[1:] if kind == "short" else key + "1"
+    if kind == "arabic":
+        return key.translate(str.maketrans("01", "\u0660\u0661"))
+    i = rng.randrange(s)
+    return key[:i] + ("x" if kind == "x" else " ") + key[i + 1:]
+
+
+def _seeded_file(rng, s, fault="", where=0):
+    """A cover file of rank ``s`` with at least three keys from rank 2 on;
+    ``fault`` puts one bad key or bad degree at the first (``where`` 0),
+    a middle (1) or the last (2) position in file order."""
+    n = 1 << s
+    support = rng.sample(range(1, n), rng.randint(min(3, n - 1), min(n - 1, 12)))
+    items = [[json.dumps(_key(g, s)), str(2 * rng.randint(1, 9))] for g in support]
+    pos = (0, len(items) // 2, len(items) - 1)[where]
+    if fault in BAD_KEYS:
+        items.insert(pos + (where == 2), [json.dumps(_bad_key(rng, fault, s)), "2"])
+    elif fault in BAD_DEGREES:
+        items[pos][1] = fault
+    elif fault == "duplicate":
+        items.insert(pos + 1, [items[pos][0], "4"])
+    elif fault == "identity":
+        items.insert(pos, [json.dumps("0" * s), "2"])
+    elif fault == "two":  # the one named is the first in element order
+        items[0][1], items[-1][1] = "0.5", "-4"
+    elif fault == "odd":
+        items[pos][1] = "1"
+    elif fault == "empty":
+        items = []
+    weights = rng.choice([(1, 1, 1, 1), (1, 1, 2, 3), (1, 2, 3, 5)])
+    body = ", ".join(f"{k}: {v}" for k, v in items)
+    text = f'{{"weights": {list(weights)}, "s": {s}, "d": {{{body}}}}}'
+    return text.replace(", ", ",\r\n") if fault == "crlf" else text
+
+
+@pytest.mark.parametrize("s", range(1, 9))
+def test_from_json_matches_per_key_and_per_degree_loops(s):
+    rng = random.Random(700 + s)
+    texts = [_seeded_file(rng, s) for _ in range(10)]
+    for fault in BAD_KEYS + BAD_DEGREES + ("duplicate",):
+        texts += [_seeded_file(rng, s, fault, where) for where in range(3)]
+    texts += [_seeded_file(rng, s, fault) for fault in CLEAN_FAULTS]
+    texts += [_seeded_file(rng, s, "two") for _ in range(3)]
+    texts.append("\ufeff" + texts[0])
+    parsed = 0
+    for text in texts:
+        expected = _outcome(_from_json_by_loops, text)
+        assert _outcome(from_json, text) == expected, text
+        parsed += isinstance(expected, CoverSpec)
+    assert parsed >= 10  # the seeded valid files, odd parity and CRLF included
+
+
+def test_from_json_refuses_a_bom_as_json_loads_does():
+    text = "\ufeff" + to_json(TRIPLE_333)
+    with pytest.raises(CoverSpecError) as info:
+        from_json(text)
+    assert str(info.value) == (
+        "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"
+    )
+
+
+def test_from_json_accepts_crlf():
+    assert from_json(to_json(TRIPLE_333).replace("\n", "\r\n")) == TRIPLE_333
+
+
+@pytest.mark.parametrize("depth", [1_000, 100_000])
+@pytest.mark.parametrize("opener", ["[", '{"a": '])
+def test_from_json_deep_nesting_is_malformed(depth, opener):
+    # the decoder runs out of stack (RecursionError) or input (JSONDecodeError)
+    with pytest.raises(CoverSpecError, match="^invalid JSON: "):
+        from_json(opener * depth)
+
+
 def test_from_path(tmp_path):
     p = tmp_path / "cover.json"
     p.write_text(to_json(TRIPLE_333), encoding="utf-8")
     assert from_path(str(p)) == TRIPLE_333
     with pytest.raises(CoverSpecError):
         from_path(str(tmp_path / "missing.json"))
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r", "\n\r", "\r\r\n"])
+@pytest.mark.parametrize("tail", ['"001": 6}}', '"001": }}', '"0\r\n01": 6}}'],
+                         ids=["valid", "malformed", "newline-in-key"])
+def test_from_path_reads_newlines_as_text_mode(tmp_path, eol, tail):
+    # from_path reads bytes; an error names the same line and char as a text-mode read
+    text = eol.join(['{"weights": [1, 1, 1, 1],', ' "s": 3,', ' "d": {"100": 6,', ' "010": 6,',
+                     " " + tail, ""])
+    p = tmp_path / "cover.json"
+    p.write_bytes(text.encode("utf-8"))
+    with open(p, encoding="utf-8") as fh:
+        expected = _outcome(from_json, fh.read())
+    assert _outcome(from_path, str(p)) == expected
+
+
+def test_from_path_names_a_file_that_is_not_utf8(tmp_path):
+    p = tmp_path / "latin1.json"
+    p.write_bytes('{"weights": [1, 1, 1, 1], "s": 1, "d": {"1": 2}, "note": "caf\xe9"}'
+                  .encode("latin-1"))
+    with pytest.raises(CoverSpecError) as info:
+        from_path(str(p))
+    assert str(info.value).startswith(
+        f"cannot read {p}: 'utf-8' codec can't decode byte 0xe9 in position")

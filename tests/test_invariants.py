@@ -7,7 +7,13 @@ from math import lcm
 import pytest
 
 from z2cover import walsh
-from z2cover.cover import BranchData, CoverSpec, eigensheaf_degrees, zero_sum_triple_mass
+from z2cover.cover import (
+    BranchData,
+    CoverSpec,
+    eigensheaf_degrees,
+    hurwitz_degree,
+    zero_sum_triple_mass,
+)
 from z2cover.gf2 import dot
 from z2cover.invariants import (
     SCI_MAX,
@@ -187,10 +193,11 @@ def _euler_by_strata(spec):
     sigma2 = sum(a[i] * a[j] for i in range(4) for j in range(i + 1, 4))
     singles = sum(Fraction(dp * (dp * dp - dp * W + sigma2), A) for dp in d if dp)
     pairs = triples = 0
-    for p in range(1, n):
-        for q in range(p + 1, n):
+    support = [g for g in range(n) if d[g]]  # the other terms vanish
+    for i, p in enumerate(support):
+        for j, q in enumerate(support[i + 1:], i + 1):
             pairs += d[p] * d[q] * (W - d[p] - d[q])
-            for r in range(q + 1, n):
+            for r in support[j + 1:]:
                 if p ^ q ^ r:
                     triples += d[p] * d[q] * d[r]
     return (
@@ -201,13 +208,56 @@ def _euler_by_strata(spec):
     )
 
 
+def _sparse_cover(rng, s, weights):
+    """A cover of rank ``s`` with at most 16 branch components, every
+    eigensheaf degree integral."""
+    n = 1 << s
+    d = [0] * n
+    for g in rng.sample(range(1, n), rng.randint(1, min(n - 1, 16))):
+        d[g] = rng.randint(1, 12)
+    if parity_vector(d):
+        d[parity_vector(d)] += 1
+    return cover(weights, d)
+
+
+BASES = [(1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 2, 3), (1, 2, 3, 5), (2, 2, 3, 3)]
+
+
 def test_topological_euler_matches_stratum_loops():
     rng = random.Random(2024)
-    for _ in range(300):
-        spec = _random_cover(rng)
+    specs = [_random_cover(rng) for _ in range(300)]
+    specs += [_sparse_cover(rng, s, a) for s in (7, 8) for a in BASES for _ in range(4)]
+    for spec in specs:
         e, exact = topological_euler(spec)
         assert e == _euler_by_strata(spec)
         assert exact == (spec.weights.a == (1, 1, 1, 1))
+
+
+def _report_by_fraction_chains(spec, chi, e):
+    """Reference ``K^3``, ``x``, ``y`` and ``SCI``: one Fraction operation
+    at a time, from the Hurwitz excess and the reported ``chi`` and ``e``."""
+    k3 = Fraction(1 << spec.branch.s, spec.weights.A) * hurwitz_degree(spec) ** 3
+    if not chi:
+        return k3, None, None, None
+    x = e / (24 * chi)
+    y = -k3 / (24 * chi)
+    return k3, x, y, y * (3 * x + 1) - 4
+
+
+def test_invariant_report_matches_fraction_chains():
+    rng = random.Random(4047)
+    specs = [_sparse_cover(rng, s, a) for s in range(1, 9) for a in BASES for _ in range(5)]
+    # chi = 0 on P^3 and on weighted bases; chi < 0 on the degree-10 double solid
+    specs += [cover((1, 1, 1, 1), (0, 8)), cover((1, 1, 1, 2), (0, 0, 0, 10)),
+              cover((1, 1, 2, 3), (0, 0, 2, 12)), cover((1, 1, 1, 1), (0, 10))]
+    signs = set()
+    for spec in specs:
+        rep = invariant_report(spec)
+        assert rep.k3 == volume(spec)
+        assert (rep.k3, rep.x, rep.y, rep.sci) == _report_by_fraction_chains(
+            spec, rep.chi, rep.euler)
+        signs.add((rep.chi > 0) - (rep.chi < 0))
+    assert signs == {-1, 0, 1}
 
 
 def _holomorphic_by_characters(spec):
