@@ -18,6 +18,7 @@ import argparse
 import functools
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 from operator import attrgetter, itemgetter
@@ -209,7 +210,34 @@ def _cmd_geo_extremes(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# a decimal mass with an exponent in Fraction's grammar: digits, an optional
+# fractional part and the exponent, each possibly grouped by underscores
+_EXPONENT_MASS = r"\s*[-+]?(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?[eE]([-+]?\d+(?:_\d+)*)\s*"
+
+
 def _scan_mass(raw: str) -> Fraction:
+    """The mass ``raw`` as a Fraction, checked before its exponent is expanded.
+
+    ``Fraction`` multiplies out a decimal exponent in full (``1e-10000000``
+    takes seconds).  A zero mantissa is read without its exponent.  Since
+    ``t`` is printed, a mass ``N * 10^e`` whose ``N`` has ``k`` significant
+    digits is refused when ``k + e`` (the numerator's digits, for
+    ``e >= 0``) or ``1 - e - k`` (at most the denominator's, for ``e < 0``)
+    exceeds the interpreter's digit limit.
+    """
+    match = re.fullmatch(_EXPONENT_MASS, raw)
+    if match:
+        whole, part, exp = (group.replace("_", "") for group in match.groups(""))
+        digits = len((whole + part).lstrip("0"))
+        e = int(exp) - len(part)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if whole + part and not digits:
+            raw = raw[: match.start(3) - 1]
+        elif digits and limit and max(digits + e, 1 - e - digits) > limit:
+            raise ValueError(
+                f"mass {raw} is too long: it would print with more than {limit} digits,"
+                " the interpreter's limit (sys.set_int_max_str_digits)"
+            )
     try:
         return Fraction(raw)
     except ZeroDivisionError:

@@ -49,8 +49,12 @@ __all__ = [
     "hunt_scan",
 ]
 
-# proven range of the index SCI over the whole simplex, and the floor of y;
-# the ceiling of y is the barycenter value, which depends on the rank
+# the bounds `geography extremes` prints for the index SCI over the whole
+# simplex, and the floor of y; the ceiling of y is the barycenter value,
+# which depends on the rank.  A hill climb over ranks 2-4 finds the index
+# between -1/2, attained at every vertex, and 1/2, at the rank-2
+# barycenter.  SCI_MAX is not proven: it is the value that
+# TestGeography::test_extremes pins
 SCI_MIN = Fraction(-1, 2)
 SCI_MAX = Fraction(8, 3)
 Y_MIN = Fraction(1, 2)

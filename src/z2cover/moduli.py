@@ -4,9 +4,10 @@ A cover whose branch degrees stay strictly below the eigensheaf degree of
 every character vanishing on them deforms only to abelian covers of the
 same kind of base; together with positive total branching and pairwise
 coprime weights this pins the cover to its own family.  Quasi-smoothness
-of the branch divisors is a genericity hypothesis we flag but cannot
-check numerically, and likewise stability is only backed by the degree
-proxy, never verified geometrically.
+of the branch divisors is a genericity hypothesis that is flagged but not
+checked yet, although it has a numerical test (Iano-Fletcher, "Working
+with weighted complete intersections", Thm 8.1); stability is only backed
+by the degree proxy, never verified geometrically.
 """
 
 from __future__ import annotations

@@ -4,9 +4,10 @@
 one place in the library where a character sum is taken.  At every rank
 it packs all ``2^s`` entries into one Python ``int`` and runs each butterfly
 stage as a handful of whole-integer operations (see :func:`_packed_forward`);
-when ``sum(|d|) >= 2^63`` leaves no lane wide enough, it transforms the low
-digits of the entries in 64-bit lanes, the high digits recursively, and
-adds the two.  Every invariant of a cover is a moment of this spectrum:
+when ``sum(|d|) >= 2^63`` leaves no lane wide enough, it splits every entry
+into low and high digits, at bit ``62 - s`` or at half the bit length of the
+widest entry, whichever is higher, transforms both recursively, and adds
+the two.  Every invariant of a cover is a moment of this spectrum:
 the sum of a function over the affine hyperplane ``chi.x = 1`` is
 ``(S(0) - S(chi)) / 2``, and ``sum(S^3) / 2^s`` is the weighted count of
 ordered zero-sum triples.  ``inverse`` divides the same transform by
@@ -58,8 +59,8 @@ def forward(d: Sequence[int]) -> list[int]:
         if total < 1 << (width - 1):
             return _packed_forward(d, s, width, code)
     # no lane is wide enough: split every entry at bit b (see _packed_forward)
-    b = 62 - s
-    low = _packed_forward([v & ((1 << b) - 1) for v in d], s, 64, "q")
+    b = max(62 - s, (max(d, key=abs).bit_length() + 1) // 2)
+    low = forward([v & ((1 << b) - 1) for v in d])
     return [(h << b) + v for h, v in zip(forward([v >> b for v in d]), low)]
 
 
@@ -112,11 +113,15 @@ def _packed_forward(d: Sequence[int], s: int, width: int, code: str) -> list[int
     pack and unpack the bias in C.
 
     From ``sum(|d|) >= 2^63`` :func:`forward` splits ``v = high * 2^b + low``
-    with ``b = 62 - s`` and ``low = v & (2^b - 1)``: the low digits sum to
-    less than ``2^s * 2^b = 2^62`` and fit 64-bit lanes, the high ones to at
-    most ``sum(|d|) / 2^b + 2^s < sum(|d|)`` (``2^s`` is far below ``2^62``
-    for any list in memory), so the recursion ends, and by linearity
-    ``forward(d) = forward(high) * 2^b + forward(low)`` exactly.
+    with ``low = v & (2^b - 1)`` and transforms both halves again, and by
+    linearity ``forward(d) = forward(high) * 2^b + forward(low)`` exactly.
+    ``b`` is ``62 - s`` or, for wider entries, half the bit length ``k`` of
+    the widest one, rounded up.  At ``b = 62 - s`` the low digits sum to
+    less than ``2^s * 2^b = 2^62`` and fit 64-bit lanes, and the high ones
+    sum to at most ``sum(|d|) / 2^b + 2^s < sum(|d|)``; at ``b = ceil(k/2)``
+    both halves are at most ``ceil(k/2) + 1`` bits wide.  So the recursion
+    ends, at a depth logarithmic in ``k``, and the total work grows as
+    ``k log k``.
     """
     top, stages = _plan(s, width)
     fmt = f"<{len(d)}{code}"

@@ -31,8 +31,7 @@ from z2cover.moduli import deformation_criteria, gen_new_component, gen_unbounde
 from z2cover.walsh import forward, inverse
 from z2cover.wps import Weights, monomial_count
 
-from gl_table import canonicalize
-from profile_oracle import m_profiles
+from oracles import branch_profiles, canonical_form, canonical_forms, xor_convolution
 
 MAIN = "main"
 
@@ -147,7 +146,7 @@ def _main_rows(*cells):
     for s, m in cells:
         for sol in classify.enumerate_flat(s, m) + classify.enumerate_L1(s, m):
             if sol.status == MAIN:
-                rows.add((sol.m, sol.weights.a, canonicalize(sol.d), sol.k, sol.p_m))
+                rows.add((sol.m, sol.weights.a, canonical_form(sol.d), sol.k, sol.p_m))
     return rows
 
 
@@ -257,7 +256,7 @@ def _brute_orbits(s, D, min_l):
                 acc += 1 << (8 * (chi - 1))
         mask[g] = acc
     lo = 2 * min_l
-    found = set()
+    found = []
 
     def place(values, positions, packed, placed):
         if not values:
@@ -266,7 +265,7 @@ def _brute_orbits(s, D, min_l):
                 d = [0] * n
                 for pos, val in placed:
                     d[pos] = val
-                found.add(canonicalize(d))
+                found.append(d)
             return
         val, cnt = values[0]
         for combo in combinations(positions, cnt):
@@ -277,12 +276,12 @@ def _brute_orbits(s, D, min_l):
             place(values[1:], rest, packed + val * add,
                   placed + [(pos, val) for pos in combo])
 
-    for profile in m_profiles(s, D, min_l):
+    for profile in branch_profiles(s, D, min_l):
         counts = {}
         for v in profile:
             counts[v] = counts.get(v, 0) + 1
         place(sorted(counts.items(), reverse=True), tuple(range(1, n)), 0, [])
-    return found
+    return set(canonical_forms(found))
 
 
 def _spectral_orbits(s, D, min_l):
@@ -306,17 +305,6 @@ def test_criterion_05_orbit_oracle_equivalence():
         if len(spectral) != want:
             failures.append(f"(D={D}) expected {want} orbits, got {len(spectral)}")
     _verdict(5, "orbit oracle equivalence", failures, t0, 300.0)
-
-
-def _xor_convolve(f, g):
-    n = len(f)
-    out = [0] * n
-    for x in range(n):
-        fx = f[x]
-        if fx:
-            for y in range(n):
-                out[x ^ y] += fx * g[y]
-    return out
 
 
 def test_criterion_06_transform_properties():
@@ -344,12 +332,12 @@ def test_criterion_06_transform_properties():
                 failures.append(f"s={s} round {round_no}: Plancherel broke")
                 break
             if s <= 5:
-                conv = _xor_convolve(f, g)
+                conv = xor_convolution(f, g)
                 if list(forward(conv)) != [a * b for a, b in zip(hf, hg)]:
                     failures.append(f"s={s} round {round_no}: convolution broke")
                     break
             if s <= 6:
-                direct = sum(v * c for v, c in zip(f, _xor_convolve(f, f)))
+                direct = sum(v * c for v, c in zip(f, xor_convolution(f, f)))
                 if sum(v**3 for v in hf) != n * direct:
                     failures.append(f"s={s} round {round_no}: cubic moment broke")
                     break

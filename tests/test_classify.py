@@ -5,13 +5,11 @@ a regression net for the distribution/reconstruction pipeline, so any change
 to the search must reproduce them bit for bit.
 """
 
-import math
 import random
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 
@@ -22,13 +20,9 @@ from z2cover.classify import (
     SUPPLEMENTARY,
     AdmissibleSolution,
     DistributionCounts,
-    RankOneFamily,
     _cell_reps,
     _cells,
-    _finish_solution,
     _lift_candidates,
-    _partitions,
-    _reconstruct_distribution,
     _unit_fraction_quadruples,
     _weights_with_ratio,
     bound_prune,
@@ -41,14 +35,13 @@ from z2cover.classify import (
     max_admissible_m,
     reconstruct_branch,
 )
-from z2cover.cover import BranchData, CoverSpec, eigensheaf_degrees, hurwitz_degree, is_flat
-from z2cover.gf2 import orbit_reps
+from z2cover.cover import BranchData, CoverSpec, eigensheaf_degrees, is_flat
 from z2cover.walsh import NonIntegralError, forward
-from z2cover.wps import Weights, monomial_count, well_formed
+from z2cover.wps import Weights, monomial_count
 
-from gl_table import canonicalize
-from parity_oracle import parity_vector
-from profile_oracle import distributions_by_profile, m_profiles
+from oracles import branch_profiles, canonical_form, canonical_forms, degree_distributions
+from oracles import largest_admissible_m, lifts, parity_vector, partitions, rank_one_towers
+from oracles import realizations, unit_fraction_quadruples, weights_with_ratio
 
 P3 = Weights((1, 1, 1, 1))
 
@@ -107,25 +100,6 @@ def test_max_admissible_m():
     assert max_admissible_m(Weights((1, 1, 1, 1)), branch((0, 2, 2, 2))) is None
 
 
-def _max_admissible_m_by_wide_loop(weights, branch_data):
-    """max_admissible_m before its loop was cut at min l(chi != 0) + max(a)^2,
-    kept as its oracle: every m up to max(l) + 4 max(a)^2 is tried."""
-    excess = hurwitz_degree(CoverSpec(weights, branch_data))
-    if excess <= 0:
-        return None
-    try:
-        l = eigensheaf_degrees(branch_data)
-    except NonIntegralError:
-        return None
-    best = None
-    m = 1
-    while m * excess <= max(l) + 4 * max(weights) ** 2:
-        if is_pluricanonical(weights, branch_data, m).admissible:
-            best = m
-        m += 1
-    return best
-
-
 def test_max_admissible_m_matches_wide_loop():
     # the catalog rows, each admissible at its own m, and seeded integral
     # covers over P^3 and weighted bases
@@ -153,7 +127,7 @@ def test_max_admissible_m_matches_wide_loop():
     found = Counter()
     for weights, branch_data in cases:
         got = max_admissible_m(weights, branch_data)
-        assert got == _max_admissible_m_by_wide_loop(weights, branch_data), (weights, branch_data.d)
+        assert got == largest_admissible_m(weights.a, branch_data.d), (weights, branch_data.d)
         found[got is None] += 1
     assert found[True] > 0 and found[False] > 40
 
@@ -224,13 +198,13 @@ class TestBounds:
 
 
 def test_m_profiles_rank4():
-    assert m_profiles(4, 9, 2) == [
+    assert branch_profiles(4, 9, 2) == [
         (3, 1, 1, 1, 1, 1, 1),
         (2, 2, 1, 1, 1, 1, 1),
         (2, 1, 1, 1, 1, 1, 1, 1),
         (1, 1, 1, 1, 1, 1, 1, 1, 1),
     ]
-    profiles12 = m_profiles(4, 12, 3)
+    profiles12 = branch_profiles(4, 12, 3)
     assert len(profiles12) == 10
     assert (2, 2, 2, 2, 2, 2) in profiles12
     assert (1,) * 12 in profiles12
@@ -238,7 +212,7 @@ def test_m_profiles_rank4():
     for p in profiles12:
         assert len(p) >= 4
         assert sum(p[:3]) <= 12 - 2 * 3
-    assert m_profiles(3, 9, 5) == []
+    assert branch_profiles(3, 9, 5) == []
 
 
 def test_l_distribution_candidates_rigidity_cases():
@@ -312,48 +286,12 @@ class TestReconstruct:
             l = eigensheaf_degrees(BranchData(s, d))[1:]
             base = min(l)
             counts = tuple(sorted(Counter(l).items()))
-            excess = tuple((v, c) for v, c in counts if v != base)
-            if sum((v - base) * c for v, c in excess) < 16:
+            if sum((v - base) * c for v, c in counts) < 16:
                 continue
-            want = orbit_reps(_reconstruct_unpacked(s, sum(d), base, excess), s)
             got = reconstruct_branch(DistributionCounts(s, sum(d), base, counts))
-            assert got == want
-            assert canonicalize(d) in got
+            assert got == canonical_forms(realizations(s, sum(d), counts))
+            assert canonical_form(d) in got
             checked += 1
-
-
-def _reconstruct_unpacked(s, D, base, excess):
-    """Reference reconstruction: tries every placement and sums its excesses per element."""
-    n = 1 << s
-    div = 1 << (s - 2)
-    const = base - sum((v - base) * c for v, c in excess)
-    values = sorted({v for v, _ in excess}, reverse=True)
-    mult = dict(excess)
-
-    def place(vi, avail, assigned):
-        if vi == len(values):
-            yield assigned
-            return
-        v = values[vi]
-        for combo in combinations(avail, mult[v]):
-            taken = set(combo)
-            yield from place(
-                vi + 1,
-                tuple(c for c in avail if c not in taken),
-                {**assigned, **{chi: v - base for chi in combo}},
-            )
-
-    for assigned in place(0, tuple(range(1, n)), {}):
-        d = [0] * n
-        for x in range(1, n):
-            t = sum(e for chi, e in assigned.items() if (chi & x).bit_count() & 1)
-            num = const + 2 * t
-            if num < 0 or num % div:
-                break
-            d[x] = num // div
-        else:
-            assert sum(d) == D
-            yield tuple(d)
 
 
 def _smallest_class(dist):
@@ -402,13 +340,11 @@ def test_pruned_search_matches_full_placement_oracle():
     # (1, 2); one of three or more is placed everywhere
     assert {_smallest_class(dist) for _, dist in seeded} == {1, 2, 3}
     for d, dist in dists + seeded:
-        s, D = dist.s, dist.D
-        excess = tuple((v, c) for v, c in dist.counts if v != dist.base)
-        want = orbit_reps(_reconstruct_unpacked(s, D, dist.base, excess), s)
-        got = reconstruct_branch(dist)
-        assert got == want, dist
+        want = canonical_forms(realizations(dist.s, dist.D, dist.counts))
+        assert reconstruct_branch(dist) == want, dist
+        assert canonical_forms(realizations(dist.s, dist.D, dist.counts, up_to_gl=True)) == want
         if d is not None:
-            assert canonicalize(d) in got
+            assert canonical_form(d) in want
 
 
 def test_projective_cases():
@@ -497,39 +433,31 @@ def test_enumerate_flat_solutions_verify():
                 assert x.d[3] == l[1] + l[2] - l[3]
 
 
-def _flat_by_excess_partitions(s, m):
-    """The per-cell loop enumerate_flat used before the moment tests, kept as
-    its oracle: every partition of the excess in steps of L, each placed and
-    inverted, and one orbit_reps over the cell's survivors."""
-    n_chars = (1 << s) - 1
-    sols = []
-    for k, L, W, weights in _cells(s, m):
-        if L == 1:
-            continue
-        D = 2 * W + 2 * k * L // m
-        base = (k + 1) * L
-        excess_total = (1 << (s - 2)) * D - n_chars * base
-        if excess_total < 0 or excess_total % L:
-            continue
-        u = excess_total // L
-        cap = (D // 2 - base) // L
-        survivors = set()
-        for part in _partitions(u, cap, n_chars) if cap >= 0 or u == 0 else []:
-            counts = Counter(base + t * L for t in part)
-            counts[base] += n_chars - len(part)
-            survivors.update(_reconstruct_distribution(s, D, sorted(counts.items())))
-        for rep in orbit_reps(survivors, s):
-            sols.append(_finish_solution(weights, s, m, rep))
-    sols.sort(key=AdmissibleSolution.sort_key)
-    return sols
-
-
 @pytest.mark.parametrize("s", range(2, 17))
 def test_enumerate_flat_matches_excess_partition_loop(s):
-    # FLAT_EXPECTED pins only some cells; the moment-filtered route must
-    # agree with the unfiltered loop on every (s, m) it covers
+    # FLAT_EXPECTED pins only some cells; on every L >= 2 cell of each (s, m)
+    # the moment-filtered route must give the covers of every partition of
+    # the excess in steps of L, each realized by placement
+    n_chars = (1 << s) - 1
     for m in range(1, 7):
-        assert enumerate_flat(s, m) == _flat_by_excess_partitions(s, m), (s, m)
+        rows = enumerate_flat(s, m)
+        assert rows == sorted(rows, key=AdmissibleSolution.sort_key)
+        found = 0
+        for k, L, W, weights in _cells(s, m):
+            D, base = 2 * W + 2 * k * L // m, (k + 1) * L
+            excess = (1 << (s - 2)) * D - n_chars * base
+            if L == 1 or excess < 0 or excess % L:
+                continue
+            realized = []
+            for part in partitions(excess // L, (D // 2 - base) // L, n_chars):
+                counts = Counter(base + t * L for t in part)
+                counts[base] += n_chars - len(part)
+                realized += realizations(s, D, counts.items(), up_to_gl=True)
+            want = canonical_forms(realized)
+            cell = [x for x in rows if (x.k, x.weights) == (k, weights)]
+            assert [x.d for x in cell] == want and all((x.s, x.m, x.D) == (s, m, D) for x in cell)
+            found += len(want)
+        assert len(rows) == found, m
 
 
 # (d, k, p_m, status) for covers of the straight projective space
@@ -640,13 +568,6 @@ def _reconstructed_cells():
     return sorted(cells)
 
 
-def _reps_of(dists, L, base):
-    """Representatives of the distributions whose values are ``base`` plus
-    multiples of ``L``."""
-    kept = [x for x in dists if all((v - base) % L == 0 for v, _ in x.counts)]
-    return tuple(sorted({r for x in kept for r in reconstruct_branch(x)}))
-
-
 def test_one_pass_distributions_cover_profile_route():
     # the one-pass list holds every distribution some profile's square sum
     # reaches, and the extra ones realize no further representative
@@ -655,11 +576,14 @@ def test_one_pass_distributions_cover_profile_route():
     extra = 0
     for s, L, base, D in cells:
         one_pass = l_distribution_candidates(s, D, base)
-        old = distributions_by_profile(s, D, base)
+        old = degree_distributions(s, D, base)
         assert set(old) <= set(one_pass), (s, L, base, D)
         extra += len(one_pass) - len(old)
-        got = _reps_of(one_pass, L, base)
-        assert got == _reps_of(old, L, base) == _cell_reps(s, L, base, D), (s, L, base, D)
+        in_steps = [x for x in one_pass if all((v - base) % L == 0 for v, _ in x.counts)]
+        got = tuple(sorted({r for x in in_steps for r in reconstruct_branch(x)}))
+        realized = [d for x in old if all((v - base) % L == 0 for v, _ in x[3])
+                    for d in realizations(s, D, x[3], up_to_gl=True)]
+        assert got == tuple(canonical_forms(realized)) == _cell_reps(s, L, base, D), (s, L, base, D)
     assert extra > 0
 
 
@@ -691,18 +615,6 @@ def test_lift_spectral_bound_is_admissibility(m):
     assert 0 < kept < checked
 
 
-def _all_splits(parent):
-    """Every function projecting to ``parent`` along a new top axis, in the
-    order of ``_lift_candidates``, integral or not."""
-    half = len(parent)
-    support = [g for g in range(1, half) if parent[g]]
-    for ups in product(*(range(parent[g] + 1) for g in support)):
-        d = [0] * (2 * half)
-        for g, up in zip(support, ups):
-            d[g], d[g | half] = parent[g] - up, up
-        yield tuple(d)
-
-
 def test_lift_candidates_are_the_integral_splits():
     # an integral parent's split is integral exactly when its top half has
     # an even sum; the lift yields those splits and no others
@@ -710,7 +622,7 @@ def test_lift_candidates_are_the_integral_splits():
     assert {len(d) for d in parents} == {8, 16}
     kept = odd = 0
     for parent in parents:
-        splits = list(_all_splits(parent))
+        splits = lifts(parent)
         want = [d for d in splits if not parity_vector(d)]
         assert list(_lift_candidates(parent)) == want, parent
         assert all(sum(d[len(parent):]) % 2 == 0 for d in want)
@@ -774,25 +686,6 @@ TOWERS_M1 = [
 ]
 
 
-def _unit_fraction_quadruples_by_fractions(target):
-    """The Fraction recursion the integer search replaced, kept as its oracle."""
-
-    def rec(prefix, remaining):
-        slots = 4 - len(prefix)
-        if slots == 0:
-            if remaining == 0:
-                yield prefix
-            return
-        if remaining <= 0:
-            return
-        lo = max(prefix[-1] if prefix else 1, math.ceil(Fraction(1) / remaining))
-        hi = math.floor(slots / remaining)
-        for b in range(lo, hi + 1):
-            yield from rec(prefix + (b,), remaining - Fraction(1, b))
-
-    yield from rec((), target)
-
-
 def test_unit_fraction_quadruples_match_fraction_recursion():
     # every target enumerate_s1 uses for m = 1..6, and the W = 2L target
     targets = {Fraction(c, m) for m in range(1, 7) for c in range(1, 4 * m + 1)}
@@ -800,83 +693,23 @@ def test_unit_fraction_quadruples_match_fraction_recursion():
     total = 0
     for target in sorted(targets):
         got = list(_unit_fraction_quadruples(target))
-        assert got == list(_unit_fraction_quadruples_by_fractions(target)), target
+        assert got == unit_fraction_quadruples(target), target
         assert all(sum(Fraction(1, b) for b in quad) == target for quad in got)
         total += len(got)
     assert total > 1000
 
 
-def _divisor_quadruples(L, W):
-    """The divisor search the cell window used before the reciprocal-sum
-    search, kept as its oracle."""
-    divs = [d for d in range(1, L + 1) if L % d == 0]
-    return [
-        Weights(quad)
-        for quad in combinations_with_replacement(divs, 4)
-        if sum(quad) == W and math.lcm(*quad) == L and well_formed(quad)
-    ]
-
-
-def test_weights_with_ratio_match_divisor_search():
-    # the window reaches only 2L <= W <= 2L + 2; there the reciprocal-sum
-    # search gives the divisor search's weights in its order
+def test_weights_with_ratio_match_reciprocal_search():
+    # the window reaches only 2L <= W <= 2L + 2 and L <= 40
     reached = {(L, W) for s in range(2, 17) for m in range(1, 13) for _, L, W, _ in _cells(s, m)}
     assert all(L <= 40 and 2 * L <= W <= 2 * L + 2 for L, W in reached)
     total = 0
     for L in range(1, 41):
         for W in range(2 * L, 2 * L + 3):
-            got = [w for w in _weights_with_ratio(Fraction(W, L)) if w.L == L]
-            assert got == _divisor_quadruples(L, W), (L, W)
+            got = [w.a for w in _weights_with_ratio(Fraction(W, L)) if w.L == L]
+            assert got == [a for a in weights_with_ratio(Fraction(W, L)) if lcm(*a) == L], (L, W)
             total += len(got)
     assert total == 44
-
-
-def _towers_by_full_search(m, t_max, quads):
-    """enumerate_s1 before its window moved ahead of the quadruple search,
-    kept as its oracle: every target is searched and empty windows are
-    dropped afterwards.  ``quads`` memoizes the searches across calls."""
-    families = []
-    targets = (
-        [Fraction(c) for c in range(1, 5)]
-        if m == 1
-        else [Fraction(c, m) for c in range(1, 4 * m + 1)]
-    )
-    for target in targets:
-        if target not in quads:
-            quads[target] = list(_unit_fraction_quadruples(target))
-        for quad in quads[target]:
-            L = math.lcm(*quad)
-            a = tuple(L // b for b in quad)
-            if math.lcm(*a) != L or not Weights(a).well_formed:
-                continue
-            w = Weights(a)
-            W = w.W
-            if m == 1:
-                t_min, t_sup = W // L + 1, None
-                status, note = MAIN, ""
-                if w.a == (2, 3, 3, 4):
-                    status = SUPPLEMENTARY
-                    note = "valid tower missing from the reference catalog"
-            else:
-                if (2 * W) % (m - 1):
-                    continue
-                ratio = Fraction(W, L)
-                t_min = math.floor(ratio) + 1
-                upper = (1 + Fraction(1, m - 1)) * ratio
-                t_sup = math.ceil(upper) if upper != math.ceil(upper) else int(upper)
-                if t_min >= t_sup:
-                    continue
-                status, note = MAIN, ""
-            if t_max is not None:
-                if t_min > t_max:
-                    continue
-                if t_sup is None or t_sup > t_max + 1:
-                    t_sup = t_max + 1
-                    if t_sup <= t_min:
-                        continue
-            families.append(RankOneFamily(w, m, t_min, t_sup, status, note))
-    families.sort(key=lambda f: (-Fraction(f.weights.W, f.weights.L), f.weights.a))
-    return families
 
 
 class TestRankOneTowers:
@@ -933,11 +766,14 @@ class TestRankOneTowers:
             enumerate_s1(0)
 
     def test_window_first_search_matches_full_search(self):
-        quads = {}
         for m in range(1, 13):
             for t_max in (None, 1, 3, 7):
-                want = _towers_by_full_search(m, t_max, quads)
-                assert enumerate_s1(m, t_max) == want, (m, t_max)
+                fams = enumerate_s1(m, t_max)
+                want = rank_one_towers(m, t_max)
+                assert [(f.weights.a, f.t_min, f.t_sup) for f in fams] == want, (m, t_max)
+                assert all(f.m == m and (f.status, f.note) == (
+                    (SUPPLEMENTARY, "valid tower missing from the reference catalog")
+                    if (m, f.weights.a) == (1, (2, 3, 3, 4)) else (MAIN, "")) for f in fams)
 
     def test_large_multiple_finishes(self):
         # the full search ran for minutes at m = 40; a target's window is

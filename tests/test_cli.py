@@ -640,6 +640,19 @@ class TestGeography:
         assert code == EXIT_MALFORMED
         assert out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize("mass", ["1e-20000", "1e-10000000", "1e20000", "0e-10000000"])
+    def test_hunt_reads_no_exponent_in_full(self, capsys, monkeypatch, mass):
+        # Fraction alone takes seconds to expand 10^10000000; a t that cannot
+        # print is refused first, and a zero mantissa is 0
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "geography", "hunt", "--t", mass)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_MALFORMED, "")
+        assert err == (f"error: mass {mass} is too long: it would print with more than 4300"
+                       " digits, the interpreter's limit (sys.set_int_max_str_digits)\n"
+                       if mass[0] == "1" else "error: mass 0 outside (0, 1]\n")
+
     def test_hunt_default_scan(self, capsys):
         code, out, _ = run_cli(capsys, "geography", "hunt")
         assert code == EXIT_OK

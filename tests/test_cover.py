@@ -21,15 +21,13 @@ from z2cover.cover import (
     to_json,
     validate,
     zero_sum_triple_mass,
-    _unique_keys,
 )
-from z2cover.gf2 import dot
 from z2cover.invariants import invariant_report
 from z2cover.walsh import NonIntegralError
 from z2cover.wps import Weights
 
-from gl_table import canonicalize
-from parity_oracle import parity_vector
+import oracles
+from oracles import canonical_form, parity_vector
 
 
 def cover(weights, d):
@@ -115,21 +113,6 @@ def test_eigensheaf_degrees_parity_failure():
     assert "3/2" in str(info.value)
 
 
-def _degrees_by_characters(branch):
-    """Reference table: one mod-4 test per character, raising at the first
-    fractional one."""
-    s0 = branch.spectrum[0]
-    out = []
-    for chi, sc in enumerate(branch.spectrum):
-        if (s0 - sc) % 4:
-            raise NonIntegralError(
-                f"degree {Fraction(s0 - sc, 4)} at character {chi:0{branch.s}b} is not integral",
-                element=chi,
-            )
-        out.append((s0 - sc) // 4)
-    return tuple(out)
-
-
 @pytest.mark.parametrize("s", range(1, 9))
 def test_eigensheaf_degrees_match_character_loop(s):
     rng = random.Random(900 + s)
@@ -140,13 +123,16 @@ def test_eigensheaf_degrees_match_character_loop(s):
         d[rng.randrange(1, n)] += 1
         if i % 2 and parity_vector(d):  # every other cover made integral
             d[parity_vector(d)] += 1
-        try:
-            expected = _degrees_by_characters(BranchData(s, d))
-        except NonIntegralError as exc:
+        expected = oracles.eigensheaf_degrees(d)
+        fractional = [chi for chi, v in enumerate(expected) if v.denominator != 1]
+        if fractional:
             odd += 1
+            chi = fractional[0]
             with pytest.raises(NonIntegralError) as info:
                 eigensheaf_degrees(BranchData(s, d))
-            assert (str(info.value), info.value.element) == (str(exc), exc.element)
+            assert str(info.value) == (
+                f"degree {expected[chi]} at character {chi:0{s}b} is not integral")
+            assert info.value.element == chi
         else:
             assert eigensheaf_degrees(BranchData(s, d)) == expected
     assert 0 < odd < 30
@@ -163,9 +149,7 @@ def test_eigensheaf_degrees_match_direct_half_sums(s):
             continue
         produced += 1
         degs = eigensheaf_degrees(BranchData(s, tuple(d)))
-        for chi in range(n):
-            direct = sum(d[g] for g in range(n) if dot(chi, g))
-            assert degs[chi] * 2 == direct
+        assert degs == oracles.eigensheaf_degrees(d)
         # the degrees sum to 2^(s-2) times the total branch degree
         assert sum(degs) == (1 << (s - 2)) * sum(d) if s >= 2 else True
 
@@ -202,7 +186,7 @@ def test_half_point_count_gl_invariant():
             d = [0] + [rng.randrange(4) for _ in range(n - 1)]
             if not any(d):
                 continue
-            c = canonicalize(tuple(d))
+            c = canonical_form(d)
             if not any(c[1:]):
                 continue
             a = half_point_count(CoverSpec(base, BranchData(s, tuple(d))))
@@ -216,17 +200,6 @@ def test_half_point_count_fractional():
         half_point_count(spec)
 
 
-def _half_points_by_triples(spec):
-    """Reference count: loop over pairs, the third element is their sum."""
-    d = spec.branch.d
-    acc = 0
-    for p in range(1, len(d)):
-        for q in range(p + 1, len(d)):
-            if p ^ q > q:
-                acc += d[p] * d[q] * d[p ^ q]
-    return Fraction(acc, spec.weights.A)
-
-
 def test_half_point_count_matches_triple_loop():
     rng = random.Random(4096)
     fractional = 0
@@ -237,7 +210,7 @@ def test_half_point_count_matches_triple_loop():
         if not any(d):
             d[rng.randrange(1, n)] = 1
         spec = cover([rng.randint(1, 5) for _ in range(4)], d)
-        want = _half_points_by_triples(spec)
+        want = Fraction(oracles.zero_sum_triple_mass(d), spec.weights.A)
         if want.denominator == 1:
             assert half_point_count(spec) == want
         else:
@@ -429,26 +402,6 @@ def _key(g, s):
     return "".join("1" if (g >> i) & 1 else "0" for i in range(s))
 
 
-def _from_json_by_loops(text):
-    """Reference loader: one set test per key in file order, then one type
-    and sign test per degree in element order.  The files fed to it have
-    a well-formed shape, so the shape checks are left out."""
-    try:
-        payload = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
-        raise CoverSpecError(f"invalid JSON: {exc}") from exc
-    weights, s, dmap = Weights(payload["weights"]), payload["s"], payload["d"]
-    d = [0] * (1 << s)
-    for key, value in dmap.items():
-        if not isinstance(key, str) or len(key) != s or set(key) - {"0", "1"}:
-            raise CoverSpecError(f"bad group element {key!r} for rank {s}")
-        d[int(key[::-1], 2)] = value
-    for g, v in enumerate(d):
-        if type(v) is not int or v < 0:
-            raise CoverSpecError(f"bad degree {v!r} at {_key(g, s)!r}")
-    return CoverSpec(weights, BranchData(s, tuple(d)))
-
-
 def _outcome(load, text):
     try:
         return load(text)
@@ -510,9 +463,15 @@ def test_from_json_matches_per_key_and_per_degree_loops(s):
     texts.append("\ufeff" + texts[0])
     parsed = 0
     for text in texts:
-        expected = _outcome(_from_json_by_loops, text)
-        assert _outcome(from_json, text) == expected, text
-        parsed += isinstance(expected, CoverSpec)
+        try:
+            expected = oracles.load_cover(text)
+        except ValueError as exc:
+            expected = CoverSpecError, str(exc)
+        got = _outcome(from_json, text)
+        if isinstance(got, CoverSpec):
+            got = got.weights.a, got.branch.s, got.branch.d
+        assert got == expected, text
+        parsed += len(expected) == 3
     assert parsed >= 10  # the seeded valid files, odd parity and CRLF included
 
 

@@ -1,7 +1,8 @@
 """Every name a ``z2cover`` module exports in ``__all__`` exists, and the
 package's own ``__all__`` is pinned so that changing the public API is a
-deliberate edit here."""
+deliberate edit here.  The test oracles stay independent of the package."""
 
+import ast
 import importlib
 import pkgutil
 import subprocess
@@ -92,3 +93,24 @@ def test_dir_lists_the_exports():
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match=r"^module 'z2cover' has no attribute 'nope'$"):
         z2cover.nope
+
+
+def test_oracles_import_no_library_and_each_is_used():
+    # an oracle that calls z2cover checks the library against itself, and
+    # one that no test module imports checks nothing
+    tests = Path(__file__).resolve().parent
+    tree = ast.parse((tests / "oracles.py").read_text(encoding="utf-8"))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += ["." * node.level + (node.module or "") for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    assert modules and [m for m in modules if m.startswith(("z2cover", "."))] == []
+    used = set()
+    for path in tests.glob("test_*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "oracles":
+                used.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "oracles":
+                used.add(node.attr)
+    defined = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
+    assert len(defined) > 20 and [name for name in defined if name not in used] == []

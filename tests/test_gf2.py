@@ -2,7 +2,6 @@
 
 import random
 from itertools import product
-from operator import itemgetter
 
 import pytest
 
@@ -16,8 +15,8 @@ from z2cover.gf2 import (
 )
 from z2cover.walsh import NonIntegralError
 
-from gl_table import canonicalize, table_canonicalize
-from parity_oracle import parity_vector
+from oracles import canonical_form, canonical_forms, closure, eigensheaf_degrees as degrees
+from oracles import gl_orbit, parity_vector
 
 
 def spectrum_is_integral(d):
@@ -70,8 +69,7 @@ def test_parity_vector_is_the_half_sum_obstruction(s):
         d = [0] + [rng.randrange(7) for _ in range(n - 1)]
         if not any(d):
             continue
-        halves = [sum(d[g] for g in range(n) if dot(chi, g)) for chi in range(1, n)]
-        all_even = all(h % 2 == 0 for h in halves)
+        all_even = all(v.denominator == 1 for v in degrees(d))
         assert (parity_vector(d) == 0) == all_even == spectrum_is_integral(d)
         seen.add(all_even)
     assert seen == {False, True}
@@ -79,8 +77,8 @@ def test_parity_vector_is_the_half_sum_obstruction(s):
 
 def test_canonicalize_known_pair():
     # swapping the two coordinates of rank 2 carries (0,6,2,6) to (0,2,6,6)
-    assert canonicalize((0, 6, 2, 6)) == (0, 2, 6, 6)
-    assert canonicalize((0, 2, 6, 6)) == (0, 2, 6, 6)
+    assert canonical_form((0, 6, 2, 6)) == (0, 2, 6, 6)
+    assert canonical_form((0, 2, 6, 6)) == (0, 2, 6, 6)
 
 
 def test_canonicalize_is_idempotent_and_minimal():
@@ -89,8 +87,8 @@ def test_canonicalize_is_idempotent_and_minimal():
         n = 1 << s
         for _ in range(40):
             d = tuple(rng.randrange(4) for _ in range(n))
-            c = canonicalize(d)
-            assert canonicalize(c) == c
+            c = canonical_form(d)
+            assert canonical_form(c) == c
             assert c <= d  # the representative is the least element of the orbit
 
 
@@ -99,14 +97,14 @@ def test_canonicalize_constant_on_brute_force_orbits(s):
     """Exhaustive cross-check against the orbits that orbit_reps closes."""
     n = 1 << s
     funcs = [f for f in product((0, 1, 2), repeat=n) if sum(1 for v in f if v) <= 4]
-    assert orbit_reps(funcs, s) == sorted({canonicalize(f) for f in funcs})
+    assert orbit_reps(funcs, s) == canonical_forms(funcs)
 
 
 def test_canonicalize_rank5_one_point():
     # the least relabeling pushes the lone nonzero value to the top element
     d = [0] * 32
     d[7] = 1
-    assert canonicalize(d) == tuple([0] * 31 + [1])
+    assert canonical_form(d) == tuple([0] * 31 + [1])
 
 
 # rank-4 catalog rows with large stabilizers (see tests/test_classify.py)
@@ -131,7 +129,8 @@ def _tie_heavy(s):
 
 @pytest.mark.parametrize("s", [2, 3, 4])
 def test_canonicalize_matches_full_group_table(s):
-    """canonicalize equals the minimum over every element of GL_s(F_2)."""
+    """orbit_reps names the orbit of each function, tie-heavy or random, by
+    its least relabeling over every element of GL_s(F_2)."""
     n = 1 << s
     rng = random.Random(900 + s)
     funcs = _tie_heavy(s)
@@ -143,8 +142,7 @@ def test_canonicalize_matches_full_group_table(s):
         for g in rng.sample(range(1, n), rng.randint(1, min(4, n - 1))):
             f[g] = rng.randint(1, 2)
         funcs.append(tuple(f))
-    for f in funcs:
-        assert canonicalize(f) == table_canonicalize(f), f
+    assert orbit_reps(funcs, s) == canonical_forms(funcs)
 
 
 def test_canonicalize_merges_equivalent_onset_characters():
@@ -153,14 +151,14 @@ def test_canonicalize_merges_equivalent_onset_characters():
     n = 1 << s
     for chi in (1, 3, 9, 15):
         d = tuple(2 if dot(chi, g) else 0 for g in range(n))
-        assert canonicalize(d) == canonicalize(tuple(2 if dot(1, g) else 0 for g in range(n)))
+        assert canonical_form(d) == canonical_form(tuple(2 if dot(1, g) else 0 for g in range(n)))
 
 
 def test_orbit_reps_partition():
     s, n = 2, 4
     funcs = list(product((0, 1), repeat=n))
     reps = orbit_reps(funcs, s)
-    assert reps == sorted({table_canonicalize(f) for f in funcs})
+    assert reps == canonical_forms(funcs)
     # value multiset is orbit-invariant, so count orbits per multiset:
     # weight 0 and 4 are singletons; weight 1 splits by position of the 1
     # only through 0 vs nonzero; weight 2 splits by whether the support
@@ -173,40 +171,6 @@ def test_orbit_reps_partition():
 def test_orbit_reps_rejects_length_mismatch():
     with pytest.raises(ValueError):
         orbit_reps([(0, 1, 2)], 2)
-
-
-def _swaps_and_transvections(s):
-    """Reference generating set of GL_s: every coordinate swap and every
-    elementary transvection ``e_i -> e_i + e_j``, as index maps."""
-    n = 1 << s
-    perms = []
-    for i in range(s):
-        for j in range(s):
-            if i == j:
-                continue
-            if i < j:
-                swap = []
-                for g in range(n):
-                    bi, bj = (g >> i) & 1, (g >> j) & 1
-                    h = g & ~(1 << i) & ~(1 << j)
-                    swap.append(h | (bj << i) | (bi << j))
-                perms.append(swap)
-            perms.append([g ^ (((g >> i) & 1) << j) for g in range(n)])
-    return perms
-
-
-def _closure(f, perms):
-    acts = [itemgetter(*p) for p in perms]
-    orbit = {tuple(f)}
-    frontier = [tuple(f)]
-    while frontier:
-        cur = frontier.pop()
-        for act in acts:
-            nxt = act(cur)
-            if nxt not in orbit:
-                orbit.add(nxt)
-                frontier.append(nxt)
-    return orbit
 
 
 def test_generator_perms_are_two_permutations():
@@ -223,7 +187,7 @@ def test_generator_perms_are_two_permutations():
 def test_generators_reach_all_of_gl(s, order):
     # a function with distinct values everywhere has a trivial stabilizer,
     # so its orbit has one element per group element
-    assert len(_closure(range(1 << s), _generator_perms(s))) == order
+    assert len(closure(range(1 << s), _generator_perms(s))) == order
 
 
 @pytest.mark.parametrize("s", [2, 3, 4, 5, 6])
@@ -237,23 +201,18 @@ def test_two_generator_orbits_match_full_generating_set(s):
         for g in rng.sample(range(n), rng.randint(1, max_support)):
             f[g] = rng.randint(1, 3)
         funcs.append(tuple(f))
-    old = _swaps_and_transvections(s)
-    pool = set(funcs)
-    reps = set()
-    for f in pool:
-        orbit = _closure(f, old)
-        assert _closure(f, _generator_perms(s)) == orbit
-        reps.add(min(orbit))
-    assert orbit_reps(funcs, s) == sorted(reps)
+    for f in set(funcs):
+        assert closure(f, _generator_perms(s)) == gl_orbit(f)
+    assert orbit_reps(funcs, s) == canonical_forms(funcs)
 
 
 @pytest.mark.parametrize("s", [2, 3, 4])
 def test_enumerated_representatives_are_canonical(s):
-    # orbit_reps names each orbit by its least element; canonicalize finds
+    # orbit_reps names each orbit by its least element; canonical_form finds
     # the least relabeling independently, so every emitted d is a fixed point
     for m in range(1, 5):
         for sol in enumerate_flat(s, m) + enumerate_L1(s, m):
-            assert canonicalize(sol.d) == sol.d
+            assert canonical_form(sol.d) == sol.d
 
 
 def test_min_intersection_examples():
@@ -280,5 +239,5 @@ def test_min_intersection_matches_character_loop():
         n = 1 << s
         # repeated points count with multiplicity
         pts = [rng.randrange(n) for _ in range(rng.randint(1, n + 3))]
-        direct = min(sum(1 for g in pts if dot(chi, g)) for chi in range(1, n))
+        direct = min(sum((chi & g).bit_count() & 1 for g in pts) for chi in range(1, n))
         assert affine_hyperplane_min_intersection(pts, s) == direct

@@ -6,20 +6,11 @@ from math import lcm
 
 import pytest
 
-from z2cover import walsh
-from z2cover.cover import (
-    BranchData,
-    CoverSpec,
-    eigensheaf_degrees,
-    hurwitz_degree,
-    zero_sum_triple_mass,
-)
-from z2cover.gf2 import dot
+from z2cover.cover import BranchData, CoverSpec, zero_sum_triple_mass
 from z2cover.invariants import (
     SCI_MAX,
     SCI_MIN,
     Y_MIN,
-    GeographyPoint,
     barycenter_ratio,
     geography_point,
     holomorphic_euler,
@@ -30,9 +21,10 @@ from z2cover.invariants import (
     vertex_ratio,
     volume,
 )
-from z2cover.wps import Weights, euler_char_line
+from z2cover.wps import Weights
 
-from parity_oracle import parity_vector
+import oracles
+from oracles import parity_vector
 
 
 def cover(weights, d):
@@ -112,21 +104,13 @@ def test_geography_is_scale_invariant():
         )
 
 
-def random_ratio_by_randint(s, rng):
-    """The draw ``random_ratio`` must reproduce: one ``randint(0, 9)`` per weight."""
-    while True:
-        picks = [rng.randint(0, 9) for _ in range((1 << s) - 1)]
-        if any(picks):
-            return BranchData(s, [0] + picks)
-
-
 @pytest.mark.parametrize("s", range(1, 9))
 def test_random_ratio_draws_as_randint(s):
     # at s = 1 a tenth of the draws are all zero and drawn again
     for k in range(200):
         rng, ref = random.Random(f"{s}:{k}"), random.Random(f"{s}:{k}")
-        got = [random_ratio(s, rng) for _ in range(3)]
-        assert got == [random_ratio_by_randint(s, ref) for _ in range(3)]
+        got = [random_ratio(s, rng).d for _ in range(3)]
+        assert got == [tuple(oracles.random_ratio_weights(s, ref)) for _ in range(3)]
         assert rng.getstate() == ref.getstate()
 
 
@@ -185,29 +169,6 @@ def _random_cover(rng):
     return cover([rng.randint(1, 5) for _ in range(4)], d)
 
 
-def _euler_by_strata(spec):
-    """Reference Euler number: explicit loops over pairs and triples."""
-    d = spec.branch.d
-    n = len(d)
-    a, A, W = spec.weights.a, spec.weights.A, spec.weights.W
-    sigma2 = sum(a[i] * a[j] for i in range(4) for j in range(i + 1, 4))
-    singles = sum(Fraction(dp * (dp * dp - dp * W + sigma2), A) for dp in d if dp)
-    pairs = triples = 0
-    support = [g for g in range(n) if d[g]]  # the other terms vanish
-    for i, p in enumerate(support):
-        for j, q in enumerate(support[i + 1:], i + 1):
-            pairs += d[p] * d[q] * (W - d[p] - d[q])
-            for r in support[j + 1:]:
-                if p ^ q ^ r:
-                    triples += d[p] * d[q] * d[r]
-    return (
-        4 * n
-        - Fraction(n, 2) * singles
-        + Fraction(n, 4) * Fraction(pairs, A)
-        - Fraction(n, 8) * Fraction(triples, A)
-    )
-
-
 def _sparse_cover(rng, s, weights):
     """A cover of rank ``s`` with at most 16 branch components, every
     eigensheaf degree integral."""
@@ -229,19 +190,8 @@ def test_topological_euler_matches_stratum_loops():
     specs += [_sparse_cover(rng, s, a) for s in (7, 8) for a in BASES for _ in range(4)]
     for spec in specs:
         e, exact = topological_euler(spec)
-        assert e == _euler_by_strata(spec)
+        assert e == oracles.topological_euler(spec.weights.a, spec.branch.d)
         assert exact == (spec.weights.a == (1, 1, 1, 1))
-
-
-def _report_by_fraction_chains(spec, chi, e):
-    """Reference ``K^3``, ``x``, ``y`` and ``SCI``: one Fraction operation
-    at a time, from the Hurwitz excess and the reported ``chi`` and ``e``."""
-    k3 = Fraction(1 << spec.branch.s, spec.weights.A) * hurwitz_degree(spec) ** 3
-    if not chi:
-        return k3, None, None, None
-    x = e / (24 * chi)
-    y = -k3 / (24 * chi)
-    return k3, x, y, y * (3 * x + 1) - 4
 
 
 def test_invariant_report_matches_fraction_chains():
@@ -254,15 +204,10 @@ def test_invariant_report_matches_fraction_chains():
     for spec in specs:
         rep = invariant_report(spec)
         assert rep.k3 == volume(spec)
-        assert (rep.k3, rep.x, rep.y, rep.sci) == _report_by_fraction_chains(
-            spec, rep.chi, rep.euler)
+        assert (rep.k3, rep.chi, rep.euler, rep.x, rep.y, rep.sci) == oracles.chern_invariants(
+            spec.weights.a, spec.branch.d)
         signs.add((rep.chi > 0) - (rep.chi < 0))
     assert signs == {-1, 0, 1}
-
-
-def _holomorphic_by_characters(spec):
-    """Reference chi(O): one line-bundle term per character."""
-    return sum(euler_char_line(spec.weights, -lv) for lv in eigensheaf_degrees(spec.branch))
 
 
 def test_holomorphic_euler_matches_character_loop():
@@ -276,22 +221,7 @@ def test_holomorphic_euler_matches_character_loop():
         if odd:
             d[odd] += 1
         spec = cover(spec.weights.a, d)
-        assert holomorphic_euler(spec) == _holomorphic_by_characters(spec)
-
-
-def _geography_by_characters(r):
-    """Reference moments: ``a``, ``b``, ordered zero-sum triples and ``phi``, the
-    cubed hyperplane masses times ``8 / 2^s``."""
-    n = len(r)
-    a = sum(v**3 for v in r)
-    b = sum(v**2 for v in r)
-    t3 = Fraction(0)
-    for p in range(1, n):
-        for q in range(p + 1, n):
-            if p ^ q > q:
-                t3 += r[p] * r[q] * r[p ^ q]
-    q = sum(sum(r[g] for g in range(1, n) if dot(chi, g)) ** 3 for chi in range(1, n))
-    return a, b, 6 * t3, Fraction(8, n) * q
+        assert holomorphic_euler(spec) == oracles.holomorphic_euler(spec.weights.a, d)
 
 
 def _unlike_denominator_weights(rng, n):
@@ -311,8 +241,7 @@ def test_geography_matches_character_loops():
         s = rng.randint(1, 6)
         r, w = _unlike_denominator_weights(rng, 1 << s)
         assert tuple(Fraction(v, sum(w)) for v in w) == r
-        p = geography_point(BranchData(s, w))
-        assert (p.a, p.b, p.zero_sum_triples, p.phi) == _geography_by_characters(r)
+        assert geography_point(BranchData(s, w)) == oracles.geography_point(r)
 
 
 def test_geography_reads_the_kept_cube_sum():
@@ -333,26 +262,7 @@ def test_geography_reads_the_kept_cube_sum():
             mass = zero_sum_triple_mass(branch)
         cubes = point.zero_sum_triples * (1 << s) * sum(w) ** 3
         assert cubes == branch.cube_sum == 6 * (1 << s) * mass
-        assert cubes == sum(v**3 for v in walsh.forward(w))
-
-
-def _geography_by_fractions(s, r):
-    """Reference point: Fraction moments over the lcm of the denominators of ``r``."""
-    n = 1 << s
-    delta = lcm(*(v.denominator for v in r))
-    num = [v.numerator * (delta // v.denominator) for v in r]
-    spectrum = walsh.forward(num)
-    s0 = spectrum[0]
-    a = Fraction(sum(v**3 for v in num), delta**3)
-    b = Fraction(sum(v * v for v in num), delta**2)
-    t3 = Fraction(sum(v**3 for v in spectrum), n * delta**3)
-    q = Fraction(sum((s0 - sc) ** 3 for sc in spectrum), 8 * delta**3)
-    phi = Fraction(8, n) * q
-    assert phi == 3 * b - t3 + 1
-    y = 2 / phi
-    x = (14 * a + 6 * b + phi) / (3 * phi)
-    sci = y * (3 * x + 1) - 4
-    return GeographyPoint(s=s, a=a, b=b, zero_sum_triples=t3, phi=phi, x=x, y=y, sci=sci)
+        assert cubes == sum(v**3 for v in oracles.walsh_spectrum(w))
 
 
 def test_geography_integer_weights_match_fraction_reference():
@@ -376,7 +286,7 @@ def test_geography_integer_weights_match_fraction_reference():
             w[g] = rng.randint(1, 5)
             r = tuple(Fraction(int(x == g)) for x in range(n))
         point = geography_point(BranchData(s, w))
-        assert point == _geography_by_fractions(s, r)
+        assert point == oracles.geography_point(r)
         assert all(type(v) is Fraction for v in point[1:])
 
 
@@ -457,6 +367,9 @@ def test_hunt_scan_domain():
         hunt_scan(3, 0)
     with pytest.raises(ValueError):
         hunt_scan(3, Fraction(6, 5))
+    # the least masses give weights of 66,000 bits, which walsh.forward
+    # splits at half their bit length
+    assert hunt_scan(3, Fraction(1, 10**20000))[1].zero_sum_triples == 0
     # Fraction(0.6) is 5404319552844595/9007199254740992, not 3/5
     for t in (0.6, 1.0, True):
         with pytest.raises(ValueError, match="mass must be an int or a Fraction"):

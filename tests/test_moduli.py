@@ -7,7 +7,6 @@ import pytest
 
 from z2cover.classify import is_pluricanonical
 from z2cover.cover import BranchData, CoverSpec, eigensheaf_degrees, is_flat
-from z2cover.gf2 import dot
 from z2cover.moduli import (
     STABILITY_NOTE,
     _failing_pairs,
@@ -17,6 +16,8 @@ from z2cover.moduli import (
     hyperplane_config_check,
 )
 from z2cover.wps import Weights, monomial_count
+
+import oracles
 
 
 def p3_cover(d):
@@ -57,18 +58,6 @@ class TestDeformationCriteria:
         assert not wrep.ok
 
 
-def failing_pairs_oracle(s, d, l):
-    """Every (g, chi) with d(g) > 0, chi vanishing on g and d(g) >= l(chi),
-    by the direct O(4^s) double loop: chi ascending, then g ascending."""
-    n = 1 << s
-    return [
-        (g, chi)
-        for chi in range(1, n)
-        for g in range(1, n)
-        if d[g] > 0 and d[g] >= l[chi] and not dot(chi, g)
-    ]
-
-
 # degree palettes: the benchmark's (2, 4) and (6, 12), a spread with zeros,
 # and spikes that pull a few degrees above most eigensheaf degrees
 PALETTES = ((2, 4), (6, 12), (0, 2, 4, 6), (0, 0, 2, 2, 40), (0, 0, 0, 0, 2, 100))
@@ -107,8 +96,8 @@ class TestFailingPairs:
         ties = many = 0
         for spec in seeded_covers():
             s, d = spec.branch.s, spec.branch.d
-            l = eigensheaf_degrees(spec.branch)
-            expected = failing_pairs_oracle(s, d, l)
+            l = oracles.eigensheaf_degrees(d)
+            expected = oracles.failing_pairs(s, d, l)
             assert _failing_pairs(s, d, l) == expected, d
             assert deformation_criteria(spec).failing_pairs == tuple(expected)
             ties += any(d[g] == l[chi] for g, chi in expected)
@@ -119,8 +108,9 @@ class TestFailingPairs:
     @pytest.mark.parametrize("M", [4, 6, 8, 20, 30])
     def test_matches_double_loop_on_new_component(self, M):
         spec = gen_new_component(M)
-        l = eigensheaf_degrees(spec.branch)
-        assert _failing_pairs(4, spec.branch.d, l) == failing_pairs_oracle(4, spec.branch.d, l) == []
+        d = spec.branch.d
+        l = oracles.eigensheaf_degrees(d)
+        assert _failing_pairs(4, d, l) == oracles.failing_pairs(4, d, l) == []
 
     def test_matches_double_loop_on_arbitrary_bounds(self):
         # bounds need not be eigensheaf degrees: zero bounds reach every
@@ -134,7 +124,7 @@ class TestFailingPairs:
             if not any(d):  # branch data has a positive degree
                 d[1] = 1
             l = [0] + [rng.randrange(0, 10) for _ in range(n - 1)]
-            assert _failing_pairs(s, d, l) == failing_pairs_oracle(s, d, l)
+            assert _failing_pairs(s, d, l) == oracles.failing_pairs(s, d, l)
 
 
 class TestHyperplaneConfig:

@@ -3,33 +3,14 @@ zero-sum triple counts."""
 
 import random
 import time
-from fractions import Fraction
 
 import pytest
 
 from z2cover import walsh
 from z2cover.cover import BranchData, zero_sum_triple_mass
-from z2cover.gf2 import dot
 from z2cover.walsh import NonIntegralError, forward, inverse
 
-
-def forward_naive(d):
-    """The quadratic definition ``S(chi) = sum_x d(x) (-1)^(chi.x)``, as an oracle."""
-    n = len(d)
-    return [sum(v if not dot(chi, x) else -v for x, v in enumerate(d)) for chi in range(n)]
-
-
-def forward_butterfly(d):
-    """The in-place butterfly, one pair at a time, as an oracle for the packed kernel."""
-    out = list(d)
-    h = 1
-    while h < len(out):
-        for start in range(0, len(out), h * 2):
-            for i in range(start, start + h):
-                a, b = out[i], out[i + h]
-                out[i], out[i + h] = a + b, a - b
-        h *= 2
-    return out
+import oracles
 
 
 def signed_with_total(rng, n, total):
@@ -56,7 +37,7 @@ def test_forward_matches_butterfly_at_lane_boundaries(s):
     for total in LANE_TOTALS:
         d = signed_with_total(rng, 1 << s, total)
         assert sum(map(abs, d)) == total
-        assert forward(d) == forward_butterfly(d), total
+        assert forward(d) == oracles.walsh_butterfly(d), total
 
 
 def test_packed_inverse_roundtrip_and_error_element():
@@ -88,7 +69,7 @@ def test_forward_matches_naive(s):
     rng = random.Random(40 + s)
     for _ in range(25):
         d = [rng.randrange(-9, 10) for _ in range(n)]
-        assert forward(d) == forward_naive(d)
+        assert forward(d) == oracles.walsh_spectrum(d) == oracles.walsh_butterfly(d)
 
 
 def test_forward_known_spectrum():
@@ -142,10 +123,7 @@ def test_convolution_theorem():
         for _ in range(10):
             a = [rng.randrange(0, 5) for _ in range(n)]
             b = [rng.randrange(0, 5) for _ in range(n)]
-            conv = [0] * n
-            for x in range(n):
-                for y in range(n):
-                    conv[x ^ y] += a[x] * b[y]
+            conv = oracles.xor_convolution(a, b)
             assert forward(conv) == [p * q for p, q in zip(forward(a), forward(b))]
 
 
@@ -154,8 +132,15 @@ def test_triple_convolution_counts_zero_sum_triples(s):
     n = 1 << s
     rng = random.Random(80 + s)
     d = [0] + [rng.randrange(0, 4) for _ in range(n - 1)]
-    direct = sum(
-        d[x] * d[y] * d[x ^ y] for x in range(n) for y in range(n)
-    )
     # sum(S^3) / 2^s counts the ordered triples; the cover keeps the unordered sixth
-    assert zero_sum_triple_mass(BranchData(s, d)) == Fraction(direct, 6)
+    assert zero_sum_triple_mass(BranchData(s, d)) == oracles.zero_sum_triple_mass(d)
+
+
+@pytest.mark.parametrize("s", [0, 1, 3])
+def test_forward_splits_wide_entries_in_logarithmic_depth(s):
+    # entries of 70,000 bits and more, of both signs: the split peels half
+    # the bit length per level, so no recursion limit is reached
+    rng = random.Random(70 + s)
+    d = [rng.choice((-1, 1)) * rng.getrandbits(70_000 + 1_000 * i) for i in range(1 << s)]
+    assert forward(d) == oracles.walsh_spectrum(d)
+    assert forward([0, 1 << 70_000, 0, 0]) == [1 << 70_000, -(1 << 70_000)] * 2

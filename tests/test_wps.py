@@ -3,6 +3,7 @@
 import json
 import random
 import time
+from itertools import combinations_with_replacement
 from math import comb, lcm
 
 import pytest
@@ -10,33 +11,7 @@ import pytest
 from z2cover.cli import main
 from z2cover.wps import Weights, euler_char_line, monomial_count, well_formed
 
-
-def brute_count(weights, n):
-    """Direct lattice walk over the three largest exponents.
-
-    The smallest weight only has to divide what is left, so the cost is
-    ``(n/a1)(n/a2)(n/a3)``: fine for n up to a few hundred on small weights
-    and up to a few thousand when two weights are large.
-    """
-    a0, a1, a2, a3 = sorted(weights)
-    total = 0
-    for e3 in range(n // a3 + 1):
-        for e2 in range((n - e3 * a3) // a2 + 1):
-            rest = n - e3 * a3 - e2 * a2
-            for e1 in range(rest // a1 + 1):
-                if (rest - e1 * a1) % a0 == 0:
-                    total += 1
-    return total
-
-
-def series_coefficients(weights, limit):
-    """Coefficients of prod 1/(1 - t^a) up to ``t^limit``, by recurrence."""
-    coeffs = [0] * (limit + 1)
-    coeffs[0] = 1
-    for a in weights:
-        for n in range(a, limit + 1):
-            coeffs[n] += coeffs[n - a]
-    return coeffs
+import oracles
 
 
 class TestWeights:
@@ -64,6 +39,8 @@ class TestWeights:
         assert well_formed((2, 2, 3, 3))  # every triple mixes a 2 and a 3
         assert Weights((1, 1, 4, 4)).well_formed
         assert Weights((1, 6, 14, 21)).well_formed
+        for a in combinations_with_replacement(range(1, 13), 4):
+            assert well_formed(a) == oracles.well_formed(a), a
 
 
 def test_monomial_count_frozen_values():
@@ -89,8 +66,9 @@ def test_monomial_count_straight_projective_space():
     [(1, 1, 2, 2), (1, 1, 1, 3), (1, 2, 3, 6), (1, 3, 8, 12), (2, 3, 10, 15), (1, 6, 14, 21)],
 )
 def test_monomial_count_matches_brute_force(weights):
+    counts = oracles.monomial_counts(weights, 120)
     for n in range(0, 120, 7):
-        assert monomial_count(weights, n) == brute_count(weights, n)
+        assert monomial_count(weights, n) == counts[n]
 
 
 def _oracle_weight_sets():
@@ -110,7 +88,7 @@ def test_monomial_count_generating_function_oracle():
     for weights in _oracle_weight_sets():
         L, W = lcm(*weights), sum(weights)
         limit = 21 * L
-        coeffs = series_coefficients(weights, limit)
+        coeffs = oracles.monomial_counts(weights, limit)
         for n in range(-W - 3, limit + 1):
             assert monomial_count(weights, n) == (coeffs[n] if n >= 0 else 0), (weights, n)
         # the edge between the two paths
@@ -124,11 +102,12 @@ def test_monomial_count_large_lcm():
     weights = (1, 1, 997, 1009)
     edges = {997 * i + 1009 * j + k for i in range(4) for j in range(3) for k in (-1, 0, 1)}
     elapsed = 0.0
+    counts = oracles.monomial_counts(weights, 3000)
     for n in sorted(set(range(0, 3001, 97)) | {n for n in edges if 0 <= n <= 3000}):
         started = time.monotonic()
         count = monomial_count(weights, n)
         elapsed += time.monotonic() - started
-        assert count == brute_count(weights, n), n
+        assert count == counts[n], n
     assert elapsed < 1.0
 
 
