@@ -27,6 +27,7 @@ _EXPORTS = {
     "GeographyPoint": "invariants",
     "InvariantReport": "invariants",
     "barycenter_ratio": "invariants",
+    "geography_coordinates": "invariants",
     "geography_point": "invariants",
     "hunt_scan": "invariants",
     "invariant_report": "invariants",

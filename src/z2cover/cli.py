@@ -69,36 +69,75 @@ def _json_text(value, indent: str) -> str:
 
     With ``indent`` set, ``json`` runs its pure-Python encoder, which builds
     the text from generators; this writes the same bytes with one ``join``
-    per container.  The type tests run in the encoder's order (str, None,
-    True, False, int, list or tuple, dict, then the default hook), so every
-    subclass lands in the same branch.  Only the payloads the commands build
-    are written: a ``float`` reaches the hook and a dict key that is not a
-    ``str`` reaches the quoting, and both raise :class:`TypeError`.
+    per container.  Only the payloads the commands build are written: a
+    ``float`` reaches the hook and a dict key that is not a ``str`` reaches
+    the quoting, and both raise :class:`TypeError`.
     """
+    [text] = _json_texts((value,), indent)
+    return text
+
+
+def _json_texts(values, indent: str) -> list[str]:
+    """The JSON text of each of ``values``, nested at ``indent``.
+
+    The exact types the commands print (Fraction, int, str, bool, None,
+    dict, list, tuple) are tested first, so a container's scalar children
+    are written here, without a call each; every other type, subclasses
+    included, goes through :func:`_json_other`.
+    """
+    texts = []
+    for value in values:
+        kind = type(value)
+        if kind is Fraction:
+            # the text of a Fraction is "-", digits and "/", which JSON never escapes
+            texts.append('"' + str(value) + '"')
+        elif kind is int:
+            texts.append(int.__repr__(value))
+        elif kind is str:
+            texts.append(_encode_str(value))
+        elif kind is bool:
+            texts.append("true" if value else "false")
+        elif value is None:
+            texts.append("null")
+        elif kind is dict:
+            texts.append(_json_object(value, indent))
+        elif kind is list or kind is tuple:
+            texts.append(_json_array(value, indent))
+        else:
+            texts.append(_json_other(value, indent))
+    return texts
+
+
+def _json_other(value, indent: str) -> str:
+    """The text of ``value`` by the encoder's type tests, in its order (str,
+    int, list or tuple, dict, then the default hook; ``None`` and the bools,
+    which have no subclasses, never get here), so every subclass lands in
+    the branch ``json.dumps`` gives it."""
     if isinstance(value, str):
         return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        items = [_json_text(item, inner) for item in value]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+        return _json_array(value, indent)
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        items = [_encode_str(key) + ": " + _json_text(item, inner)
-                 for key, item in value.items()]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+        return _json_object(value, indent)
     return _json_text(_json_value(value), indent)
+
+
+def _json_array(value, indent: str) -> str:
+    if not value:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(_json_texts(value, inner)) + "\n" + indent + "]"
+
+
+def _json_object(value, indent: str) -> str:
+    if not value:
+        return "{}"
+    inner = indent + "  "
+    keys = list(map(_encode_str, value))
+    items = [key + ": " + text for key, text in zip(keys, _json_texts(value.values(), inner))]
+    return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
 
 
 def _emit(payload) -> None:
@@ -159,23 +198,28 @@ def _cmd_cover_invariants(args: argparse.Namespace) -> int:
 # geography
 
 
-def _xy_sci(point) -> dict:
-    return {"x": point.x, "y": point.y, "sci": point.sci}
+def _xy_sci(branch) -> dict:
+    from .invariants import geography_coordinates
+
+    x, y, sci = geography_coordinates(branch)
+    return {"x": x, "y": y, "sci": sci}
 
 
 def _cmd_geo_sample(args: argparse.Namespace) -> int:
     import random
 
-    from .invariants import geography_point, random_ratio
+    from .invariants import geography_coordinates, random_ratio
 
     s = check_rank(args.s)
     if args.count < 1:
         raise ValueError(f"count must be positive, got {args.count}")
-    points = [
-        {"index": index,
-         **_xy_sci(geography_point(random_ratio(s, random.Random(f"{args.seed}:{index}"))))}
-        for index in range(args.count)
-    ]
+    # reseeding gives the state of a new random.Random(f"{seed}:{index}")
+    rng = random.Random()
+    points = []
+    for index in range(args.count):
+        rng.seed(f"{args.seed}:{index}")
+        x, y, sci = geography_coordinates(random_ratio(s, rng))
+        points.append({"index": index, "x": x, "y": y, "sci": sci})
     if args.fmt == "csv":
         print(_table("csv", [(key, itemgetter(key)) for key in points[0]], points))
     else:
@@ -184,27 +228,19 @@ def _cmd_geo_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_geo_extremes(args: argparse.Namespace) -> int:
-    from .invariants import (
-        SCI_MAX,
-        SCI_MIN,
-        Y_MIN,
-        barycenter_ratio,
-        geography_point,
-        vertex_ratio,
-    )
+    from .invariants import SCI_MAX, SCI_MIN, Y_MIN, barycenter_ratio, vertex_ratio
 
     s = check_rank(args.s)
-    vx = geography_point(vertex_ratio(s))
-    bc = geography_point(barycenter_ratio(s))
+    barycenter = _xy_sci(barycenter_ratio(s))
     _emit(
         {
             "s": args.s,
-            "vertex": _xy_sci(vx),
-            "barycenter": _xy_sci(bc),
+            "vertex": _xy_sci(vertex_ratio(s)),
+            "barycenter": barycenter,
             "sci_min": SCI_MIN,
             "sci_max": SCI_MAX,
             "y_min": Y_MIN,
-            "y_max": bc.y,
+            "y_max": barycenter["y"],
         }
     )
     return EXIT_OK
@@ -249,10 +285,19 @@ def _cmd_geo_hunt(args: argparse.Namespace) -> int:
 
     s = check_rank(args.s)
     values = args.t or list(HUNT_SCAN)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bound = limit and 10**limit
     rows = []
     for raw in values:
         t = _scan_mass(raw)
         f, pt = hunt_scan(s, t)
+        # a t that prints can still give an F or SCI that does not
+        for name, value in (("F", f), ("sci", pt.sci)):
+            if bound and max(abs(value.numerator), value.denominator) >= bound:
+                raise ValueError(
+                    f"mass {raw} is too long: its {name} would print with more than {limit}"
+                    " digits, the interpreter's limit (sys.set_int_max_str_digits)"
+                )
         rows.append({"t": t, "F": f, "sci": pt.sci, "positive_index": pt.sci > 0})
     _emit({"s": args.s, "points": rows})
     return EXIT_OK

@@ -104,7 +104,7 @@ class BranchData(Frozen):
     def cube_sum(self) -> int:
         """``sum(S^3)`` over the spectrum, computed on first use and kept."""
         if self._cube_sum is None:
-            object.__setattr__(self, "_cube_sum", sum(v**3 for v in self.spectrum))
+            object.__setattr__(self, "_cube_sum", sum([v**3 for v in self.spectrum]))
         return self._cube_sum
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .cover import (
@@ -45,6 +46,7 @@ __all__ = [
     "barycenter_ratio",
     "random_ratio",
     "GeographyPoint",
+    "geography_coordinates",
     "geography_point",
     "hunt_scan",
 ]
@@ -205,45 +207,74 @@ class GeographyPoint(NamedTuple):
     sci: Fraction
 
 
-def geography_point(branch: BranchData) -> GeographyPoint:
-    """Limit Chern-ratio coordinates of the branch-ratio vector of ``branch``.
+def _moments(branch: BranchData) -> tuple[int, int, int, int, int]:
+    """The integer sums ``(delta, p2, p3, c3, Q)`` behind the geography of
+    ``branch``.
 
     With ``w = branch.d``, ``r = w / delta``, ``delta = sum(w)``, and ``S``
-    the kept Walsh spectrum of ``w`` (so ``S(0) = delta``), the hyperplane
-    mass of character chi is ``(delta - S(chi)) / (2 delta)`` and the ordered
-    zero-sum triple sum is ``sum(S^3) / (2^s delta^3)``.  Every moment is an
-    integer sum over ``delta`` powers, and each returned field is one
-    Fraction of integer sums of equal degree in ``w``, so every multiple of
-    ``w`` gives the same point.  ``phi`` is computed both from the character
-    sums and from the moment identity ``phi = 3b - T + 1``, which times
-    ``2^s delta^3`` reads ``Q = 3 * 2^s p2 delta - sum(S^3) + 2^s delta^3``
-    with ``Q = sum((delta - S)^3)``; disagreement would mean an arithmetic
-    bug, so it is asserted.  ``sum(S^3)`` is the integer cube sum kept on
-    ``branch``, the one ``zero_sum_triple_mass`` reads.
+    the kept Walsh spectrum of ``w`` (so ``S(0) = delta``), ``p2`` and ``p3``
+    are the power sums of ``w``, ``c3 = sum(S^3)`` is the cube sum kept on
+    ``branch`` (the one ``zero_sum_triple_mass`` reads) and
+    ``Q = sum((delta - S)^3)``.  The hyperplane mass of character chi is
+    ``(delta - S(chi)) / (2 delta)``, so ``phi = Q / (2^s delta^3)``, and the
+    ordered zero-sum triple sum is ``c3 / (2^s delta^3)``.  ``Q`` is computed
+    from the spectrum and checked against the moment identity
+    ``phi = 3b - T + 1``, which times ``2^s delta^3`` reads
+    ``Q = 3 * 2^s p2 delta - c3 + 2^s delta^3``; disagreement would mean an
+    arithmetic bug, so it is asserted.
     """
-    s, w = branch.s, branch.d
-    n = 1 << s
-    spectrum = branch.spectrum
+    w, spectrum = branch.d, branch.spectrum
     delta = spectrum[0]
-    d3 = delta**3
-    p2 = sum(v * v for v in w)
-    p3 = sum(v**3 for v in w)
+    p2 = sum(map(mul, w, w))
     c3 = branch.cube_sum
-    big_q = sum((delta - v) ** 3 for v in spectrum)
-    assert big_q == 3 * n * p2 * delta - c3 + n * d3, "moment identity failed"
-    # phi = Q / (n delta^3), y = 2 / phi, x = (14a + 6b + phi) / (3 phi)
-    x_num = 14 * n * p3 + 6 * n * p2 * delta + big_q
-    return GeographyPoint(
-        s=s,
-        a=Fraction(p3, d3),
-        b=Fraction(p2, delta * delta),
-        zero_sum_triples=Fraction(c3, n * d3),
-        phi=Fraction(big_q, n * d3),
-        x=Fraction(x_num, 3 * big_q),
-        y=Fraction(2 * n * d3, big_q),
+    big_q = sum([(delta - v) ** 3 for v in spectrum])
+    assert big_q == ((3 * p2 * delta + delta**3) << branch.s) - c3, "moment identity failed"
+    return delta, p2, sum([v**3 for v in w]), c3, big_q
+
+
+def _coordinates(s: int, delta: int, p2: int, p3: int, big_q: int) -> tuple[Fraction, ...]:
+    """``(x, y, SCI)`` from the integer sums of :func:`_moments`.
+
+    ``y = 2 / phi`` and ``x = (14a + 6b + phi) / (3 phi)``, each one Fraction
+    of integer sums of equal degree in ``w``, so every multiple of ``w``
+    gives the same point.
+    """
+    nd3 = delta**3 << s
+    x_num = ((14 * p3 + 6 * p2 * delta) << s) + big_q
+    return (
+        Fraction(x_num, 3 * big_q),
+        Fraction(2 * nd3, big_q),
         # y (3x + 1) - 4 over the common denominator Q^2
-        sci=Fraction(2 * n * d3 * (x_num + big_q) - 4 * big_q * big_q, big_q * big_q),
+        Fraction(2 * nd3 * (x_num + big_q) - 4 * big_q * big_q, big_q * big_q),
     )
+
+
+def _point(s: int, delta: int, p2: int, p3: int, c3: int, big_q: int) -> GeographyPoint:
+    nd3 = delta**3 << s
+    return GeographyPoint(
+        s,
+        Fraction(p3, delta**3),
+        Fraction(p2, delta * delta),
+        Fraction(c3, nd3),
+        Fraction(big_q, nd3),
+        *_coordinates(s, delta, p2, p3, big_q),
+    )
+
+
+def geography_coordinates(branch: BranchData) -> tuple[Fraction, Fraction, Fraction]:
+    """The limit Chern-ratio coordinates ``(x, y, SCI)`` of the branch-ratio
+    vector of ``branch``, the three fields of :func:`geography_point` that
+    ``geography sample`` and ``geography extremes`` print."""
+    delta, p2, p3, _, big_q = _moments(branch)
+    return _coordinates(branch.s, delta, p2, p3, big_q)
+
+
+def geography_point(branch: BranchData) -> GeographyPoint:
+    """Limit Chern-ratio coordinates of the branch-ratio vector of ``branch``,
+    with the moments ``a = p3 / delta^3``, ``b = p2 / delta^2``, the ordered
+    zero-sum triple sum ``T`` and ``phi`` they come from (see
+    :func:`_moments`)."""
+    return _point(branch.s, *_moments(branch))
 
 
 def hunt_scan(s: int, t: Fraction | int) -> tuple[Fraction, GeographyPoint]:
@@ -258,6 +289,10 @@ def hunt_scan(s: int, t: Fraction | int) -> tuple[Fraction, GeographyPoint]:
     ``t0 ~ 0.54397`` and ``t1 ~ 0.68888``; any ``0 < t <= 1`` is accepted
     (``t = 1`` is the vertex itself).  ``t`` must be an ``int`` or a
     ``Fraction``: a float would be read as its binary expansion.
+
+    The point is the family's closed form, with ``h = 2^(s-1)``:
+    ``a = t^3 + (1-t)^3 / (h-1)^2``, ``b = t^2 + (1-t)^2 / (h-1)``, ``T = 0``
+    and ``phi = 3b + 1``, so the cost does not grow with the rank.
     """
     if s < 3:
         raise ValueError("the scan family needs rank >= 3")
@@ -266,13 +301,14 @@ def hunt_scan(s: int, t: Fraction | int) -> tuple[Fraction, GeographyPoint]:
     t = Fraction(t)
     if not 0 < t <= 1:
         raise ValueError(f"mass {t} outside (0, 1]")
-    h = 1 << (s - 1)
-    # the hyperplane is the odd elements: mass t on element 1 and
-    # (1 - t) / (h - 1) on each other one, as weights over (h - 1) t.denominator
-    w = [0, t.denominator - t.numerator] * h
-    w[1] = t.numerator * (h - 1)
-    point = geography_point(BranchData(s, w))
-    assert point.zero_sum_triples == 0
+    k = (1 << (s - 1)) - 1
+    # the integer sums of the family's weights, k p on element 1 and u on
+    # each of the k other odd elements; on that affine hyperplane
+    # sum(S^3) = 0, which gives Q by the moment identity
+    p, u = t.numerator, t.denominator - t.numerator
+    delta = k * t.denominator
+    p2 = k * (k * p * p + u * u)
+    point = _point(s, delta, p2, k * (k * k * p**3 + u**3), 0, (3 * p2 * delta + delta**3) << s)
     f = 7 * point.a - 9 * point.b**2
     assert 4 * f == point.sci * point.phi**2
     return f, point

@@ -31,6 +31,8 @@ from z2cover.cli import (
 )
 from z2cover.wps import Weights
 
+import oracles
+
 TRIPLE = '{"weights": [1, 1, 1, 1], "s": 2, "d": {"10": 3, "01": 3, "11": 3}}'
 QUADRIC = '{"weights": [1, 1, 3, 3], "s": 2, "d": {"10": 6, "01": 6, "11": 6}}'
 PARITY_BAD = '{"weights": [1, 1, 1, 1], "s": 2, "d": {"10": 1, "01": 2, "11": 2}}'
@@ -263,6 +265,8 @@ FROZEN_STDOUT = [
      "779896184abe2b5737537eb7827c030b24d87f578e7c6ef2e25c4d3bb2623c91"),
     ("geography hunt --s 4 --t 3/5 --t 1", 0,
      "75d2878144a606bff49488c49bee99a4d13c22abadf1c6195a7169be402b9efb"),
+    ("geography hunt --t 1e-1075", 0,
+     "5fbb3b40e0c37c8b405f7aac2ce28dfc47fc58b770daad34f6cbbd09689e2773"),
     ("cover check {valid}", 0,
      "277d8f18f31c3523740d8fca6fd867d64b0f1a36c74a6c9372cf14ff5855bc76"),
     ("cover invariants {valid}", 0,
@@ -313,6 +317,17 @@ class Record(NamedTuple):
     value: Fraction
 
 
+class Count(int):
+    pass
+
+
+class Name(str):
+    pass
+
+
+# every exact type the writer tests first, at the top and as a container's
+# child, and the subclasses that must miss those tests and take the
+# encoder's branch
 EMIT_PAYLOADS = [
     {},
     [],
@@ -322,6 +337,19 @@ EMIT_PAYLOADS = [
     {"fraction": Fraction(-7, 3), "whole": Fraction(4), "weights": Weights((3, 1, 3, 1)),
      "record": Record("r", Fraction(1, 2)), "records": [Record("", Fraction(0))], "tuple": (1, "a")},
     {'quote"': "back\\slash", "control": "\x00\x1f\t\n\r\b\f\x7f", "text": "é ∑ 😀 \u2028"},
+    (),
+    Fraction(-7, 3),
+    Fraction(-4),
+    True,
+    None,
+    Count(3),
+    Name("n"),
+    {"bools": [True, False, (True,)], "flags": {"t": True, "f": False, "none": None},
+     "subclasses": [Count(-5), Name('a"b'), {Name("key"): Count(0)}],
+     "fractions": [Fraction(-1, 2), Fraction(-3), Fraction(0), Fraction(10**30, 7), Fraction(6, 4)],
+     "weights": [Weights((5, 1, 2, 3)), {"w": Weights((1, 1, 1, 1))}],
+     "nested": ((), [()], {"e": {}}, [[Fraction(1, 3), [None, ("t", 0)]]], (1, (2, (3,))))},
+    [{"index": 0, "x": Fraction(2), "y": Fraction(1, 2), "sci": Fraction(-1, 2)}],
 ]
 
 
@@ -342,7 +370,8 @@ def test_emit_rejects_what_json_dumps_rejects(capsys, payload):
 
 # json.dumps writes these, but no command builds them: an inexact number or
 # a key that is not a str fails at the output boundary instead
-@pytest.mark.parametrize("payload", [2.5, float("inf"), {1: 0}, {None: 0}])
+@pytest.mark.parametrize("payload", [2.5, float("inf"), {1: 0}, {None: 0}, [Fraction(1), 2.5],
+                                     {"x": Fraction(1), "y": 0.5}, {1: Fraction(1, 2)}])
 def test_emit_rejects_floats_and_keys_not_str(capsys, payload):
     with pytest.raises(TypeError):
         _emit(payload)
@@ -518,6 +547,8 @@ UNREACHED = {
     "z2cover._frozen.Frozen.__hash__": "value protocol: hash",
     "z2cover._frozen.Frozen.__repr__": "value protocol: repr",
     "z2cover._frozen.Frozen.__reduce__": "value protocol: pickling",
+    "z2cover.invariants.geography_point":
+        "library API: the moments a, b, T and phi of a point; the commands print x, y and SCI",
     "z2cover.gf2.affine_hyperplane_min_intersection":
         "ROADMAP item 9: the hyperplane criterion for new components in examples",
     "z2cover.moduli.hyperplane_config_check":
@@ -673,6 +704,31 @@ class TestGeography:
     def test_hunt_bad_mass(self, capsys):
         code, _, err = run_cli(capsys, "geography", "hunt", "--t", "7/5")
         assert code == EXIT_MALFORMED
+
+    @pytest.mark.parametrize("mass, field", [("1e-1076", "F"), ("1e-2000", "F"),
+                                             ("1e-4300", "F"), ("3e-1075", "sci")])
+    def test_hunt_names_the_field_that_cannot_print(self, capsys, monkeypatch, mass, field):
+        # t prints (1e-1075 is the least power of ten whose F and SCI print,
+        # see FROZEN_STDOUT), but F or SCI has more digits than the limit
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+        code, out, err = run_cli(capsys, "geography", "hunt", "--t", mass)
+        assert (code, out) == (EXIT_MALFORMED, "")
+        assert err == (f"error: mass {mass} is too long: its {field} would print with more than"
+                       " 4300 digits, the interpreter's limit (sys.set_int_max_str_digits)\n")
+
+    @pytest.mark.parametrize("s", range(1, 9))
+    def test_sample_draws_as_a_new_generator_per_point(self, capsys, s):
+        # the one generator of an op, reseeded per point, draws what a new
+        # random.Random(f"{seed}:{index}") draws; the coordinates are the oracle's
+        code, out, _ = run_cli(capsys, "geography", "sample", "--s", str(s),
+                               "--count", "6", "--seed", "11")
+        assert code == EXIT_OK
+        want = []
+        for index in range(6):
+            w = oracles.random_ratio_weights(s, random.Random(f"11:{index}"))
+            _, _, _, _, _, x, y, sci = oracles.geography_point([Fraction(v, sum(w)) for v in w])
+            want.append({"index": index, "x": str(x), "y": str(y), "sci": str(sci)})
+        assert json.loads(out)["points"] == want
 
 
 class TestClassify:

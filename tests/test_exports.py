@@ -43,6 +43,7 @@ PACKAGE_API = [
     "euler_char_line",
     "from_json",
     "from_path",
+    "geography_coordinates",
     "geography_point",
     "half_point_count",
     "hunt_scan",

@@ -11,7 +11,9 @@ from z2cover.invariants import (
     SCI_MAX,
     SCI_MIN,
     Y_MIN,
+    GeographyPoint,
     barycenter_ratio,
+    geography_coordinates,
     geography_point,
     holomorphic_euler,
     hunt_scan,
@@ -323,6 +325,54 @@ def test_geography_limit_matches_large_covers():
         assert (point.x, point.y) == (de / (24 * dchi), -dk3 / (24 * dchi)), d
 
 
+def test_geography_point_fields_equality_and_repr():
+    assert GeographyPoint._fields == ("s", "a", "b", "zero_sum_triples", "phi", "x", "y", "sci")
+    point = geography_point(barycenter_ratio(2))
+    values = (2, Fraction(1, 9), Fraction(1, 3), Fraction(2, 9), Fraction(16, 9), Fraction(1),
+              Fraction(9, 8), Fraction(1, 2))
+    assert point == values and hash(point) == hash(values)
+    assert repr(point) == (
+        "GeographyPoint(s=2, a=Fraction(1, 9), b=Fraction(1, 3), zero_sum_triples=Fraction(2, 9),"
+        " phi=Fraction(16, 9), x=Fraction(1, 1), y=Fraction(9, 8), sci=Fraction(1, 2))"
+    )
+    assert repr(hunt_scan(3, Fraction(3, 5))[1]) == (
+        "GeographyPoint(s=3, a=Fraction(251, 1125), b=Fraction(31, 75),"
+        " zero_sum_triples=Fraction(0, 1), phi=Fraction(56, 25), x=Fraction(1103, 945),"
+        " y=Fraction(25, 28), sci=Fraction(17, 882))"
+    )
+
+
+@pytest.mark.parametrize("s", range(1, 9))
+def test_geography_coordinates_are_the_points_last_three_fields(s):
+    rng = random.Random(f"coordinates:{s}")
+    for _ in range(20):
+        branch = random_ratio(s, rng)
+        coordinates = geography_coordinates(branch)
+        assert coordinates == geography_point(branch)[5:]
+        assert [type(v) for v in coordinates] == [Fraction] * 3
+
+
+def _scan_ratio(s, t):
+    """The scan family's dense ratio vector: ``t`` on element 1 and
+    ``(1 - t) / (h - 1)`` on each other odd element, ``h = 2^(s-1)``."""
+    h = 1 << (s - 1)
+    r = [Fraction(0)] * (2 * h)
+    r[3::2] = [(1 - t) / (h - 1)] * (h - 1)
+    r[1] = t
+    return r
+
+
+@pytest.mark.parametrize("s", range(3, 13))
+def test_hunt_scan_closed_form_matches_the_dense_vector(s):
+    # the oracle's cost grows as 4^s on the dense vector, so ranks 11 and
+    # 12 take three masses: below the rank-3 window, inside it and the vertex
+    for i in range(1, 38) if s <= 10 else (20, 25, 37):
+        t = Fraction(i, 37)
+        f, point = hunt_scan(s, t)
+        assert point == oracles.geography_point(_scan_ratio(s, t))
+        assert f == 7 * point.a - 9 * point.b**2
+
+
 def test_hunt_scan_window_values():
     # frozen scan of the four-point hunt family (rank 3)
     expect = {
@@ -367,8 +417,7 @@ def test_hunt_scan_domain():
         hunt_scan(3, 0)
     with pytest.raises(ValueError):
         hunt_scan(3, Fraction(6, 5))
-    # the least masses give weights of 66,000 bits, which walsh.forward
-    # splits at half their bit length
+    # the least masses give moments of hundreds of thousands of bits
     assert hunt_scan(3, Fraction(1, 10**20000))[1].zero_sum_triples == 0
     # Fraction(0.6) is 5404319552844595/9007199254740992, not 3/5
     for t in (0.6, 1.0, True):
