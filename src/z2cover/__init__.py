@@ -24,11 +24,9 @@ _EXPORTS = {
     "to_json": "cover",
     "validate": "cover",
     "orbit_reps": "gf2",
-    "GeographyPoint": "invariants",
     "InvariantReport": "invariants",
     "barycenter_ratio": "invariants",
     "geography_coordinates": "invariants",
-    "geography_point": "invariants",
     "hunt_scan": "invariants",
     "invariant_report": "invariants",
     "vertex_ratio": "invariants",

@@ -38,7 +38,6 @@ from .wps import Weights
 
 __all__ = [
     "main",
-    "build_parser",
     "solutions_to_md",
     "families_to_md",
 ]
@@ -52,38 +51,20 @@ EXIT_MALFORMED = 2
 HUNT_SCAN = ("1/2", "11/20", "3/5", "13/20", "17/25")
 
 
-def _json_value(v):
-    """``json.dumps`` hook: a Fraction as its "p/q" string, weights as a list."""
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, Weights):
-        return list(v)
-    raise TypeError(f"{type(v).__name__} is not JSON serializable")
-
-
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _json_text(value, indent: str) -> str:
-    """``json.dumps(value, indent=2, default=_json_value)``, nested at ``indent``.
+def _json_texts(values, indent: str) -> list[str]:
+    """The JSON text of each of ``values``, nested at ``indent``: the bytes
+    of ``json.dumps(value, indent=2)``, a Fraction written as its "p/q"
+    string and ``Weights`` as the list of its weights.
 
     With ``indent`` set, ``json`` runs its pure-Python encoder, which builds
     the text from generators; this writes the same bytes with one ``join``
-    per container.  Only the payloads the commands build are written: a
-    ``float`` reaches the hook and a dict key that is not a ``str`` reaches
-    the quoting, and both raise :class:`TypeError`.
-    """
-    [text] = _json_texts((value,), indent)
-    return text
-
-
-def _json_texts(values, indent: str) -> list[str]:
-    """The JSON text of each of ``values``, nested at ``indent``.
-
-    The exact types the commands print (Fraction, int, str, bool, None,
-    dict, list, tuple) are tested first, so a container's scalar children
-    are written here, without a call each; every other type, subclasses
-    included, goes through :func:`_json_other`.
+    per container, and a container's scalar children without a call each.
+    Only the exact types the commands print are written: any other type,
+    subclasses, ``float`` and records included, raises :class:`TypeError`,
+    and so does a dict key that is not a ``str``.
     """
     texts = []
     for value in values:
@@ -103,25 +84,11 @@ def _json_texts(values, indent: str) -> list[str]:
             texts.append(_json_object(value, indent))
         elif kind is list or kind is tuple:
             texts.append(_json_array(value, indent))
+        elif kind is Weights:
+            texts.append(_json_array(value.a, indent))
         else:
-            texts.append(_json_other(value, indent))
+            raise TypeError(f"{kind.__name__} is not JSON serializable")
     return texts
-
-
-def _json_other(value, indent: str) -> str:
-    """The text of ``value`` by the encoder's type tests, in its order (str,
-    int, list or tuple, dict, then the default hook; ``None`` and the bools,
-    which have no subclasses, never get here), so every subclass lands in
-    the branch ``json.dumps`` gives it."""
-    if isinstance(value, str):
-        return _encode_str(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, (list, tuple)):
-        return _json_array(value, indent)
-    if isinstance(value, dict):
-        return _json_object(value, indent)
-    return _json_text(_json_value(value), indent)
 
 
 def _json_array(value, indent: str) -> str:
@@ -141,7 +108,8 @@ def _json_object(value, indent: str) -> str:
 
 
 def _emit(payload) -> None:
-    print(_json_text(payload, ""))
+    [text] = _json_texts((payload,), "")
+    print(text)
 
 
 # record fields whose JSON keys differ from their names
@@ -246,6 +214,17 @@ def _cmd_geo_extremes(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _digit_limit() -> int:
+    """The interpreter's limit on the digits of a printed integer, read at
+    each call; 0 is no limit."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+# the tail of each message that refuses a number too long to print, given the limit
+_TOO_LONG = (
+    "would print with more than {} digits, the interpreter's limit (sys.set_int_max_str_digits)"
+)
+
 # a decimal mass with an exponent in Fraction's grammar: digits, an optional
 # fractional part and the exponent, each possibly grouped by underscores
 _EXPONENT_MASS = r"\s*[-+]?(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?[eE]([-+]?\d+(?:_\d+)*)\s*"
@@ -266,14 +245,11 @@ def _scan_mass(raw: str) -> Fraction:
         whole, part, exp = (group.replace("_", "") for group in match.groups(""))
         digits = len((whole + part).lstrip("0"))
         e = int(exp) - len(part)
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        limit = _digit_limit()
         if whole + part and not digits:
             raw = raw[: match.start(3) - 1]
         elif digits and limit and max(digits + e, 1 - e - digits) > limit:
-            raise ValueError(
-                f"mass {raw} is too long: it would print with more than {limit} digits,"
-                " the interpreter's limit (sys.set_int_max_str_digits)"
-            )
+            raise ValueError(f"mass {raw} is too long: it {_TOO_LONG.format(limit)}")
     try:
         return Fraction(raw)
     except ZeroDivisionError:
@@ -285,20 +261,17 @@ def _cmd_geo_hunt(args: argparse.Namespace) -> int:
 
     s = check_rank(args.s)
     values = args.t or list(HUNT_SCAN)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     bound = limit and 10**limit
     rows = []
     for raw in values:
         t = _scan_mass(raw)
-        f, pt = hunt_scan(s, t)
+        f, (_, _, sci) = hunt_scan(s, t)
         # a t that prints can still give an F or SCI that does not
-        for name, value in (("F", f), ("sci", pt.sci)):
+        for name, value in (("F", f), ("sci", sci)):
             if bound and max(abs(value.numerator), value.denominator) >= bound:
-                raise ValueError(
-                    f"mass {raw} is too long: its {name} would print with more than {limit}"
-                    " digits, the interpreter's limit (sys.set_int_max_str_digits)"
-                )
-        rows.append({"t": t, "F": f, "sci": pt.sci, "positive_index": pt.sci > 0})
+                raise ValueError(f"mass {raw} is too long: its {name} {_TOO_LONG.format(limit)}")
+        rows.append({"t": t, "F": f, "sci": sci, "positive_index": sci > 0})
     _emit({"s": args.s, "points": rows})
     return EXIT_OK
 
@@ -373,6 +346,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     from . import classify
 
     check_rank(args.s)
+    if args.s == 1 and args.base != "all":
+        raise ValueError(
+            f"--base {args.base} needs --s >= 2: rank 1 lists the towers of every base"
+        )
+    if args.s >= 2 and args.t_max is not None:
+        raise ValueError("--t-max needs --s 1: it bounds the degree t of the rank-1 towers")
     if args.bounds_report:
         print(classify.bounds_report(args.s, args.m), file=sys.stderr)
     if args.s == 1:
@@ -431,16 +410,13 @@ def _cmd_examples_unbounded(args: argparse.Namespace) -> int:
     from . import moduli
 
     # the total degree is the widest integer printed; a limit of 0 is no limit
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     # the total is at least 2^(s-1), so a rank past the bit length of the
     # bound is refused before the family's integers are built
     too_large = limit and args.s > (10**limit).bit_length()
     fam = None if too_large else moduli.gen_unbounded(args.s, args.kind)
     if too_large or (limit and fam.total >= 10**limit):
-        raise ValueError(
-            f"--s {args.s} is too large: the total degree would print with more than"
-            f" {limit} digits, the interpreter's limit (sys.set_int_max_str_digits)"
-        )
+        raise ValueError(f"--s {args.s} is too large: the total degree {_TOO_LONG.format(limit)}")
     _emit(
         {
             "kind": fam.kind,
@@ -465,8 +441,9 @@ def _cmd_examples_unbounded(args: argparse.Namespace) -> int:
 # wiring
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Return a fresh parser for the whole CLI; ``main`` keeps one per process."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of the whole CLI, built once per process."""
     parser = argparse.ArgumentParser(
         prog="z2cover",
         description="exact invariants and classification of (Z/2)^s covers of weighted P^3",
@@ -524,11 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_examples_unbounded)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()
 
 
 def main(argv=None) -> int:

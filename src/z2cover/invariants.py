@@ -45,9 +45,7 @@ __all__ = [
     "vertex_ratio",
     "barycenter_ratio",
     "random_ratio",
-    "GeographyPoint",
     "geography_coordinates",
-    "geography_point",
     "hunt_scan",
 ]
 
@@ -196,44 +194,9 @@ def random_ratio(s: int, rng) -> BranchData:
             return BranchData(s, picks)
 
 
-class GeographyPoint(NamedTuple):
-    s: int
-    a: Fraction  # cubic moment  sum r^3
-    b: Fraction  # quadratic moment  sum r^2
-    zero_sum_triples: Fraction  # ordered distinct zero-sum triple sum
-    phi: Fraction
-    x: Fraction
-    y: Fraction
-    sci: Fraction
-
-
-def _moments(branch: BranchData) -> tuple[int, int, int, int, int]:
-    """The integer sums ``(delta, p2, p3, c3, Q)`` behind the geography of
-    ``branch``.
-
-    With ``w = branch.d``, ``r = w / delta``, ``delta = sum(w)``, and ``S``
-    the kept Walsh spectrum of ``w`` (so ``S(0) = delta``), ``p2`` and ``p3``
-    are the power sums of ``w``, ``c3 = sum(S^3)`` is the cube sum kept on
-    ``branch`` (the one ``zero_sum_triple_mass`` reads) and
-    ``Q = sum((delta - S)^3)``.  The hyperplane mass of character chi is
-    ``(delta - S(chi)) / (2 delta)``, so ``phi = Q / (2^s delta^3)``, and the
-    ordered zero-sum triple sum is ``c3 / (2^s delta^3)``.  ``Q`` is computed
-    from the spectrum and checked against the moment identity
-    ``phi = 3b - T + 1``, which times ``2^s delta^3`` reads
-    ``Q = 3 * 2^s p2 delta - c3 + 2^s delta^3``; disagreement would mean an
-    arithmetic bug, so it is asserted.
-    """
-    w, spectrum = branch.d, branch.spectrum
-    delta = spectrum[0]
-    p2 = sum(map(mul, w, w))
-    c3 = branch.cube_sum
-    big_q = sum([(delta - v) ** 3 for v in spectrum])
-    assert big_q == ((3 * p2 * delta + delta**3) << branch.s) - c3, "moment identity failed"
-    return delta, p2, sum([v**3 for v in w]), c3, big_q
-
-
 def _coordinates(s: int, delta: int, p2: int, p3: int, big_q: int) -> tuple[Fraction, ...]:
-    """``(x, y, SCI)`` from the integer sums of :func:`_moments`.
+    """``(x, y, SCI)`` from the integer sums named in
+    :func:`geography_coordinates`.
 
     ``y = 2 / phi`` and ``x = (14a + 6b + phi) / (3 phi)``, each one Fraction
     of integer sums of equal degree in ``w``, so every multiple of ``w``
@@ -249,46 +212,44 @@ def _coordinates(s: int, delta: int, p2: int, p3: int, big_q: int) -> tuple[Frac
     )
 
 
-def _point(s: int, delta: int, p2: int, p3: int, c3: int, big_q: int) -> GeographyPoint:
-    nd3 = delta**3 << s
-    return GeographyPoint(
-        s,
-        Fraction(p3, delta**3),
-        Fraction(p2, delta * delta),
-        Fraction(c3, nd3),
-        Fraction(big_q, nd3),
-        *_coordinates(s, delta, p2, p3, big_q),
-    )
-
-
 def geography_coordinates(branch: BranchData) -> tuple[Fraction, Fraction, Fraction]:
     """The limit Chern-ratio coordinates ``(x, y, SCI)`` of the branch-ratio
-    vector of ``branch``, the three fields of :func:`geography_point` that
-    ``geography sample`` and ``geography extremes`` print."""
-    delta, p2, p3, _, big_q = _moments(branch)
-    return _coordinates(branch.s, delta, p2, p3, big_q)
+    vector of ``branch``, the coordinates ``geography sample`` and
+    ``geography extremes`` print.
+
+    With ``w = branch.d``, ``r = w / delta``, ``delta = sum(w)``, and ``S``
+    the kept Walsh spectrum of ``w`` (so ``S(0) = delta``), ``p2`` and ``p3``
+    are the power sums of ``w``, ``c3 = sum(S^3)`` is the cube sum kept on
+    ``branch`` (the one ``zero_sum_triple_mass`` reads) and
+    ``Q = sum((delta - S)^3)``.  The hyperplane mass of character chi is
+    ``(delta - S(chi)) / (2 delta)``, so ``phi = Q / (2^s delta^3)``, and the
+    ordered zero-sum triple sum is ``T = c3 / (2^s delta^3)``.  ``Q`` is
+    computed from the spectrum and checked against the moment identity
+    ``phi = 3b - T + 1``, which times ``2^s delta^3`` reads
+    ``Q = 3 * 2^s p2 delta - c3 + 2^s delta^3``; disagreement would mean an
+    arithmetic bug, so it is asserted.
+    """
+    w, spectrum = branch.d, branch.spectrum
+    delta = spectrum[0]
+    p2 = sum(map(mul, w, w))
+    c3 = branch.cube_sum
+    big_q = sum([(delta - v) ** 3 for v in spectrum])
+    assert big_q == ((3 * p2 * delta + delta**3) << branch.s) - c3, "moment identity failed"
+    return _coordinates(branch.s, delta, p2, sum([v**3 for v in w]), big_q)
 
 
-def geography_point(branch: BranchData) -> GeographyPoint:
-    """Limit Chern-ratio coordinates of the branch-ratio vector of ``branch``,
-    with the moments ``a = p3 / delta^3``, ``b = p2 / delta^2``, the ordered
-    zero-sum triple sum ``T`` and ``phi`` they come from (see
-    :func:`_moments`)."""
-    return _point(branch.s, *_moments(branch))
-
-
-def hunt_scan(s: int, t: Fraction | int) -> tuple[Fraction, GeographyPoint]:
+def hunt_scan(s: int, t: Fraction | int) -> tuple[Fraction, tuple[Fraction, Fraction, Fraction]]:
     """Scan point of the almost-uniform family concentrated near one vertex.
 
     The family puts mass ``t`` on a base point and spreads ``1 - t`` evenly
     over the rest of one affine hyperplane, which kills every zero-sum
-    triple.  Returns ``(F, point)`` where ``F = 7a - 9b^2``; on this family
-    ``SCI = 4F / phi^2``, so a positive ``F`` certifies a positive index.
-    At rank 3, ``F = -(144t^4 - 200t^3 + 87t^2 - 15t + 2)/9``, and the index
-    is positive exactly on ``(t0, t1)``, the quartic's two real roots
-    ``t0 ~ 0.54397`` and ``t1 ~ 0.68888``; any ``0 < t <= 1`` is accepted
-    (``t = 1`` is the vertex itself).  ``t`` must be an ``int`` or a
-    ``Fraction``: a float would be read as its binary expansion.
+    triple.  Returns ``(F, (x, y, SCI))`` where ``F = 7a - 9b^2``; on this
+    family ``SCI = 4F / phi^2``, so a positive ``F`` certifies a positive
+    index.  At rank 3, ``F = -(144t^4 - 200t^3 + 87t^2 - 15t + 2)/9``, and
+    the index is positive exactly on ``(t0, t1)``, the quartic's two real
+    roots ``t0 ~ 0.54397`` and ``t1 ~ 0.68888``; any ``0 < t <= 1`` is
+    accepted (``t = 1`` is the vertex itself).  ``t`` must be an ``int`` or
+    a ``Fraction``: a float would be read as its binary expansion.
 
     The point is the family's closed form, with ``h = 2^(s-1)``:
     ``a = t^3 + (1-t)^3 / (h-1)^2``, ``b = t^2 + (1-t)^2 / (h-1)``, ``T = 0``
@@ -308,7 +269,12 @@ def hunt_scan(s: int, t: Fraction | int) -> tuple[Fraction, GeographyPoint]:
     p, u = t.numerator, t.denominator - t.numerator
     delta = k * t.denominator
     p2 = k * (k * p * p + u * u)
-    point = _point(s, delta, p2, k * (k * k * p**3 + u**3), 0, (3 * p2 * delta + delta**3) << s)
-    f = 7 * point.a - 9 * point.b**2
-    assert 4 * f == point.sci * point.phi**2
-    return f, point
+    p3 = k * (k * k * p**3 + u**3)
+    big_q = (3 * p2 * delta + delta**3) << s
+    coordinates = _coordinates(s, delta, p2, p3, big_q)
+    # F = 7 p3 / delta^3 - 9 p2^2 / delta^4, and 4F = SCI phi^2 times
+    # 2^(2s) delta^6, with phi = Q / (2^s delta^3)
+    f_num = 7 * p3 * delta - 9 * p2 * p2
+    sci = coordinates[2]
+    assert 4 * f_num * (delta * delta << 2 * s) * sci.denominator == sci.numerator * big_q * big_q
+    return Fraction(f_num, delta**4), coordinates

@@ -19,7 +19,7 @@ from z2cover.invariants import (
     SCI_MIN,
     Y_MIN,
     barycenter_ratio,
-    geography_point,
+    geography_coordinates,
     holomorphic_euler,
     hunt_scan,
     random_ratio,
@@ -349,25 +349,22 @@ def test_criterion_07_ratio_simplex_bounds():
     failures = []
     for s in (2, 3, 4):
         for g in (1, (1 << s) - 1):
-            p = geography_point(vertex_ratio(s, g))
-            if (p.x, p.y, p.sci) != (2, Fraction(1, 2), Fraction(-1, 2)):
-                failures.append(f"vertex s={s} g={g}: ({p.x}, {p.y}, {p.sci})")
+            x, y, sci = geography_coordinates(vertex_ratio(s, g))
+            if (x, y, sci) != (2, Fraction(1, 2), Fraction(-1, 2)):
+                failures.append(f"vertex s={s} g={g}: ({x}, {y}, {sci})")
     bary_y = {}
     for s in range(2, 7):
-        p = geography_point(barycenter_ratio(s))
+        _, y, _ = geography_coordinates(barycenter_ratio(s))
         want = 2 - Fraction(4, 1 << s) + Fraction(1, 1 << (2 * s - 1))
-        bary_y[s] = p.y
-        if p.y != want:
-            failures.append(f"barycenter s={s}: y={p.y} != {want}")
+        bary_y[s] = y
+        if y != want:
+            failures.append(f"barycenter s={s}: y={y} != {want}")
     for s in (2, 3, 4):
         rng = random.Random(1000 + s)
         for i in range(10_000):
-            p = geography_point(random_ratio(s, rng))
-            if not (SCI_MIN <= p.sci <= SCI_MAX and p.x <= 2
-                    and Y_MIN <= p.y <= bary_y[s]):
-                failures.append(
-                    f"s={s} sample {i} escaped: x={p.x} y={p.y} sci={p.sci}"
-                )
+            x, y, sci = geography_coordinates(random_ratio(s, rng))
+            if not (SCI_MIN <= sci <= SCI_MAX and x <= 2 and Y_MIN <= y <= bary_y[s]):
+                failures.append(f"s={s} sample {i} escaped: x={x} y={y} sci={sci}")
                 break
     _verdict(7, "ratio-simplex bounds", failures, t0, 60.0)
 
@@ -391,14 +388,14 @@ def test_criterion_08_scan_positivity_window():
         failures.append(f"F(4, 1/2) = {f_half} != -1/36")
     (below, opens), (closes, above) = SCAN_WINDOW_BRACKETS
     for t in SCAN_MASSES + (below, opens, closes, above):
-        f, point = hunt_scan(3, t)
+        f, (_, _, sci) = hunt_scan(3, t)
         if f != _scan_f(t):
             failures.append(f"F(4, {t}) = {f} != closed form {_scan_f(t)}")
         inside = opens <= t <= closes
         sign = 1 if inside else -1
-        if not (sign * f > 0 and sign * point.sci > 0):
+        if not (sign * f > 0 and sign * sci > 0):
             failures.append(
-                f"F(4, {t}) = {f}, SCI = {point.sci}: expected "
+                f"F(4, {t}) = {f}, SCI = {sci}: expected "
                 f"{'positive inside' if inside else 'negative outside'} "
                 "the window"
             )

@@ -24,8 +24,6 @@ from z2cover.cli import (
     EXIT_MALFORMED,
     EXIT_OK,
     _emit,
-    _json_value,
-    build_parser,
     families_to_md,
     main,
 )
@@ -325,9 +323,17 @@ class Name(str):
     pass
 
 
-# every exact type the writer tests first, at the top and as a container's
-# child, and the subclasses that must miss those tests and take the
-# encoder's branch
+def _json_hook(v):
+    """The ``json.dumps`` hook the writer's output is compared against: a
+    Fraction as its "p/q" string, weights as a list."""
+    if isinstance(v, Fraction):
+        return str(v)
+    if isinstance(v, Weights):
+        return list(v)
+    raise TypeError(f"{type(v).__name__} is not JSON serializable")
+
+
+# every exact type the writer prints, at the top and as a container's child
 EMIT_PAYLOADS = [
     {},
     [],
@@ -335,17 +341,17 @@ EMIT_PAYLOADS = [
     {"nested": {"empty_dict": {}, "empty_list": [], "lists": [[], [{}], [1, [2, []]]]}},
     [True, False, None, 0, -1, -(10**99), 10**99],
     {"fraction": Fraction(-7, 3), "whole": Fraction(4), "weights": Weights((3, 1, 3, 1)),
-     "record": Record("r", Fraction(1, 2)), "records": [Record("", Fraction(0))], "tuple": (1, "a")},
+     "pair": ("r", Fraction(1, 2)), "pairs": [("", Fraction(0))], "tuple": (1, "a")},
     {'quote"': "back\\slash", "control": "\x00\x1f\t\n\r\b\f\x7f", "text": "é ∑ 😀 \u2028"},
     (),
     Fraction(-7, 3),
     Fraction(-4),
     True,
     None,
-    Count(3),
-    Name("n"),
+    3,
+    "n",
     {"bools": [True, False, (True,)], "flags": {"t": True, "f": False, "none": None},
-     "subclasses": [Count(-5), Name('a"b'), {Name("key"): Count(0)}],
+     "scalars": [-5, 'a"b', {"key": 0}],
      "fractions": [Fraction(-1, 2), Fraction(-3), Fraction(0), Fraction(10**30, 7), Fraction(6, 4)],
      "weights": [Weights((5, 1, 2, 3)), {"w": Weights((1, 1, 1, 1))}],
      "nested": ((), [()], {"e": {}}, [[Fraction(1, 3), [None, ("t", 0)]]], (1, (2, (3,))))},
@@ -356,13 +362,13 @@ EMIT_PAYLOADS = [
 @pytest.mark.parametrize("payload", EMIT_PAYLOADS)
 def test_emit_prints_what_json_dumps_prints(capsys, payload):
     _emit(payload)
-    assert capsys.readouterr().out == json.dumps(payload, indent=2, default=_json_value) + "\n"
+    assert capsys.readouterr().out == json.dumps(payload, indent=2, default=_json_hook) + "\n"
 
 
 @pytest.mark.parametrize("payload", [{(1, 2): 0}, {"x": [object()]}])
 def test_emit_rejects_what_json_dumps_rejects(capsys, payload):
     with pytest.raises(TypeError):
-        json.dumps(payload, indent=2, default=_json_value)
+        json.dumps(payload, indent=2, default=_json_hook)
     with pytest.raises(TypeError):
         _emit(payload)
     assert capsys.readouterr().out == ""
@@ -375,6 +381,16 @@ def test_emit_rejects_what_json_dumps_rejects(capsys, payload):
 def test_emit_rejects_floats_and_keys_not_str(capsys, payload):
     with pytest.raises(TypeError):
         _emit(payload)
+    assert capsys.readouterr().out == ""
+
+
+# json.dumps writes subclasses of int, str and tuple by their base type, but
+# no command builds them: each is refused at the top and as a child
+@pytest.mark.parametrize("value", [Count(3), Name("n"), Record("r", Fraction(1, 2)), object()])
+def test_emit_refuses_subclasses_records_and_objects(capsys, value):
+    for payload in (value, {"x": [value]}, [Fraction(1), (value,)]):
+        with pytest.raises(TypeError, match=f"^{type(value).__name__} is not JSON serializable$"):
+            _emit(payload)
     assert capsys.readouterr().out == ""
 
 
@@ -394,9 +410,6 @@ def test_main_builds_one_parser_per_process(capsys, monkeypatch, cover_file):
                  ("examples", "new-component", "--M", "4")):
         assert run_cli(capsys, *argv)[0] == EXIT_OK
     assert built == []
-    # the public builder still hands every caller a parser of its own
-    first, second = build_parser(), build_parser()
-    assert first is not second and built
 
 
 def test_shared_parser_keeps_no_state(capsys, cover_file):
@@ -547,8 +560,6 @@ UNREACHED = {
     "z2cover._frozen.Frozen.__hash__": "value protocol: hash",
     "z2cover._frozen.Frozen.__repr__": "value protocol: repr",
     "z2cover._frozen.Frozen.__reduce__": "value protocol: pickling",
-    "z2cover.invariants.geography_point":
-        "library API: the moments a, b, T and phi of a point; the commands print x, y and SCI",
     "z2cover.gf2.affine_hyperplane_min_intersection":
         "ROADMAP item 9: the hyperplane criterion for new components in examples",
     "z2cover.moduli.hyperplane_config_check":
@@ -813,6 +824,21 @@ class TestClassify:
         code, out, err = run_cli(capsys, "classify", "--s", "0", "--m", "1")
         assert code == EXIT_MALFORMED
         assert out == "" and err == "error: rank must be an integer in 1..16, got 0\n"
+
+    @pytest.mark.parametrize("base", ["flat", "projective"])
+    def test_rank_one_refuses_a_base(self, capsys, base):
+        # rank 1 lists the towers of every base, so a base filter would be ignored
+        code, out, err = run_cli(capsys, "classify", "--s", "1", "--m", "1", "--base", base)
+        assert (code, out) == (EXIT_MALFORMED, "")
+        assert err == (f"error: --base {base} needs --s >= 2:"
+                       " rank 1 lists the towers of every base\n")
+
+    @pytest.mark.parametrize("s", ["2", "3"])
+    def test_t_max_refused_above_rank_one(self, capsys, s):
+        # only the rank-1 towers have a degree t to bound
+        code, out, err = run_cli(capsys, "classify", "--s", s, "--m", "1", "--t-max", "2")
+        assert (code, out) == (EXIT_MALFORMED, "")
+        assert err == "error: --t-max needs --s 1: it bounds the degree t of the rank-1 towers\n"
 
     @pytest.mark.parametrize("s", ["17", "2000"])
     def test_rank_above_cap(self, capsys, s):

@@ -32,7 +32,6 @@ PACKAGE_API = [
     "BranchData",
     "CoverSpec",
     "CoverSpecError",
-    "GeographyPoint",
     "InvariantReport",
     "NonIntegralError",
     "ValidationReport",
@@ -44,7 +43,6 @@ PACKAGE_API = [
     "from_json",
     "from_path",
     "geography_coordinates",
-    "geography_point",
     "half_point_count",
     "hunt_scan",
     "hurwitz_degree",

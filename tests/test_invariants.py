@@ -11,10 +11,8 @@ from z2cover.invariants import (
     SCI_MAX,
     SCI_MIN,
     Y_MIN,
-    GeographyPoint,
     barycenter_ratio,
     geography_coordinates,
-    geography_point,
     holomorphic_euler,
     hunt_scan,
     invariant_report,
@@ -92,7 +90,7 @@ def test_vertex_and_barycenter():
 
 
 def test_geography_is_scale_invariant():
-    # every field is a quotient of integer sums of equal degree in the
+    # each coordinate is a quotient of integer sums of equal degree in the
     # weights, so the point depends only on the ray through them
     rng = random.Random(6)
     for _ in range(120):
@@ -101,7 +99,7 @@ def test_geography_is_scale_invariant():
         if not any(w):
             w[rng.randrange(1, 1 << s)] = 1
         c = rng.randint(2, 7)
-        assert geography_point(BranchData(s, w)) == geography_point(
+        assert geography_coordinates(BranchData(s, w)) == geography_coordinates(
             BranchData(s, [c * v for v in w])
         )
 
@@ -120,9 +118,9 @@ def test_vertex_geography_is_rank_free():
     # a single-component branch divisor behaves like a double cover; the
     # vertex attains the least index at every rank `geography extremes` serves
     for s in range(2, 9):
-        p = geography_point(vertex_ratio(s))
-        assert (p.x, p.y, p.sci) == (2, Fraction(1, 2), Fraction(-1, 2))
-        assert p.sci == SCI_MIN
+        x, y, sci = geography_coordinates(vertex_ratio(s))
+        assert (x, y, sci) == (2, Fraction(1, 2), Fraction(-1, 2))
+        assert sci == SCI_MIN
 
 
 def test_barycenter_y_values():
@@ -135,11 +133,11 @@ def test_barycenter_y_values():
         6: Fraction(3969, 2048),
     }
     for s, want in expected.items():
-        p = geography_point(barycenter_ratio(s))
-        assert p.y == want
-        assert p.y == 2 - Fraction(4, 1 << s) + Fraction(1, 1 << (2 * s - 1))
+        _, y, _ = geography_coordinates(barycenter_ratio(s))
+        assert y == want
+        assert y == 2 - Fraction(4, 1 << s) + Fraction(1, 1 << (2 * s - 1))
     # the largest index ever sampled: a support spanning a rank-2 subgroup
-    assert geography_point(barycenter_ratio(2)).sci == Fraction(1, 2)
+    assert geography_coordinates(barycenter_ratio(2)) == (1, Fraction(9, 8), Fraction(1, 2))
 
 
 def test_geography_moment_identity_random():
@@ -150,16 +148,16 @@ def test_geography_moment_identity_random():
             masses = [rng.randrange(0, 5) for _ in range(n - 1)]
             if not any(masses):
                 continue
-            p = geography_point(BranchData(s, [0] + masses))
-            # the identity phi = 3b - T + 1 is asserted inside; check ranges
-            assert SCI_MIN <= p.sci <= SCI_MAX
-            assert p.y >= Y_MIN
-            assert p.phi > 0
+            x, y, sci = geography_coordinates(BranchData(s, [0] + masses))
+            # the identity phi = 3b - T + 1 is asserted inside; check ranges,
+            # and phi = 2 / y > 0
+            assert SCI_MIN <= sci <= SCI_MAX
+            assert y >= Y_MIN
 
 
 @pytest.mark.parametrize("s", range(3, 9))
 def test_hunt_scan_at_full_mass_is_the_vertex(s):
-    assert hunt_scan(s, 1)[1] == geography_point(vertex_ratio(s))
+    assert hunt_scan(s, 1)[1] == geography_coordinates(vertex_ratio(s))
 
 
 def _random_cover(rng):
@@ -243,12 +241,13 @@ def test_geography_matches_character_loops():
         s = rng.randint(1, 6)
         r, w = _unlike_denominator_weights(rng, 1 << s)
         assert tuple(Fraction(v, sum(w)) for v in w) == r
-        assert geography_point(BranchData(s, w)) == oracles.geography_point(r)
+        assert geography_coordinates(BranchData(s, w)) == oracles.geography_point(r)[5:]
 
 
 def test_geography_reads_the_kept_cube_sum():
     # the ordered triple sum is sum(S^3) / (2^s delta^3), and sum(S^3) is
-    # 6 * 2^s times the unordered mass, whichever of the two is read first
+    # 6 * 2^s times the unordered mass, whichever of the coordinates and the
+    # mass is read first
     rng = random.Random(2718)
     for i in range(60):
         s = rng.randint(1, 8)
@@ -258,11 +257,13 @@ def test_geography_reads_the_kept_cube_sum():
         branch = BranchData(s, w)
         if i % 2:
             mass = zero_sum_triple_mass(branch)
-            point = geography_point(branch)
+            coordinates = geography_coordinates(branch)
         else:
-            point = geography_point(branch)
+            coordinates = geography_coordinates(branch)
             mass = zero_sum_triple_mass(branch)
-        cubes = point.zero_sum_triples * (1 << s) * sum(w) ** 3
+        point = oracles.geography_point([Fraction(v, sum(w)) for v in w])
+        assert coordinates == point[5:]
+        cubes = point[3] * (1 << s) * sum(w) ** 3
         assert cubes == branch.cube_sum == 6 * (1 << s) * mass
         assert cubes == sum(v**3 for v in oracles.walsh_spectrum(w))
 
@@ -287,20 +288,20 @@ def test_geography_integer_weights_match_fraction_reference():
             w = [0] * n
             w[g] = rng.randint(1, 5)
             r = tuple(Fraction(int(x == g)) for x in range(n))
-        point = geography_point(BranchData(s, w))
-        assert point == oracles.geography_point(r)
-        assert all(type(v) is Fraction for v in point[1:])
+        coordinates = geography_coordinates(BranchData(s, w))
+        assert coordinates == oracles.geography_point(r)[5:]
+        assert [type(v) for v in coordinates] == [Fraction] * 3
 
 
 def test_geography_limit_matches_large_covers():
     # blowing up the branch degree drives (x, y) to the ratio-vector point
     ratio = barycenter_ratio(2)
-    target = geography_point(ratio)
+    x, y, _ = geography_coordinates(ratio)
     prev = None
     for t in (30, 60, 120):
         spec = cover((1, 1, 1, 1), (0, t, t, t))
         rep = invariant_report(spec)
-        gap = abs(rep.y - target.y) + abs(rep.x - target.x)
+        gap = abs(rep.y - y) + abs(rep.x - x)
         if prev is not None:
             assert gap < prev / 2  # better than linear convergence in 1/t
         prev = gap
@@ -321,34 +322,19 @@ def test_geography_limit_matches_large_covers():
             chi.append(holomorphic_euler(spec))
             k3.append(volume(spec))
         de, dchi, dk3 = (f[3] - 3 * f[2] + 3 * f[1] - f[0] for f in (e, chi, k3))
-        point = geography_point(BranchData(s, d))
-        assert (point.x, point.y) == (de / (24 * dchi), -dk3 / (24 * dchi)), d
-
-
-def test_geography_point_fields_equality_and_repr():
-    assert GeographyPoint._fields == ("s", "a", "b", "zero_sum_triples", "phi", "x", "y", "sci")
-    point = geography_point(barycenter_ratio(2))
-    values = (2, Fraction(1, 9), Fraction(1, 3), Fraction(2, 9), Fraction(16, 9), Fraction(1),
-              Fraction(9, 8), Fraction(1, 2))
-    assert point == values and hash(point) == hash(values)
-    assert repr(point) == (
-        "GeographyPoint(s=2, a=Fraction(1, 9), b=Fraction(1, 3), zero_sum_triples=Fraction(2, 9),"
-        " phi=Fraction(16, 9), x=Fraction(1, 1), y=Fraction(9, 8), sci=Fraction(1, 2))"
-    )
-    assert repr(hunt_scan(3, Fraction(3, 5))[1]) == (
-        "GeographyPoint(s=3, a=Fraction(251, 1125), b=Fraction(31, 75),"
-        " zero_sum_triples=Fraction(0, 1), phi=Fraction(56, 25), x=Fraction(1103, 945),"
-        " y=Fraction(25, 28), sci=Fraction(17, 882))"
-    )
+        x, y, _ = geography_coordinates(BranchData(s, d))
+        assert (x, y) == (de / (24 * dchi), -dk3 / (24 * dchi)), d
 
 
 @pytest.mark.parametrize("s", range(1, 9))
 def test_geography_coordinates_are_the_points_last_three_fields(s):
+    # the last three of the oracle's (s, a, b, T, phi, x, y, SCI)
     rng = random.Random(f"coordinates:{s}")
     for _ in range(20):
         branch = random_ratio(s, rng)
         coordinates = geography_coordinates(branch)
-        assert coordinates == geography_point(branch)[5:]
+        total = sum(branch.d)
+        assert coordinates == oracles.geography_point([Fraction(v, total) for v in branch.d])[5:]
         assert [type(v) for v in coordinates] == [Fraction] * 3
 
 
@@ -368,9 +354,10 @@ def test_hunt_scan_closed_form_matches_the_dense_vector(s):
     # 12 take three masses: below the rank-3 window, inside it and the vertex
     for i in range(1, 38) if s <= 10 else (20, 25, 37):
         t = Fraction(i, 37)
-        f, point = hunt_scan(s, t)
-        assert point == oracles.geography_point(_scan_ratio(s, t))
-        assert f == 7 * point.a - 9 * point.b**2
+        f, coordinates = hunt_scan(s, t)
+        _, a, b, triples, _, *point = oracles.geography_point(_scan_ratio(s, t))
+        assert (coordinates, triples) == (tuple(point), 0)
+        assert f == 7 * a - 9 * b**2
 
 
 def test_hunt_scan_window_values():
@@ -383,31 +370,30 @@ def test_hunt_scan_window_values():
         Fraction(17, 25): Fraction(26726, 3515625),
     }
     for t, want in expect.items():
-        f, point = hunt_scan(3, t)
+        f, (_, y, sci) = hunt_scan(3, t)
         assert f == want
-        assert point.zero_sum_triples == 0
-        assert 4 * f == point.sci * point.phi**2
+        # phi = 2 / y
+        assert 4 * f == sci * (2 / y) ** 2
 
 
 def test_hunt_scan_left_endpoint_is_negative():
     # F < 0 at t = 1/2: the positivity window opens strictly afterwards
-    f, point = hunt_scan(3, Fraction(1, 2))
+    f, (_, _, sci) = hunt_scan(3, Fraction(1, 2))
     assert f == Fraction(-1, 36)
-    assert point.sci < 0
+    assert sci < 0
 
 
 def test_hunt_scan_interior_positive():
     for t in (Fraction(11, 20), Fraction(3, 5), Fraction(13, 20), Fraction(17, 25)):
-        f, point = hunt_scan(3, t)
+        f, (_, _, sci) = hunt_scan(3, t)
         assert f > 0
-        assert point.sci > 0
+        assert sci > 0
 
 
 def test_hunt_scan_sci_formula():
-    f, point = hunt_scan(3, Fraction(3, 5))
-    assert point.sci == Fraction(17, 882)
-    f1, p1 = hunt_scan(3, 1)
-    assert f1 == -2 and p1.sci == Fraction(-1, 2)
+    assert hunt_scan(3, Fraction(3, 5)) == (
+        Fraction(136, 5625), (Fraction(1103, 945), Fraction(25, 28), Fraction(17, 882)))
+    assert hunt_scan(3, 1) == (-2, (2, Fraction(1, 2), Fraction(-1, 2)))
 
 
 def test_hunt_scan_domain():
@@ -418,7 +404,8 @@ def test_hunt_scan_domain():
     with pytest.raises(ValueError):
         hunt_scan(3, Fraction(6, 5))
     # the least masses give moments of hundreds of thousands of bits
-    assert hunt_scan(3, Fraction(1, 10**20000))[1].zero_sum_triples == 0
+    f, (_, y, sci) = hunt_scan(3, Fraction(1, 10**20000))
+    assert 4 * f == sci * (2 / y) ** 2
     # Fraction(0.6) is 5404319552844595/9007199254740992, not 3/5
     for t in (0.6, 1.0, True):
         with pytest.raises(ValueError, match="mass must be an int or a Fraction"):
@@ -426,8 +413,11 @@ def test_hunt_scan_domain():
 
 
 def test_hunt_scan_rank_dependence():
-    # the same mass profile on larger groups stays zero-sum-free
+    # the same mass profile on larger groups stays zero-sum-free, where
+    # SCI = 4F / phi^2 with phi = 2 / y, and F moves with the rank
+    values = set()
     for s in (3, 4, 5):
-        f, point = hunt_scan(s, Fraction(3, 5))
-        assert point.zero_sum_triples == 0
-        assert point.s == s
+        f, (_, y, sci) = hunt_scan(s, Fraction(3, 5))
+        assert 4 * f == sci * (2 / y) ** 2
+        values.add(f)
+    assert len(values) == 3
