@@ -64,7 +64,7 @@ def _json_texts(values, indent: str) -> list[str]:
     per container, and a container's scalar children without a call each.
     Only the exact types the commands print are written: any other type,
     subclasses, ``float`` and records included, raises :class:`TypeError`,
-    and so does a dict key that is not a ``str``.
+    and so does a dict key whose type is not exactly ``str``.
     """
     texts = []
     for value in values:
@@ -102,6 +102,9 @@ def _json_object(value, indent: str) -> str:
     if not value:
         return "{}"
     inner = indent + "  "
+    for key in value:
+        if type(key) is not str:
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
     keys = list(map(_encode_str, value))
     items = [key + ": " + text for key, text in zip(keys, _json_texts(value.values(), inner))]
     return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
@@ -352,6 +355,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         )
     if args.s >= 2 and args.t_max is not None:
         raise ValueError("--t-max needs --s 1: it bounds the degree t of the rank-1 towers")
+    if args.t_max is not None and args.t_max < 1:
+        raise ValueError(f"--t-max must be positive, got {args.t_max}")
     if args.bounds_report:
         print(classify.bounds_report(args.s, args.m), file=sys.stderr)
     if args.s == 1:

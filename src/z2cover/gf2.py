@@ -1,4 +1,4 @@
-"""Elementary (Z/2)^s arithmetic: pairings, GL_s(F_2) orbits, hyperplane sections.
+"""Elementary (Z/2)^s arithmetic: the pairing and GL_s(F_2) orbits.
 
 Group elements and characters are both encoded as Python ints in
 ``range(2**s)``; bit ``i`` is coordinate ``i``.  A function on the group is
@@ -12,12 +12,9 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .walsh import forward
-
 __all__ = [
     "dot",
     "orbit_reps",
-    "affine_hyperplane_min_intersection",
 ]
 
 
@@ -73,21 +70,3 @@ def orbit_reps(funcs: Iterable[Sequence[int]], s: int) -> list[tuple[int, ...]]:
         reps.append(min(orbit))
     return sorted(reps)
 
-
-def affine_hyperplane_min_intersection(points: Iterable[int], s: int) -> int:
-    """Least size of ``A & {g : chi.g = 1}`` over nonzero characters chi.
-
-    With ``S`` the spectrum of the indicator of ``A``, that intersection has
-    ``(|A| - S(chi)) / 2`` points.
-    """
-    pts = list(points)
-    if not pts:
-        return 0
-    n = 1 << s
-    indicator = [0] * n
-    for g in pts:
-        if not 0 <= g < n:
-            raise ValueError(f"point {g} outside group of rank {s}")
-        indicator[g] += 1
-    spectrum = forward(indicator)
-    return min(len(pts) - sc for sc in spectrum[1:]) // 2

@@ -17,9 +17,8 @@ from itertools import combinations
 from math import gcd
 from typing import NamedTuple
 
-from . import walsh
 from .cover import BranchData, CoverSpec, _message_bits, eigensheaf_degrees, hurwitz_degree
-from .gf2 import affine_hyperplane_min_intersection, dot
+from .gf2 import dot
 from .wps import Weights, monomial_count
 
 __all__ = [
@@ -51,36 +50,30 @@ class DeformationReport(NamedTuple):
 
 def _failing_pairs(s: int, d, l) -> list[tuple[int, int]]:
     """Pairs (g, chi), g a branch component and chi vanishing on g, where
-    d(g) >= l(chi).
+    d(g) >= l(chi), in the order chi ascending, then g ascending.
 
     An element with ``d(g) = 0`` carries no divisor, so it never fails, not
     even against a character with ``l(chi) = 0``.  Only characters with
-    ``l(chi) <= max(d)`` can fail.  For a threshold ``u`` among the positive
-    branch degrees, the Walsh spectrum ``S_u`` of the indicator
-    ``I_u = [d(g) >= u]`` counts, for every character at once, the points
-    of ``chi^perp`` that reach ``u``:
-    ``(|I_u| + S_u(chi)) / 2``.  Each character reads that count at its
-    least threshold ``u >= l(chi)``, one transform per threshold in use,
-    and only characters with a nonzero count list their pairs, in the
-    order chi ascending, then g ascending.
+    ``l(chi) <= max(d)`` can fail.  Such a character reads the elements
+    reaching its least threshold ``u >= l(chi)`` among the positive branch
+    degrees, a list built once per threshold, and keeps those on
+    ``chi^perp``.  The listing is output-sensitive without a transform:
+    when ``l`` holds the eigensheaf degrees, a reached element off
+    ``chi^perp`` lies on ``chi.g = 1``, whose mass is ``2 l(chi) <= 2u``,
+    and carries at least ``u``, so at most two reached elements per
+    character are not failing pairs.
     """
     n = 1 << s
     levels = sorted(set(d[1:]) - {0})
-    reach: dict[int, tuple[list[int], list[int]]] = {}
+    reach: dict[int, list[int]] = {}
     out = []
     for chi in range(1, n):
         if l[chi] > levels[-1]:
             continue
         u = levels[bisect_left(levels, l[chi])]
         if u not in reach:
-            members = [g for g in range(1, n) if d[g] >= u]
-            indicator = [0] * n
-            for g in members:
-                indicator[g] = 1
-            reach[u] = (members, walsh.forward(indicator))
-        members, spectrum = reach[u]
-        if len(members) + spectrum[chi]:
-            out.extend((g, chi) for g in members if not dot(chi, g))
+            reach[u] = [g for g in range(1, n) if d[g] >= u]
+        out.extend((g, chi) for g in reach[u] if not dot(chi, g))
     return out
 
 
@@ -117,26 +110,27 @@ def hyperplane_config_check(s: int, weights, subspace_dim: int | None = None) ->
     Without ``subspace_dim`` the branch carries one hyperplane for every
     nonzero group element and the weight sum must stay under
     ``(2^s - 1)/2``; with it, the hyperplanes sit off a coordinate
-    subspace of that dimension and the bound tightens to
-    ``(2^s - 2^dim)/2``.  Either way every affine hyperplane of the group
-    avoiding 0 must meet the support in at least 4 points.
+    subspace ``V`` of that dimension and the bound tightens to
+    ``(2^s - 2^dim)/2``.  The criterion also asks every affine hyperplane
+    ``chi.g = 1`` to meet the support in at least 4 points, which the
+    accepted shapes always satisfy: it holds ``2^(s-1)`` group elements,
+    none of them 0, so the full arrangement meets it in ``2^(s-1) >= 4``
+    points at ``s >= 3``.  Off ``V`` it loses at most the ``2^(dim-1)``
+    points of ``V`` on it, leaving ``2^(s-1) - 2^(dim-1) >= 2^(s-2) >= 4``
+    at ``dim < s`` and ``s >= 4``.  So the weight bound decides.
     """
     w = weights if isinstance(weights, Weights) else Weights(weights)
     if subspace_dim is None:
         if s < 3:
             raise ValueError("full arrangement needs rank >= 3")
-        support = list(range(1, 1 << s))
         cap = (1 << s) - 1
     else:
         if s < 4:
             raise ValueError("off-subspace arrangement needs rank >= 4")
         if not 2 <= subspace_dim < s:
             raise ValueError(f"subspace dimension must be in 2..{s - 1}, got {subspace_dim}")
-        support = [g for g in range(1, 1 << s) if g >> subspace_dim]
         cap = (1 << s) - (1 << subspace_dim)
-    if 2 * w.W >= cap:
-        return False
-    return affine_hyperplane_min_intersection(support, s) >= 4
+    return 2 * w.W < cap
 
 
 def gen_new_component(M: int) -> CoverSpec:
@@ -183,12 +177,10 @@ class UnboundedFamily(NamedTuple):
     def p_m(self) -> int:
         return monomial_count(self.weights, self.M)
 
-    def degree(self, g: int) -> int:
-        return self.height if dot(self.chi0, g) and g else 0
-
     def cover_spec(self) -> CoverSpec:
-        """Materialize the dense degree table; only sane for small rank."""
-        d = tuple(self.degree(g) for g in range(1 << self.s))
+        """Materialize the dense degree table; only sane for small rank.
+        ``chi0 . 0 = 0`` keeps the identity off the support."""
+        d = tuple(self.height * dot(self.chi0, g) for g in range(1 << self.s))
         return CoverSpec(weights=self.weights, branch=BranchData(self.s, d))
 
 

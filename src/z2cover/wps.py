@@ -85,9 +85,7 @@ def well_formed(a: Iterable[int]) -> bool:
 
 
 def _progression_count(rem: int, step: int, mod: int) -> int:
-    """#{e >= 0 : step*e <= rem and step*e == rem (mod mod)}."""
-    if rem < 0:
-        return 0
+    """#{e >= 0 : step*e <= rem and step*e == rem (mod mod)}, for rem >= 0."""
     g = gcd(step, mod)
     if rem % g:
         return 0

@@ -71,6 +71,22 @@ class TestCover:
         payload = json.loads(out)
         assert not payload["ok"] and not payload["parity_ok"]
 
+    @pytest.mark.parametrize("weights, d, failed, message", [
+        ([2, 2, 2, 3], {"10": 6, "01": 6, "11": 12}, "weights_well_formed",
+         "weights (2,2,2,3) are not well formed"),
+        ([1, 1, 1, 3], {"10": 4, "01": 4, "11": 8}, "half_points_integral",
+         "half-point count 128/3 is not integral"),
+    ], ids=["ill-formed-weights", "fractional-half-points"])
+    def test_check_names_the_one_failed_check(self, capsys, cover_file, weights, d, failed,
+                                              message):
+        text = json.dumps({"weights": weights, "s": 2, "d": d})
+        code, out, _ = run_cli(capsys, "cover", "check", cover_file(text))
+        assert code == EXIT_INVALID
+        payload = json.loads(out)
+        failures = {key for key, value in payload.items() if value is False}
+        assert failures == {"ok", "flat", failed}  # flatness is reported, not required
+        assert payload["messages"] == [message]
+
     def test_check_malformed_json(self, capsys, cover_file):
         code, _, err = run_cli(capsys, "cover", "check", cover_file("{not json"))
         assert code == EXIT_MALFORMED
@@ -394,6 +410,16 @@ def test_emit_refuses_subclasses_records_and_objects(capsys, value):
     assert capsys.readouterr().out == ""
 
 
+def test_emit_refuses_a_str_subclass_key(capsys):
+    # json.dumps writes a str subclass key as its text; the writer refuses it
+    # like any key whose type is not exactly str, at the top and nested
+    assert json.dumps({Name("k"): 1}) == '{"k": 1}'
+    for payload in ({Name("k"): 1}, [{"x": {"y": 0, Name("k"): 1}}]):
+        with pytest.raises(TypeError, match="^keys must be str, not Name$"):
+            _emit(payload)
+    assert capsys.readouterr().out == ""
+
+
 def test_main_builds_one_parser_per_process(capsys, monkeypatch, cover_file):
     path = cover_file(FROZEN_COVERS["valid"])
     run_cli(capsys, "cover", "check", path)  # builds the parser if no test has yet
@@ -560,11 +586,8 @@ UNREACHED = {
     "z2cover._frozen.Frozen.__hash__": "value protocol: hash",
     "z2cover._frozen.Frozen.__repr__": "value protocol: repr",
     "z2cover._frozen.Frozen.__reduce__": "value protocol: pickling",
-    "z2cover.gf2.affine_hyperplane_min_intersection":
-        "ROADMAP item 9: the hyperplane criterion for new components in examples",
     "z2cover.moduli.hyperplane_config_check":
         "ROADMAP item 9: the hyperplane criterion for new components in examples",
-    "z2cover.moduli.UnboundedFamily.degree": "ROADMAP item 9: examples --verify materializes a family",
     "z2cover.moduli.UnboundedFamily.cover_spec":
         "ROADMAP item 9: examples --verify materializes a family",
 }
@@ -839,6 +862,13 @@ class TestClassify:
         code, out, err = run_cli(capsys, "classify", "--s", s, "--m", "1", "--t-max", "2")
         assert (code, out) == (EXIT_MALFORMED, "")
         assert err == "error: --t-max needs --s 1: it bounds the degree t of the rank-1 towers\n"
+
+    @pytest.mark.parametrize("t_max", ["0", "-5"])
+    def test_nonpositive_t_max_refused(self, capsys, t_max):
+        # a bound below the least degree would leave only the header
+        code, out, err = run_cli(capsys, "classify", "--s", "1", "--m", "1", "--t-max", t_max)
+        assert (code, out) == (EXIT_MALFORMED, "")
+        assert err == f"error: --t-max must be positive, got {t_max}\n"
 
     @pytest.mark.parametrize("s", ["17", "2000"])
     def test_rank_above_cap(self, capsys, s):

@@ -241,6 +241,28 @@ def test_validate_collects_failures():
     assert shallow.parity_ok
 
 
+# each cover below fails one check only, so its message is the report's only one
+ILL_FORMED = cover((2, 2, 2, 3), (0, 6, 6, 12))  # gcd(2, 2, 2) = 2
+FRACTIONAL_HALF_POINTS = cover((1, 1, 1, 3), (0, 4, 4, 8))  # 4 * 4 * 8 / 3 points
+
+
+def test_validate_refuses_ill_formed_weights():
+    report = validate(ILL_FORMED)
+    assert not report.ok and not report.weights_well_formed
+    assert report.parity_ok and report.branching_positive and report.connected
+    assert (report.half_points, report.half_points_integral) == (18, True)
+    assert report.messages == ("weights (2,2,2,3) are not well formed",)
+
+
+def test_validate_refuses_a_fractional_half_point_count():
+    report = validate(FRACTIONAL_HALF_POINTS)
+    assert not report.ok and not report.half_points_integral
+    assert report.half_points is None
+    assert report.parity_ok and report.weights_well_formed and report.connected
+    assert report.hurwitz == 2
+    assert report.messages == ("half-point count 128/3 is not integral",)
+
+
 def _dense_cover(s, seed):
     rng = random.Random(seed)
     return cover((1, 1, 1, 1), [0] + [rng.choice((2, 4, 6)) for _ in range(1, 1 << s)])

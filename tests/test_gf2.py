@@ -9,7 +9,6 @@ from z2cover.classify import enumerate_flat, enumerate_L1
 from z2cover.cover import BranchData, eigensheaf_degrees
 from z2cover.gf2 import (
     _generator_perms,
-    affine_hyperplane_min_intersection,
     dot,
     orbit_reps,
 )
@@ -214,30 +213,3 @@ def test_enumerated_representatives_are_canonical(s):
         for sol in enumerate_flat(s, m) + enumerate_L1(s, m):
             assert canonical_form(sol.d) == sol.d
 
-
-def test_min_intersection_examples():
-    # singletons: some hyperplane misses the point entirely
-    assert affine_hyperplane_min_intersection([1], 3) == 0
-    assert affine_hyperplane_min_intersection([], 4) == 0
-    # a basis of rank 3: chi = e_i^* sees exactly one point
-    assert affine_hyperplane_min_intersection([1, 2, 4], 3) == 1
-    with pytest.raises(ValueError):
-        affine_hyperplane_min_intersection([8], 3)
-
-
-@pytest.mark.parametrize("s", [2, 3, 4, 5, 6])
-def test_min_intersection_full_support(s):
-    # every affine hyperplane holds exactly half the group
-    pts = range(1, 1 << s)
-    assert affine_hyperplane_min_intersection(pts, s) == 1 << (s - 1)
-
-
-def test_min_intersection_matches_character_loop():
-    rng = random.Random(8192)
-    for _ in range(300):
-        s = rng.randint(1, 6)
-        n = 1 << s
-        # repeated points count with multiplicity
-        pts = [rng.randrange(n) for _ in range(rng.randint(1, n + 3))]
-        direct = min(sum((chi & g).bit_count() & 1 for g in pts) for chi in range(1, n))
-        assert affine_hyperplane_min_intersection(pts, s) == direct

@@ -127,7 +127,42 @@ class TestFailingPairs:
             assert _failing_pairs(s, d, l) == oracles.failing_pairs(s, d, l)
 
 
+    def test_at_most_two_reached_elements_per_character_are_not_pairs(self):
+        # an element reaching u >= l(chi) off chi^perp carries at least u of
+        # the mass 2 l(chi) <= 2u on chi.g = 1, so at most two such exist
+        most = 0
+        for spec in seeded_covers():
+            s, d = spec.branch.s, spec.branch.d
+            l = oracles.eigensheaf_degrees(d)
+            levels = sorted(set(d[1:]) - {0})
+            for chi in range(1, 1 << s):
+                reached = [u for u in levels if u >= l[chi]]
+                if reached:
+                    off = [g for g in range(1, 1 << s)
+                           if d[g] >= reached[0] and (chi & g).bit_count() & 1]
+                    assert len(off) <= 2, (d, chi)
+                    most = max(most, len(off))
+        assert most == 2  # the bound is met
+
+
 class TestHyperplaneConfig:
+    def test_matches_character_loop_oracle(self):
+        # every shape the check accepts up to rank 9, with weight sums on
+        # both sides of each cap, and seeded weights
+        rng = random.Random(35)
+        outcomes = Counter()
+        for s in range(3, 10):
+            for dim in [None] + (list(range(2, s)) if s >= 4 else []):
+                cap = (1 << s) - (1 if dim is None else 1 << dim)
+                quads = [(1, 1, 1, W - 3) for W in range(max(4, cap // 2 - 2), cap // 2 + 3)]
+                quads += [tuple(rng.randint(1, cap // 2) for _ in range(4)) for _ in range(20)]
+                for quad in quads:
+                    expected = oracles.hyperplane_config(s, sum(quad), dim)
+                    args = (s, Weights(quad)) if dim is None else (s, Weights(quad), dim)
+                    assert hyperplane_config_check(*args) == expected, (s, dim, quad)
+                    outcomes[expected] += 1
+        assert outcomes[True] >= 50 and outcomes[False] >= 50
+
     def test_full_support_configuration(self):
         assert hyperplane_config_check(4, Weights((1, 1, 1, 1)))
         assert not hyperplane_config_check(3, Weights((1, 1, 2, 3)))
