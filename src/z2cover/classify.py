@@ -546,14 +546,19 @@ class RankOneFamily(NamedTuple):
         return 2 * self.weights.L
 
 
-def _s1_windows(m: int) -> Iterator[tuple[Fraction, int, int | None]]:
-    """``(W/L, t_min, t_sup)`` of every rank-1 target ``c/m`` with a window;
-    the reciprocals sum to ``W/L``, so it is known before the search."""
-    for target in (Fraction(c, m) for c in range(1, 4 * m + 1)):
-        t_min = math.floor(target) + 1
-        t_sup = None if m == 1 else math.ceil((1 + Fraction(1, m - 1)) * target)
-        if t_sup is None or t_min < t_sup:
-            yield target, t_min, t_sup
+def _s1_windows(m: int) -> list[tuple[Fraction, int, int | None]]:
+    """``(W/L, t_min, t_sup)`` of every rank-1 target ``c/m``, ``c = 1..4m``,
+    with a window, by increasing ``c``; the reciprocals sum to ``W/L``, so
+    it is known before the search.  For ``m = 1`` the windows ``t > c`` are
+    unbounded.  For ``m >= 2``, ``c/m < t < c/(m-1)`` holds an integer ``t``
+    exactly when ``(m-1)t < c < mt``, and ``c <= 4m`` bounds ``t`` by
+    ``4m // (m-1)``, so the targets are built from those ranges of ``c``
+    (at most six once ``m >= 5``), not scanned."""
+    if m == 1:
+        return [(Fraction(c), c + 1, None) for c in range(1, 5)]
+    targets = sorted({c for t in range(1, 4 * m // (m - 1) + 1)
+                      for c in range((m - 1) * t + 1, min(m * t, 4 * m + 1))})
+    return [(Fraction(c, m), c // m + 1, -(-c // (m - 1))) for c in targets]
 
 
 def enumerate_s1(m: int, t_max: int | None = None) -> list[RankOneFamily]:

@@ -159,7 +159,8 @@ def zero_sum_triple_mass(branch: BranchData) -> Fraction:
     of ordered zero-sum triples.  Since ``d(0) = 0`` every such triple has
     three distinct elements, and the sixth returned here is the unordered
     mass: ``d_p d_q d_r`` summed over the sets ``{p, q, r}`` with
-    ``p ^ q ^ r = 0``, unlike the ordered ``GeographyPoint.zero_sum_triples``.
+    ``p ^ q ^ r = 0``, unlike the ordered sum ``c3 = sum(S^3)`` that
+    ``invariants.geography_coordinates`` reads.
     """
     return Fraction(branch.cube_sum, 6 << branch.s)
 

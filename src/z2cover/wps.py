@@ -15,6 +15,7 @@ class is known, whatever the size of ``n``.
 
 from __future__ import annotations
 
+import functools
 from math import gcd, lcm
 from typing import Iterable, Iterator
 
@@ -84,38 +85,35 @@ def well_formed(a: Iterable[int]) -> bool:
     return True
 
 
-def _progression_count(rem: int, step: int, mod: int) -> int:
-    """#{e >= 0 : step*e <= rem and step*e == rem (mod mod)}, for rem >= 0."""
-    g = gcd(step, mod)
-    if rem % g:
-        return 0
-    m = mod // g
-    # least e with step*e == rem mod `mod`; reduce to a unit inverse mod m
-    e0 = (rem // g * pow(step // g, -1, m)) % m if m > 1 else 0
-    if step * e0 > rem:
-        return 0
-    return (rem - step * e0) // (step * m) + 1
-
-
-# Newton forward differences of N at r, r + L, r + 2L, r + 3L, keyed by
-# (weights, r); each entry fixes the cubic of one residue class mod L
-_NEWTON: dict[tuple[tuple[int, ...], int], tuple[int, int, int, int]] = {}
-
-
 def _lattice_count(quad: tuple[int, ...], n: int) -> int:
-    """N(n) for n >= 0 by two explicit loops over the largest weights.
+    """N(n) for n >= 0 by a walk over the exponents of the two largest weights.
 
-    The exponent of the second variable is counted per congruence class, so
-    the cost is governed by ``(n/a2) * (n/a3)`` rather than the lattice
-    volume.
+    At each remainder ``rem`` the ``e1`` with ``a1*e1 == rem (mod a0)`` and
+    ``a1*e1 <= rem`` exist only when ``g = gcd(a1, a0)`` divides ``rem``, and
+    then step by ``m = a0/g`` from the least one, found by the inverse of
+    ``a1/g`` mod ``m``, fixed once per walk: ``(n/a2) * (n/a3)`` steps.
     """
     a0, a1, a2, a3 = quad
+    g = gcd(a1, a0)
+    m = a0 // g
+    inverse = pow(a1 // g, -1, m)
     total = 0
-    for e3 in range(n // a3 + 1):
-        r3 = n - e3 * a3
-        for e2 in range(r3 // a2 + 1):
-            total += _progression_count(r3 - e2 * a2, a1, a0)
+    for r3 in range(n, -1, -a3):
+        for rem in range(r3, -1, -a2):
+            if rem % g == 0:
+                e0 = rem // g * inverse % m
+                if a1 * e0 <= rem:
+                    total += (rem - a1 * e0) // (a1 * m) + 1
     return total
+
+
+@functools.cache
+def _newton(quad: tuple[int, ...], r: int) -> tuple[int, int, int, int]:
+    """Newton forward differences of N at ``r, r + L, r + 2L, r + 3L``: the
+    cubic of residue class ``r`` mod ``L = lcm(quad)``."""
+    L = lcm(*quad)
+    v0, v1, v2, v3 = (_lattice_count(quad, r + k * L) for k in range(4))
+    return v0, v1 - v0, v2 - 2 * v1 + v0, v3 - 3 * v2 + 3 * v1 - v0
 
 
 def monomial_count(weights: Weights | Iterable[int], n: int) -> int:
@@ -136,12 +134,7 @@ def monomial_count(weights: Weights | Iterable[int], n: int) -> int:
     q, r = divmod(n, L)
     if q < 3:
         return _lattice_count(quad, n)
-    key = (quad, r)
-    diffs = _NEWTON.get(key)
-    if diffs is None:
-        v0, v1, v2, v3 = (_lattice_count(quad, r + k * L) for k in range(4))
-        diffs = _NEWTON[key] = (v0, v1 - v0, v2 - 2 * v1 + v0, v3 - 3 * v2 + 3 * v1 - v0)
-    d0, d1, d2, d3 = diffs
+    d0, d1, d2, d3 = _newton(quad, r)
     return d0 + q * d1 + q * (q - 1) // 2 * d2 + q * (q - 1) * (q - 2) // 6 * d3
 
 

@@ -402,29 +402,44 @@ def weights_with_ratio(target):
     return tuple(out)
 
 
+def s1_windows(m):
+    """``(c/m, t_min, t_sup)`` of the rank-1 targets with a window, by
+    increasing ``c``: every ``c = 1..4m`` is scanned, and the window
+    ``c/m < t``, for ``m >= 2`` also ``t < m/(m-1) * c/m``, is kept when
+    an integer lies in it; ``t_min`` is the least such integer and
+    ``t_sup`` (``None`` for ``m = 1``) the least one above it."""
+    windows = []
+    for c in range(1, 4 * m + 1):
+        target = Fraction(c, m)
+        t_min = int(target) + 1
+        if m == 1:
+            windows.append((target, t_min, None))
+            continue
+        upper = m * target / (m - 1)
+        t_sup = -(-upper.numerator // upper.denominator)
+        if t_min < t_sup:
+            windows.append((target, t_min, t_sup))
+    return windows
+
+
 def rank_one_towers(m, t_max=None):
     """``(weights, t_min, t_sup)`` of the rank-1 towers for ``m``, ``t_sup``
     exclusive or ``None``.  A double cover branched in degree ``2Lt`` is
     m-canonical when ``M = m(Lt - W)`` is a positive multiple of ``L`` below
     the twisted degree ``Lt``: ``W/L = c/m``, ``c = 1..4m`` (each
-    ``a <= L``), ``W/L < t`` and, for ``m >= 2``, ``t < m/(m-1) W/L`` and
-    ``m - 1 | 2W``.  Every target is searched, empty windows dropped,
+    ``a <= L``), ``t`` in the window of ``s1_windows(m)`` and, for
+    ``m >= 2``, ``m - 1 | 2W``.  Every windowed target is searched,
     ``t <= t_max`` kept; sorted by decreasing ``W/L``, then weights."""
     towers = []
-    for c in range(1, 4 * m + 1):
-        target = Fraction(c, m)
+    for target, t_min, t_sup in s1_windows(m):
         for a in weights_with_ratio(target):
-            t_min = int(target) + 1
-            t_sup = None
-            if m > 1:
-                if 2 * sum(a) % (m - 1):
-                    continue
-                upper = m * target / (m - 1)
-                t_sup = -(-upper.numerator // upper.denominator)
-            if t_max is not None and (t_sup is None or t_sup > t_max + 1):
-                t_sup = t_max + 1
-            if t_sup is None or t_min < t_sup:
-                towers.append((a, t_min, t_sup))
+            if m > 1 and 2 * sum(a) % (m - 1):
+                continue
+            top = t_sup
+            if t_max is not None and (top is None or top > t_max + 1):
+                top = t_max + 1
+            if top is None or t_min < top:
+                towers.append((a, t_min, top))
     return sorted(towers, key=lambda x: (-Fraction(sum(x[0]), lcm(*x[0])), x[0]))
 
 

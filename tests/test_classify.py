@@ -23,6 +23,7 @@ from z2cover.classify import (
     _cell_reps,
     _cells,
     _lift_candidates,
+    _s1_windows,
     _unit_fraction_quadruples,
     _weights_with_ratio,
     bound_prune,
@@ -41,7 +42,7 @@ from z2cover.wps import Weights, monomial_count
 
 from oracles import branch_profiles, canonical_form, canonical_forms, degree_distributions
 from oracles import largest_admissible_m, lifts, parity_vector, partitions, rank_one_towers
-from oracles import realizations, unit_fraction_quadruples, weights_with_ratio
+from oracles import realizations, s1_windows, unit_fraction_quadruples, weights_with_ratio
 
 P3 = Weights((1, 1, 1, 1))
 
@@ -774,6 +775,20 @@ class TestRankOneTowers:
                 assert all(f.m == m and (f.status, f.note) == (
                     (SUPPLEMENTARY, "valid tower missing from the reference catalog")
                     if (m, f.weights.a) == (1, (2, 3, 3, 4)) else (MAIN, "")) for f in fams)
+
+    def test_windows_built_match_the_scan(self):
+        # the built targets, their windows and the bounds report's target
+        # lines against the scan over every c = 1..4m
+        for m in range(1, 401):
+            want = s1_windows(m)
+            assert list(_s1_windows(m)) == want, m
+            lines = [line for line in bounds_report(1, m).splitlines()
+                     if line.startswith("  target ")]
+            assert lines == [
+                f"  target W/L={target}: "
+                + (f"t >= {t_min}" if t_sup is None else f"{t_min} <= t < {t_sup}")
+                for target, t_min, t_sup in want
+            ], m
 
     def test_large_multiple_finishes(self):
         # the full search ran for minutes at m = 40; a target's window is

@@ -642,7 +642,7 @@ print(json.dumps({"codes": codes, "unreached": unreached}))
 
 
 def test_every_library_function_is_reached(cover_file):
-    # a fresh interpreter, because the _cell_reps, _parser and wps._NEWTON
+    # a fresh interpreter, because the _cell_reps, _parser and wps._newton
     # caches would answer for calls that earlier tests made
     lines = [line for line, _, _ in FROZEN_STDOUT] + ["classify --s 3 --m 1 --bounds-report"]
     argvs = [expand(cover_file, line) for line in lines]

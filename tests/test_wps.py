@@ -72,10 +72,12 @@ def test_monomial_count_matches_brute_force(weights):
 
 
 def _oracle_weight_sets():
-    """Seeded weight quadruples with lcm at most 60, plus fixed ones at 42 and 60."""
+    """Seeded weight quadruples with lcm at most 60, plus fixed ones at 42
+    and 60, and ``(4, 6, 6, 12)``, whose two smallest weights share the
+    factor 2 with ``4 / 2 > 1``, so the walk's progressions have step 2."""
     rng = random.Random(17)
-    sets = [(1, 6, 14, 21), (3, 4, 5, 6), (1, 4, 5, 12), (1, 1, 1, 1)]
-    while len(sets) < 18:
+    sets = [(1, 6, 14, 21), (3, 4, 5, 6), (1, 4, 5, 12), (1, 1, 1, 1), (4, 6, 6, 12)]
+    while len(sets) < 19:
         weights = tuple(sorted(rng.randrange(1, 13) for _ in range(4)))
         if lcm(*weights) <= 60 and weights not in sets:
             sets.append(weights)
@@ -94,6 +96,15 @@ def test_monomial_count_generating_function_oracle():
         # the edge between the two paths
         assert monomial_count(weights, 3 * L - 1) == coeffs[3 * L - 1]
         assert monomial_count(weights, 3 * L) == coeffs[3 * L]
+
+
+def test_monomial_count_walk_far_from_the_origin():
+    # 3L = 51051, so n = 10^4 is counted by the walk itself, over about
+    # 230,000 (e3, e2) steps
+    weights = (7, 11, 13, 17)
+    counts = oracles.monomial_counts(weights, 10**4)
+    for n in (10**4 - 1, 10**4):
+        assert monomial_count(weights, n) == counts[n], n
 
 
 def test_monomial_count_large_lcm():
