@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, lcm
 from typing import Iterator, NamedTuple, Sequence
 
@@ -295,25 +295,18 @@ def _lift_candidates(parent: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     where it is odd, is 0).  Below the top bit a lift's parity vector is then
     the parent's, and its top bit counts the odd values on the top half; so
     exactly the lifts whose top half has an even sum are integral, and only
-    those are yielded.
+    those are yielded.  A lift splits each ``parent[g]`` as ``parent[g] - u``
+    at ``g`` and ``u`` at ``g`` plus the top bit; the splits run in
+    ``itertools.product`` order, the last support element fastest.
     """
     half = len(parent)
     support = [g for g in range(1, half) if parent[g]]
-    top = half
-
-    def rec(idx: int, d: list[int], odd: int) -> Iterator[tuple[int, ...]]:
-        if idx == len(support):
-            if not odd:
-                yield tuple(d)
-            return
-        g = support[idx]
-        for up in range(parent[g] + 1):
-            d[g] = parent[g] - up
-            d[g | top] = up
-            yield from rec(idx + 1, d, odd ^ (up & 1))
-        d[g] = d[g | top] = 0
-
-    yield from rec(0, [0] * (2 * half), 0)
+    d = [0] * (2 * half)
+    for ups in product(*(range(parent[g] + 1) for g in support)):
+        if sum(ups) % 2 == 0:
+            for g, up in zip(support, ups):
+                d[g], d[g | half] = parent[g] - up, up
+            yield tuple(d)
 
 
 @functools.cache

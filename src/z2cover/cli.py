@@ -349,6 +349,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     from . import classify
 
     check_rank(args.s)
+    if args.m < 1:
+        raise ValueError(f"--m must be positive, got {args.m}")
     if args.s == 1 and args.base != "all":
         raise ValueError(
             f"--base {args.base} needs --s >= 2: rank 1 lists the towers of every base"

@@ -27,7 +27,6 @@ __all__ = [
     "deformation_criteria",
     "gen_new_component",
     "gen_unbounded",
-    "hyperplane_config_check",
 ]
 
 STABILITY_NOTE = "stable by pair criterion, not verified"
@@ -102,35 +101,6 @@ def deformation_criteria(spec: CoverSpec) -> DeformationReport:
         genericity_assumed=True,
         messages=tuple(messages),
     )
-
-
-def hyperplane_config_check(s: int, weights, subspace_dim: int | None = None) -> bool:
-    """Whether a hyperplane-arrangement branch locus fits these weights.
-
-    Without ``subspace_dim`` the branch carries one hyperplane for every
-    nonzero group element and the weight sum must stay under
-    ``(2^s - 1)/2``; with it, the hyperplanes sit off a coordinate
-    subspace ``V`` of that dimension and the bound tightens to
-    ``(2^s - 2^dim)/2``.  The criterion also asks every affine hyperplane
-    ``chi.g = 1`` to meet the support in at least 4 points, which the
-    accepted shapes always satisfy: it holds ``2^(s-1)`` group elements,
-    none of them 0, so the full arrangement meets it in ``2^(s-1) >= 4``
-    points at ``s >= 3``.  Off ``V`` it loses at most the ``2^(dim-1)``
-    points of ``V`` on it, leaving ``2^(s-1) - 2^(dim-1) >= 2^(s-2) >= 4``
-    at ``dim < s`` and ``s >= 4``.  So the weight bound decides.
-    """
-    w = weights if isinstance(weights, Weights) else Weights(weights)
-    if subspace_dim is None:
-        if s < 3:
-            raise ValueError("full arrangement needs rank >= 3")
-        cap = (1 << s) - 1
-    else:
-        if s < 4:
-            raise ValueError("off-subspace arrangement needs rank >= 4")
-        if not 2 <= subspace_dim < s:
-            raise ValueError(f"subspace dimension must be in 2..{s - 1}, got {subspace_dim}")
-        cap = (1 << s) - (1 << subspace_dim)
-    return 2 * w.W < cap
 
 
 def gen_new_component(M: int) -> CoverSpec:

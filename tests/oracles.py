@@ -452,25 +452,6 @@ def failing_pairs(s, d, l):
             if d[g] > 0 and d[g] >= l[chi] and not (chi & g).bit_count() & 1]
 
 
-_SECTIONS = {}  # (rank, subspace dimension) -> (support size, least section)
-
-
-def hyperplane_config(s, W, subspace_dim=None):
-    """The hyperplane-arrangement criterion for weight sum ``W``.  The
-    support is every nonzero element, or those off the coordinate subspace
-    of dimension ``subspace_dim``; twice ``W`` stays under its size, and
-    every affine hyperplane ``chi.g = 1``, chi nonzero, meets it in at least
-    4 points, counted by a loop over the characters once per shape."""
-    key = (s, subspace_dim)
-    if key not in _SECTIONS:
-        n = 1 << s
-        support = [g for g in range(1, n) if subspace_dim is None or g >> subspace_dim]
-        least = min(sum((chi & g).bit_count() & 1 for g in support) for chi in range(1, n))
-        _SECTIONS[key] = len(support), least
-    size, least = _SECTIONS[key]
-    return 2 * W < size and least >= 4
-
-
 def load_cover(text):
     """``(sorted weights, s, d)`` of a cover file, or ``ValueError`` with
     the format's message.  The file is a JSON object, no key repeated in any

@@ -586,8 +586,6 @@ UNREACHED = {
     "z2cover._frozen.Frozen.__hash__": "value protocol: hash",
     "z2cover._frozen.Frozen.__repr__": "value protocol: repr",
     "z2cover._frozen.Frozen.__reduce__": "value protocol: pickling",
-    "z2cover.moduli.hyperplane_config_check":
-        "ROADMAP item 9: the hyperplane criterion for new components in examples",
     "z2cover.moduli.UnboundedFamily.cover_spec":
         "ROADMAP item 9: examples --verify materializes a family",
 }
@@ -825,13 +823,14 @@ class TestClassify:
         assert "cell" not in err
 
     def test_nonpositive_multiple_same_error_with_bounds_report(self, capsys):
-        # the bounds report raises the enumeration's own error, not the
-        # window test's, on one check for every rank
+        # the command refuses the flag before the bounds report or any
+        # enumeration runs, with one message for every rank
         for s in ("1", "2", "5"):
             for m in ("0", "-1"):
                 plain = run_cli(capsys, "classify", "--s", s, "--m", m)
                 report = run_cli(capsys, "classify", "--s", s, "--m", m, "--bounds-report")
-                assert plain == report == (EXIT_MALFORMED, "", "error: multiple must be positive\n")
+                expected = (EXIT_MALFORMED, "", f"error: --m must be positive, got {m}\n")
+                assert plain == report == expected
 
     def test_out_of_range_rank(self, capsys):
         for s in ("17", "0"):

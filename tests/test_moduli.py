@@ -1,4 +1,4 @@
-"""Deformation criteria, hyperplane configurations, and the example generators."""
+"""Deformation criteria and the example generators."""
 
 import random
 from collections import Counter
@@ -13,7 +13,6 @@ from z2cover.moduli import (
     deformation_criteria,
     gen_new_component,
     gen_unbounded,
-    hyperplane_config_check,
 )
 from z2cover.wps import Weights, monomial_count
 
@@ -143,40 +142,6 @@ class TestFailingPairs:
                     assert len(off) <= 2, (d, chi)
                     most = max(most, len(off))
         assert most == 2  # the bound is met
-
-
-class TestHyperplaneConfig:
-    def test_matches_character_loop_oracle(self):
-        # every shape the check accepts up to rank 9, with weight sums on
-        # both sides of each cap, and seeded weights
-        rng = random.Random(35)
-        outcomes = Counter()
-        for s in range(3, 10):
-            for dim in [None] + (list(range(2, s)) if s >= 4 else []):
-                cap = (1 << s) - (1 if dim is None else 1 << dim)
-                quads = [(1, 1, 1, W - 3) for W in range(max(4, cap // 2 - 2), cap // 2 + 3)]
-                quads += [tuple(rng.randint(1, cap // 2) for _ in range(4)) for _ in range(20)]
-                for quad in quads:
-                    expected = oracles.hyperplane_config(s, sum(quad), dim)
-                    args = (s, Weights(quad)) if dim is None else (s, Weights(quad), dim)
-                    assert hyperplane_config_check(*args) == expected, (s, dim, quad)
-                    outcomes[expected] += 1
-        assert outcomes[True] >= 50 and outcomes[False] >= 50
-
-    def test_full_support_configuration(self):
-        assert hyperplane_config_check(4, Weights((1, 1, 1, 1)))
-        assert not hyperplane_config_check(3, Weights((1, 1, 2, 3)))
-
-    def test_subspace_configuration(self):
-        assert hyperplane_config_check(4, Weights((1, 1, 1, 2)), 2)
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            hyperplane_config_check(2, Weights((1, 1, 1, 1)))
-        with pytest.raises(ValueError):
-            hyperplane_config_check(3, Weights((1, 1, 1, 1)), 1)
-        with pytest.raises(ValueError):
-            hyperplane_config_check(3, Weights((1, 1, 1, 1)), 3)
 
 
 class TestNewComponent:
