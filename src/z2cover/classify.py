@@ -48,7 +48,6 @@ __all__ = [
     "AdmissibleSolution",
     "DistributionCounts",
     "is_pluricanonical",
-    "max_admissible_m",
     "bound_prune",
     "l_distribution_candidates",
     "reconstruct_branch",
@@ -148,28 +147,6 @@ def is_pluricanonical(weights: Weights, branch: BranchData, m: int) -> Pluricano
         admissible=not reasons,
         reasons=tuple(reasons),
     )
-
-
-def max_admissible_m(weights: Weights, branch: BranchData) -> int | None:
-    """Largest admissible multiple for fixed branch data, or None."""
-    excess = hurwitz_degree(CoverSpec(weights, branch))
-    if excess <= 0:
-        return None
-    try:
-        l = eigensheaf_degrees(branch)
-    except NonIntegralError:
-        return None
-    # well-formed weights have gcd 1 and a Frobenius number below max(a)^2
-    # (Erdos-Graham): once the largest twisted degree M - min l(chi != 0)
-    # passes it, that degree is effective and no larger m is admissible
-    top = min(l[1:]) + max(weights) ** 2
-    best = None
-    m = 1
-    while m * excess <= top:
-        if is_pluricanonical(weights, branch, m).admissible:
-            best = m
-        m += 1
-    return best
 
 
 def _beta(s: int) -> Fraction:
@@ -447,8 +424,20 @@ def _finish_solution(
         p_m=report.p_m,
         flat=report.flat,
     )
-    top = max_admissible_m(weights, branch)
-    if top is not None and top != m:
+    # the row's largest admissible multiple, read off its cell (k, L): each
+    # nontrivial l(chi) is a multiple of L and at least (k+1)L, and the
+    # m'-th system has M' = m' kL/m.  It is a flat multiple exactly when
+    # k' = m'k/m is a positive integer (L | M', that is m | m'k) and
+    # k' < min l/L, since a degree jL with j >= 0 carries the monomial
+    # x_i^(jL/a_i) and a negative degree carries none.  So the answer is the
+    # largest j <= (min l/L - 1) m/k with m | jk, that is with m/gcd(m, k)
+    # dividing j, and j = m qualifies since k < min l/L.  Dropping m | jk
+    # moves no row of the window, but it is the condition L | M' itself, so
+    # it stays
+    k = report.k
+    hi = (min(report.l[1:]) // weights.L - 1) * m // k
+    top = hi - hi % (m // gcd(m, k))
+    if top != m:
         sol = sol._replace(
             status=SUPPLEMENTARY,
             note=f"also admissible with m = {top}; listed there",

@@ -127,9 +127,11 @@ def monomial_count(weights: Weights | Iterable[int], n: int) -> int:
     the count is their binomial combination in ``q``: O(1) after the first
     call in a class, never more than four loop calls at its own ``n``.
     """
+    if type(weights) is not Weights:
+        weights = Weights(weights)
     if n < 0:
         return 0
-    quad = tuple(weights)
+    quad = weights.a
     L = lcm(*quad)
     q, r = divmod(n, L)
     if q < 3:
@@ -140,5 +142,6 @@ def monomial_count(weights: Weights | Iterable[int], n: int) -> int:
 
 def euler_char_line(weights: Weights | Iterable[int], n: int) -> int:
     """Euler characteristic of O(n) on the weighted projective 3-space."""
-    quad = tuple(weights)
-    return monomial_count(quad, n) - monomial_count(quad, -n - sum(quad))
+    if type(weights) is not Weights:
+        weights = Weights(weights)
+    return monomial_count(weights, n) - monomial_count(weights, -n - weights.W)

@@ -33,7 +33,6 @@ from z2cover.classify import (
     enumerate_s1,
     is_pluricanonical,
     l_distribution_candidates,
-    max_admissible_m,
     reconstruct_branch,
 )
 from z2cover.cover import BranchData, CoverSpec, eigensheaf_degrees, is_flat
@@ -86,6 +85,14 @@ class TestIsPluricanonical:
         low = is_pluricanonical(Weights((1, 1, 1, 1)), branch((0, 2, 2, 2)), 1)
         assert not low.admissible
 
+    def test_admissible_past_min_l_across_a_gap(self):
+        # M = 6 > min l(chi != 0) = 5, and M - 5 = 1 is a gap of (2, 2, 3, 3)
+        weights = Weights((2, 2, 3, 3))
+        for d, m in (((0, 0, 10, 14), 3), ((0, 2, 8, 12), 6)):
+            rep = is_pluricanonical(weights, branch(d), m)
+            assert rep.admissible, (d, m)
+            assert rep.M == 6 and min(rep.l[1:]) == 5
+
     def test_parity_failure_raises(self):
         with pytest.raises(NonIntegralError):
             is_pluricanonical(Weights((1, 1, 1, 1)), branch((0, 1, 2, 2)), 1)
@@ -93,44 +100,22 @@ class TestIsPluricanonical:
             is_pluricanonical(Weights((1, 1, 1, 1)), branch((0, 3, 3, 3)), 0)
 
 
-def test_max_admissible_m():
-    assert max_admissible_m(Weights((1, 1, 3, 3)), branch((0, 6, 6, 6))) == 3
-    assert max_admissible_m(Weights((1, 1, 1, 1)), branch((0, 3, 3, 3))) == 4
-    assert max_admissible_m(Weights((1, 1, 1, 1)), branch((0, 6, 6, 6))) == 1
-    # no positive excess: never pluricanonical
-    assert max_admissible_m(Weights((1, 1, 1, 1)), branch((0, 2, 2, 2))) is None
-
-
-def test_max_admissible_m_matches_wide_loop():
-    # the catalog rows, each admissible at its own m, and seeded integral
-    # covers over P^3 and weighted bases
-    cases = [
-        (x.weights, BranchData(s, x.d))
-        for s in (2, 3, 4)
-        for m in range(1, 5)
-        for x in enumerate_L1(s, m) + enumerate_flat(s, m)
-    ]
-    # admissible past min l(chi != 0) = 5, at M = 6: M - 5 = 1 is the gap
-    # of the weights (2, 2, 3, 3)
-    gapped = [BranchData(2, (0, 0, 10, 14)), BranchData(2, (0, 2, 8, 12))]
-    cases += [(Weights((2, 2, 3, 3)), branch_data) for branch_data in gapped]
-    rng = random.Random(29)
-    bases = [P3, Weights((1, 1, 1, 2)), Weights((1, 1, 2, 2)), Weights((1, 1, 3, 3)),
-             Weights((1, 2, 3, 6)), Weights((2, 2, 3, 3)), Weights((2, 3, 5, 7))]
-    for weights in bases:
-        for _ in range(12):
-            s = rng.randint(2, 4)
-            d = [0] + [rng.randrange(8) for _ in range((1 << s) - 1)]
-            odd = parity_vector(d)
-            if odd:  # one more unit at the parity vector makes it integral
-                d[odd] += 1
-            cases.append((weights, BranchData(s, tuple(d))))
-    found = Counter()
-    for weights, branch_data in cases:
-        got = max_admissible_m(weights, branch_data)
-        assert got == largest_admissible_m(weights.a, branch_data.d), (weights, branch_data.d)
-        found[got is None] += 1
-    assert found[True] > 0 and found[False] > 40
+def test_rows_listed_at_their_largest_admissible_m():
+    # every row of the window at s = 2..7, m = 1..6 against the oracle's
+    # search; only two P^3 rows at rank 2 are admissible at a larger m
+    rows = [x for s in range(2, 8) for m in range(1, 7)
+            for x in enumerate_L1(s, m) + enumerate_flat(s, m)]
+    assert len(rows) == 68
+    larger = {}
+    for x in rows:
+        top = largest_admissible_m(x.weights.a, x.d)
+        if top != x.m:
+            assert x.note == f"also admissible with m = {top}; listed there", x
+            assert x.status == SUPPLEMENTARY
+            larger[x.weights.a, x.m, x.d] = top
+        else:
+            assert not x.note.startswith("also admissible"), x
+    assert larger == {(P3.a, 1, (0, 2, 4, 4)): 2, (P3.a, 2, (0, 3, 3, 3)): 4}
 
 
 class TestBounds:

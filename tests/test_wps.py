@@ -54,6 +54,22 @@ def test_monomial_count_frozen_values():
     assert monomial_count((1, 1, 2, 2), -3) == 0
 
 
+@pytest.mark.parametrize("bad", [(True, 1, 1, 1), (-1, 1, 1, 1), (0, 1, 1, 1), (1, 1, 1)])
+def test_counts_check_plain_weights(bad):
+    # a plain iterable goes through the Weights check, not past it
+    for count in (monomial_count, euler_char_line):
+        for n in (-1, 3):
+            with pytest.raises(ValueError, match="weights"):
+                count(bad, n)
+
+
+def test_unsorted_weights_count_as_their_sorted_quadruple():
+    weights = Weights((3, 1, 2, 1))
+    for n in range(-10, 40):
+        assert monomial_count((3, 1, 2, 1), n) == monomial_count(weights, n)
+        assert euler_char_line((3, 1, 2, 1), n) == euler_char_line(weights, n)
+
+
 def test_monomial_count_straight_projective_space():
     # ordinary P^3: binomial(n+3, 3)
     for n in range(0, 40):
