@@ -11,16 +11,16 @@ __version__ = "0.1.0"
 
 # exported name -> the submodule that defines it
 _EXPORTS = {
-    "BranchData": "cover",
-    "CoverSpec": "cover",
-    "CoverSpecError": "cover",
+    "BranchData": "branch",
+    "CoverSpec": "branch",
+    "CoverSpecError": "branch",
+    "eigensheaf_degrees": "branch",
+    "hurwitz_degree": "branch",
+    "is_flat": "branch",
     "ValidationReport": "cover",
-    "eigensheaf_degrees": "cover",
     "from_json": "cover",
     "from_path": "cover",
     "half_point_count": "cover",
-    "hurwitz_degree": "cover",
-    "is_flat": "cover",
     "to_json": "cover",
     "validate": "cover",
     "orbit_reps": "gf2",

@@ -38,7 +38,7 @@ from math import gcd, lcm
 from typing import Iterator, NamedTuple, Sequence
 
 from . import walsh
-from .cover import BranchData, CoverSpec, eigensheaf_degrees, hurwitz_degree, is_flat
+from .branch import BranchData, CoverSpec, eigensheaf_degrees, hurwitz_degree, is_flat
 from .gf2 import orbit_reps
 from .walsh import NonIntegralError
 from .wps import Weights, monomial_count, well_formed

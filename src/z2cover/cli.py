@@ -10,273 +10,32 @@ of stdout reproducible.
 
 Exit codes: 0 success, 1 the checked object failed a validation, 2
 malformed input (bad JSON, bad parameters, out-of-range ranks).
+
+``classify`` is handled here; the other commands are in
+:mod:`z2cover.handlers`, which is imported only to run one of them.  The
+writers both share are in :mod:`z2cover.output`: ``python -m z2cover.cli``
+runs this file as ``__main__``, so a library module that imported it would
+compile it a second time.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import io
-import json
-import re
 import sys
-from fractions import Fraction
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
-# only what every command needs is imported here; each handler imports the
-# library module it runs, so a process loads no module its command skips
-from .cover import (
-    check_rank,
-    eigensheaf_degrees,
-    from_path,
-    is_flat,
-    to_json,
-    validate,
-)
+# only modules every command loads are imported here; each handler imports
+# the library module it runs, so a process loads no module its command skips
+from .branch import check_rank
+from .output import EXIT_INVALID, EXIT_MALFORMED, EXIT_OK, _emit, _fields, _table
 from .walsh import NonIntegralError
-from .wps import Weights
 
 __all__ = [
     "main",
     "solutions_to_md",
     "families_to_md",
 ]
-
-EXIT_OK = 0
-EXIT_INVALID = 1
-EXIT_MALFORMED = 2
-
-# scan masses of the hunt family: 1/2 lies below its positive-index window,
-# the other four lie inside it
-HUNT_SCAN = ("1/2", "11/20", "3/5", "13/20", "17/25")
-
-
-_encode_str = json.encoder.encode_basestring_ascii
-
-
-def _json_texts(values, indent: str) -> list[str]:
-    """The JSON text of each of ``values``, nested at ``indent``: the bytes
-    of ``json.dumps(value, indent=2)``, a Fraction written as its "p/q"
-    string and ``Weights`` as the list of its weights.
-
-    With ``indent`` set, ``json`` runs its pure-Python encoder, which builds
-    the text from generators; this writes the same bytes with one ``join``
-    per container, and a container's scalar children without a call each.
-    Only the exact types the commands print are written: any other type,
-    subclasses, ``float`` and records included, raises :class:`TypeError`,
-    and so does a dict key whose type is not exactly ``str``.
-    """
-    texts = []
-    for value in values:
-        kind = type(value)
-        if kind is Fraction:
-            # the text of a Fraction is "-", digits and "/", which JSON never escapes
-            texts.append('"' + str(value) + '"')
-        elif kind is int:
-            texts.append(int.__repr__(value))
-        elif kind is str:
-            texts.append(_encode_str(value))
-        elif kind is bool:
-            texts.append("true" if value else "false")
-        elif value is None:
-            texts.append("null")
-        elif kind is dict:
-            texts.append(_json_object(value, indent))
-        elif kind is list or kind is tuple:
-            texts.append(_json_array(value, indent))
-        elif kind is Weights:
-            texts.append(_json_array(value.a, indent))
-        else:
-            raise TypeError(f"{kind.__name__} is not JSON serializable")
-    return texts
-
-
-def _json_array(value, indent: str) -> str:
-    if not value:
-        return "[]"
-    inner = indent + "  "
-    return "[\n" + inner + (",\n" + inner).join(_json_texts(value, inner)) + "\n" + indent + "]"
-
-
-def _json_object(value, indent: str) -> str:
-    if not value:
-        return "{}"
-    inner = indent + "  "
-    for key in value:
-        if type(key) is not str:
-            raise TypeError(f"keys must be str, not {type(key).__name__}")
-    keys = list(map(_encode_str, value))
-    items = [key + ": " + text for key, text in zip(keys, _json_texts(value.values(), inner))]
-    return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-
-
-def _emit(payload) -> None:
-    [text] = _json_texts((payload,), "")
-    print(text)
-
-
-# record fields whose JSON keys differ from their names
-_JSON_KEYS = {"k3": "K3", "euler_exact": "exact", "p_m": "p"}
-
-
-def _fields(record) -> dict:
-    """A record's fields in declared order, under their JSON keys."""
-    return {_JSON_KEYS.get(k, k): v for k, v in record._asdict().items()}
-
-
-def _table(fmt: str, columns, rows) -> str:
-    """CSV or Markdown text of ``rows``, one ``(header, cell)`` pair per column.
-
-    CSV cells go through :mod:`csv` (``None`` is an empty cell); Markdown
-    cells are ``str`` of the cell value.
-    """
-    if fmt == "csv":
-        import csv
-
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow([header for header, _ in columns])
-        writer.writerows([cell(row) for _, cell in columns] for row in rows)
-        return out.getvalue().rstrip("\n")
-    lines = ["| " + " | ".join(header for header, _ in columns) + " |",
-             "|" + "---|" * len(columns)]
-    lines += ["| " + " | ".join(str(cell(row)) for _, cell in columns) + " |" for row in rows]
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# cover
-
-
-def _cmd_cover_check(args: argparse.Namespace) -> int:
-    report = validate(from_path(args.path))
-    payload = _fields(report)
-    # ``connected`` stays out to keep the payload's key set stable; a
-    # disconnected cover fails ``ok`` and says why in its messages
-    del payload["connected"]
-    _emit({"ok": report.ok, **payload})
-    return EXIT_OK if report.ok else EXIT_INVALID
-
-
-def _cmd_cover_invariants(args: argparse.Namespace) -> int:
-    from .invariants import invariant_report
-
-    _emit(_fields(invariant_report(from_path(args.path))))
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# geography
-
-
-def _xy_sci(branch) -> dict:
-    from .invariants import geography_coordinates
-
-    x, y, sci = geography_coordinates(branch)
-    return {"x": x, "y": y, "sci": sci}
-
-
-def _cmd_geo_sample(args: argparse.Namespace) -> int:
-    import random
-
-    from .invariants import geography_coordinates, random_ratio
-
-    s = check_rank(args.s)
-    if args.count < 1:
-        raise ValueError(f"count must be positive, got {args.count}")
-    # reseeding gives the state of a new random.Random(f"{seed}:{index}")
-    rng = random.Random()
-    points = []
-    for index in range(args.count):
-        rng.seed(f"{args.seed}:{index}")
-        x, y, sci = geography_coordinates(random_ratio(s, rng))
-        points.append({"index": index, "x": x, "y": y, "sci": sci})
-    if args.fmt == "csv":
-        print(_table("csv", [(key, itemgetter(key)) for key in points[0]], points))
-    else:
-        _emit({"s": s, "seed": args.seed, "count": args.count, "points": points})
-    return EXIT_OK
-
-
-def _cmd_geo_extremes(args: argparse.Namespace) -> int:
-    from .invariants import SCI_MAX, SCI_MIN, Y_MIN, barycenter_ratio, vertex_ratio
-
-    s = check_rank(args.s)
-    barycenter = _xy_sci(barycenter_ratio(s))
-    _emit(
-        {
-            "s": args.s,
-            "vertex": _xy_sci(vertex_ratio(s)),
-            "barycenter": barycenter,
-            "sci_min": SCI_MIN,
-            "sci_max": SCI_MAX,
-            "y_min": Y_MIN,
-            "y_max": barycenter["y"],
-        }
-    )
-    return EXIT_OK
-
-
-def _digit_limit() -> int:
-    """The interpreter's limit on the digits of a printed integer, read at
-    each call; 0 is no limit."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
-# the tail of each message that refuses a number too long to print, given the limit
-_TOO_LONG = (
-    "would print with more than {} digits, the interpreter's limit (sys.set_int_max_str_digits)"
-)
-
-# a decimal mass with an exponent in Fraction's grammar: digits, an optional
-# fractional part and the exponent, each possibly grouped by underscores
-_EXPONENT_MASS = r"\s*[-+]?(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?[eE]([-+]?\d+(?:_\d+)*)\s*"
-
-
-def _scan_mass(raw: str) -> Fraction:
-    """The mass ``raw`` as a Fraction, checked before its exponent is expanded.
-
-    ``Fraction`` multiplies out a decimal exponent in full (``1e-10000000``
-    takes seconds).  A zero mantissa is read without its exponent.  Since
-    ``t`` is printed, a mass ``N * 10^e`` whose ``N`` has ``k`` significant
-    digits is refused when ``k + e`` (the numerator's digits, for
-    ``e >= 0``) or ``1 - e - k`` (at most the denominator's, for ``e < 0``)
-    exceeds the interpreter's digit limit.
-    """
-    match = re.fullmatch(_EXPONENT_MASS, raw)
-    if match:
-        whole, part, exp = (group.replace("_", "") for group in match.groups(""))
-        digits = len((whole + part).lstrip("0"))
-        e = int(exp) - len(part)
-        limit = _digit_limit()
-        if whole + part and not digits:
-            raw = raw[: match.start(3) - 1]
-        elif digits and limit and max(digits + e, 1 - e - digits) > limit:
-            raise ValueError(f"mass {raw} is too long: it {_TOO_LONG.format(limit)}")
-    try:
-        return Fraction(raw)
-    except ZeroDivisionError:
-        raise ValueError(f"mass {raw} has a zero denominator") from None
-
-
-def _cmd_geo_hunt(args: argparse.Namespace) -> int:
-    from .invariants import hunt_scan
-
-    s = check_rank(args.s)
-    values = args.t or list(HUNT_SCAN)
-    limit = _digit_limit()
-    bound = limit and 10**limit
-    rows = []
-    for raw in values:
-        t = _scan_mass(raw)
-        f, (_, _, sci) = hunt_scan(s, t)
-        # a t that prints can still give an F or SCI that does not
-        for name, value in (("F", f), ("sci", sci)):
-            if bound and max(abs(value.numerator), value.denominator) >= bound:
-                raise ValueError(f"mass {raw} is too long: its {name} {_TOO_LONG.format(limit)}")
-        rows.append({"t": t, "F": f, "sci": sci, "positive_index": sci > 0})
-    _emit({"s": args.s, "points": rows})
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -382,136 +141,57 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# deform / examples
-
-
-def _cmd_deform_check(args: argparse.Namespace) -> int:
-    from . import moduli
-
-    rep = moduli.deformation_criteria(from_path(args.path))
-    _emit({"ok": rep.ok, **_fields(rep)})
-    return EXIT_OK if rep.ok else EXIT_INVALID
-
-
-def _cmd_examples_new_component(args: argparse.Namespace) -> int:
-    from . import moduli
-
-    spec = moduli.gen_new_component(args.M)
-    l = eigensheaf_degrees(spec.branch)
-    rep = moduli.deformation_criteria(spec)
-    _emit(
-        {
-            "weights": spec.weights,
-            "s": spec.branch.s,
-            "d": spec.branch.d,
-            "l_values": sorted(set(l[1:])),
-            "flat": is_flat(spec),
-            "deformation_ok": rep.ok,
-            "cover": json.loads(to_json(spec)),
-        }
-    )
-    return EXIT_OK
-
-
-def _cmd_examples_unbounded(args: argparse.Namespace) -> int:
-    from . import moduli
-
-    # the total degree is the widest integer printed; a limit of 0 is no limit
-    limit = _digit_limit()
-    # the total is at least 2^(s-1), so a rank past the bit length of the
-    # bound is refused before the family's integers are built
-    too_large = limit and args.s > (10**limit).bit_length()
-    fam = None if too_large else moduli.gen_unbounded(args.s, args.kind)
-    if too_large or (limit and fam.total >= 10**limit):
-        raise ValueError(f"--s {args.s} is too large: the total degree {_TOO_LONG.format(limit)}")
-    _emit(
-        {
-            "kind": fam.kind,
-            "s": fam.s,
-            "m": fam.m,
-            "weights": fam.weights,
-            "height": fam.height,
-            "L": fam.L,
-            "M": fam.M,
-            "k": 1,
-            "l_on": fam.l_on,
-            "l_off": fam.l_off,
-            "total_degree": fam.total,
-            "flat": fam.flat,
-            "p_m": fam.p_m,
-        }
-    )
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
 # wiring
+
+# each command's help, in the order the root parser lists them
+COMMANDS = {
+    "cover": "validate a cover file or compute its invariants",
+    "geography": "Chern-ratio geography of the branch simplex",
+    "classify": "exhaustive admissible covers for one (s, m)",
+    "deform": "deformation-rigidity criteria",
+    "examples": "generated families",
+}
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of the whole CLI, built once per process."""
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """The CLI's parser, built once per command and process.
+
+    The root parser names every command with its help; only ``command``
+    gets its actions and arguments, so a process builds no branch it does
+    not run.
+    """
     parser = argparse.ArgumentParser(
         prog="z2cover",
         description="exact invariants and classification of (Z/2)^s covers of weighted P^3",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, text in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if name != command:
+            continue
+        if name == "classify":
+            p.add_argument("--s", type=int, required=True)
+            p.add_argument("--m", type=int, required=True)
+            p.add_argument("--base", choices=("all", "flat", "projective"), default="all")
+            p.add_argument("--format", dest="fmt", choices=("json", "md", "csv"), default="json")
+            p.add_argument("--t-max", dest="t_max", type=int, default=None)
+            p.add_argument("--bounds-report", dest="bounds_report", action="store_true")
+            p.set_defaults(func=_cmd_classify)
+        else:
+            from .handlers import add_actions
 
-    cover = sub.add_parser("cover", help="validate a cover file or compute its invariants")
-    cover_sub = cover.add_subparsers(dest="action", required=True)
-    p = cover_sub.add_parser("check", help="structural validation report")
-    p.add_argument("path")
-    p.set_defaults(func=_cmd_cover_check)
-    p = cover_sub.add_parser("invariants", help="K^3, chi(O), e(X), geography ratios")
-    p.add_argument("path")
-    p.set_defaults(func=_cmd_cover_invariants)
-
-    geo = sub.add_parser("geography", help="Chern-ratio geography of the branch simplex")
-    geo_sub = geo.add_subparsers(dest="action", required=True)
-    p = geo_sub.add_parser("sample", help="random rational simplex points")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-    p.set_defaults(func=_cmd_geo_sample)
-    p = geo_sub.add_parser("extremes", help="vertex and barycenter coordinates with bounds")
-    p.add_argument("--s", type=int, required=True)
-    p.set_defaults(func=_cmd_geo_extremes)
-    p = geo_sub.add_parser("hunt", help="positive-index points on the triple-free family")
-    p.add_argument("--s", type=int, default=3)
-    p.add_argument("--t", action="append", help="mass at the base point, e.g. 3/5 (repeatable)")
-    p.set_defaults(func=_cmd_geo_hunt)
-
-    p = sub.add_parser("classify", help="exhaustive admissible covers for one (s, m)")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--base", choices=("all", "flat", "projective"), default="all")
-    p.add_argument("--format", dest="fmt", choices=("json", "md", "csv"), default="json")
-    p.add_argument("--t-max", dest="t_max", type=int, default=None)
-    p.add_argument("--bounds-report", dest="bounds_report", action="store_true")
-    p.set_defaults(func=_cmd_classify)
-
-    deform = sub.add_parser("deform", help="deformation-rigidity criteria")
-    deform_sub = deform.add_subparsers(dest="action", required=True)
-    p = deform_sub.add_parser("check")
-    p.add_argument("path")
-    p.set_defaults(func=_cmd_deform_check)
-
-    examples = sub.add_parser("examples", help="generated families")
-    examples_sub = examples.add_subparsers(dest="action", required=True)
-    p = examples_sub.add_parser("new-component", help="rigid non-flat cover of P(1,1,1,M)")
-    p.add_argument("--M", type=int, required=True)
-    p.set_defaults(func=_cmd_examples_new_component)
-    p = examples_sub.add_parser("unbounded", help="pluricanonical family member at rank s")
-    p.add_argument("--kind", choices=("canonical", "bicanonical"), required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.set_defaults(func=_cmd_examples_unbounded)
-
+            add_actions(p, name)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # argparse dispatches on the first argument that is not an option; the
+    # root parser has no option that takes a value
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = _parser(command if command in COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except NonIntegralError as exc:

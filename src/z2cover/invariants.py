@@ -22,14 +22,8 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .cover import (
-    BranchData,
-    CoverSpec,
-    eigensheaf_degrees,
-    half_point_count,
-    hurwitz_degree,
-    is_flat,
-)
+from .branch import BranchData, CoverSpec, eigensheaf_degrees, hurwitz_degree, is_flat
+from .cover import half_point_count
 from .walsh import NonIntegralError
 from .wps import euler_char_line
 

@@ -17,7 +17,7 @@ from itertools import combinations
 from math import gcd
 from typing import NamedTuple
 
-from .cover import BranchData, CoverSpec, _message_bits, eigensheaf_degrees, hurwitz_degree
+from .branch import BranchData, CoverSpec, _message_bits, eigensheaf_degrees, hurwitz_degree
 from .gf2 import dot
 from .wps import Weights, monomial_count
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import pytest
 
 import z2cover
-from z2cover import classify
+from z2cover import classify, cli
 from z2cover.cover import BranchData, eigensheaf_degrees
 from z2cover.cli import (
     EXIT_INVALID,
@@ -420,9 +420,11 @@ def test_emit_refuses_a_str_subclass_key(capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_main_builds_one_parser_per_process(capsys, monkeypatch, cover_file):
+def test_main_builds_one_parser_per_command_and_process(capsys, monkeypatch, cover_file):
     path = cover_file(FROZEN_COVERS["valid"])
-    run_cli(capsys, "cover", "check", path)  # builds the parser if no test has yet
+    argvs = [("cover", "check", path), ("cover", "invariants", path), ("deform", "check", path),
+             ("geography", "extremes", "--s", "2"), ("classify", "--s", "1", "--m", "1"),
+             ("examples", "new-component", "--M", "4")]
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -431,9 +433,18 @@ def test_main_builds_one_parser_per_process(capsys, monkeypatch, cover_file):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    for argv in (("cover", "invariants", path), ("deform", "check", path),
-                 ("geography", "extremes", "--s", "2"), ("classify", "--s", "1", "--m", "1"),
-                 ("examples", "new-component", "--M", "4")):
+    cli._parser.cache_clear()
+    for argv in argvs:
+        assert run_cli(capsys, *argv)[0] == EXIT_OK
+    # one root per command run, the two cover actions sharing one; each root
+    # names all five commands and builds the actions of its own
+    assert built.count("z2cover") == 5
+    assert [prog for prog in built if prog.count(" ") == 2] == [
+        "z2cover cover check", "z2cover cover invariants", "z2cover deform check",
+        "z2cover geography sample", "z2cover geography extremes", "z2cover geography hunt",
+        "z2cover examples new-component", "z2cover examples unbounded"]
+    built.clear()
+    for argv in argvs:
         assert run_cli(capsys, *argv)[0] == EXIT_OK
     assert built == []
 
@@ -541,9 +552,102 @@ def test_python_dash_m_runs_the_cli(capsys, cover_file, monkeypatch):
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err), line
 
 
+SHA256_EMPTY = hashlib.sha256(b"").hexdigest()
+
+# (command line, exit code, sha256 of stdout, sha256 of stderr) of every help
+# text and of argparse's usage errors, at COLUMNS=80; argparse words both
+# differently from one Python version to the next, so they are pinned for one
+PARSER_TEXT_PYTHON = (3, 11)
+PARSER_TEXT = [
+    ("--help", 0,
+     "f1898869a20ce84877a769d1b4669cda5070e1547ae08ea18e7b0c8a24fadedf",
+     SHA256_EMPTY),
+    ("cover --help", 0,
+     "6972338f21780a8733b48ca38abb492273021bfe9ea032c0c25cb73878f41610",
+     SHA256_EMPTY),
+    ("cover check --help", 0,
+     "4123b8ae62515b92a52feb9d6097c10803ccc4e82a2db77295094456491c14c1",
+     SHA256_EMPTY),
+    ("cover invariants --help", 0,
+     "4977f23f094fb2979981f1ab968783ca15fc859f6b5c596a8e58e7b216a8daea",
+     SHA256_EMPTY),
+    ("geography --help", 0,
+     "9a45db8f94c29799cc3dfbe21a45e52552053184123f879ff5edb5237b69f677",
+     SHA256_EMPTY),
+    ("geography sample --help", 0,
+     "168edd7c9157d1f861a297caa891bd694c07a299c0443b0fc6cc27d77223a1aa",
+     SHA256_EMPTY),
+    ("geography extremes --help", 0,
+     "7b91cf6609c8dac82deb9ab2e82d55a4c53f994b02c67e122e7d2da0a69ec892",
+     SHA256_EMPTY),
+    ("geography hunt --help", 0,
+     "6df408d263faf44f3ae0af9f20302885f6b4231ec1adde07fbcd5cad0acc8d80",
+     SHA256_EMPTY),
+    ("classify --help", 0,
+     "86e87e5faeac8cd5df759aff6ee100d99468a9176e0a813e0ce6b7bb7ff65e21",
+     SHA256_EMPTY),
+    ("deform --help", 0,
+     "7678c2b5bb67b0d3d10bcbc9eb0884c02d5683fd04f5b600be0c11649dc49ddb",
+     SHA256_EMPTY),
+    ("deform check --help", 0,
+     "7bdccca9a71e8971f919f6d2e9b0bec168bed8c742e6f335f6d523a7fded1d71",
+     SHA256_EMPTY),
+    ("examples --help", 0,
+     "b6b8c38ccee70c20acda0e394fd283ac7a6f7e860aa8632e3c9d0d432c3fb492",
+     SHA256_EMPTY),
+    ("examples new-component --help", 0,
+     "2e4a8821e7a1d377752601971441b6b9827b51717af0aff536148001d34b7680",
+     SHA256_EMPTY),
+    ("examples unbounded --help", 0,
+     "f2e72a7efc85cc54a7771f13b7defb86a9c43d8a1250d29c4f6a6d521e4c4b14",
+     SHA256_EMPTY),
+    ("", 2,
+     SHA256_EMPTY,
+     "d9fcaf851ca6f9b199d59c26834ae78d85e9a8b92b12f0959c77d36a928b9d99"),
+    ("frobnicate", 2,
+     SHA256_EMPTY,
+     "326d52885d1f3c03b87db1cf684b57a50d92c59e476b1a7757c36b1439b14609"),
+    ("--frobnicate", 2,
+     SHA256_EMPTY,
+     "d9fcaf851ca6f9b199d59c26834ae78d85e9a8b92b12f0959c77d36a928b9d99"),
+    ("cover", 2,
+     SHA256_EMPTY,
+     "7ed5b46f0dbe6c0e0ef8110d2596642982e2c510f818be5750bf1a9b81f20af2"),
+    ("cover frobnicate", 2,
+     SHA256_EMPTY,
+     "2fceffd9e5e54d38ae816d18aa05e7e80db108e85d5cc8db80f8458ac893442d"),
+    ("classify --s x", 2,
+     SHA256_EMPTY,
+     "545ffef08cf07a4291b3a5b464c7329d1fbb58e8540e23b18e2930003230e596"),
+    ("classify --s 2 --m 1 --frobnicate", 2,
+     SHA256_EMPTY,
+     "c73da6d9ed972fba854fc933324f3c770018b5a1ffa874efd0931fbf27d9f7c9"),
+    ("deform check", 2,
+     SHA256_EMPTY,
+     "56da3bec98456042c1de7aa5f04c8a8c5f4b5abcbb2292565dcbc1693c0e1c22"),
+    ("examples unbounded --kind x --s 3", 2,
+     SHA256_EMPTY,
+     "65f8bb428da59936c6a25bb962c62af34e5b6d2cf88cf8856bdbf7236766b48d"),
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != PARSER_TEXT_PYTHON,
+                    reason="parser text recorded with Python 3.11's argparse")
+@pytest.mark.parametrize("line, code, out_digest, err_digest", PARSER_TEXT,
+                         ids=[line or "<no arguments>" for line, *_ in PARSER_TEXT])
+def test_parser_text_frozen(capsys, monkeypatch, line, code, out_digest, err_digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(line.split())
+    out, err = capsys.readouterr()
+    assert (exc.value.code, hashlib.sha256(out.encode()).hexdigest(),
+            hashlib.sha256(err.encode()).hexdigest()) == (code, out_digest, err_digest)
+
+
 # modules each command must leave unloaded; none imports dataclasses
 COMMAND_SKIPS = [
-    ("classify --s 2 --m 1", ("z2cover.invariants", "z2cover.moduli", "csv")),
+    ("classify --s 2 --m 1", ("z2cover.invariants", "z2cover.moduli", "csv", "json",
+                              "z2cover.cover", "z2cover.handlers")),
     ("cover check {valid}", ("z2cover.gf2", "z2cover.classify", "z2cover.moduli")),
     ("cover invariants {valid}", ("z2cover.gf2", "z2cover.classify", "z2cover.moduli")),
     ("geography extremes --s 3", ("z2cover.gf2", "z2cover.classify", "z2cover.moduli")),
@@ -565,6 +669,36 @@ def test_command_loads_only_its_modules(cover_file, line, skipped):
     assert (proc.returncode, proc.stderr) == (0, "0 []\n")
 
 
+# the z2cover modules that one line per handler imports when run as
+# ``python -m z2cover.cli``; z2cover.cli is never among them, since the
+# entry module runs as __main__ and an import would compile it again
+COMMAND_MODULES = [
+    ("classify --s 2 --m 1", "branch classify gf2 output walsh wps"),
+    ("cover check {valid}", "branch cover handlers output walsh wps"),
+    ("cover invariants {valid}", "branch cover handlers invariants output walsh wps"),
+    ("geography sample --s 3 --count 2", "branch cover handlers invariants output walsh wps"),
+    ("geography extremes --s 3", "branch cover handlers invariants output walsh wps"),
+    ("geography hunt --s 3", "branch cover handlers invariants output walsh wps"),
+    ("deform check {valid}", "branch cover gf2 handlers moduli output walsh wps"),
+    ("examples new-component --M 4", "branch cover gf2 handlers moduli output walsh wps"),
+    ("examples unbounded --kind canonical --s 4", "branch cover gf2 handlers moduli output walsh wps"),
+]
+
+
+@pytest.mark.parametrize("line, modules", COMMAND_MODULES, ids=[line for line, _ in COMMAND_MODULES])
+def test_python_dash_m_imports_only_its_modules(cover_file, line, modules):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "z2cover.cli",
+                           *expand(cover_file, line)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    imported = [row.rsplit("|", 1)[1].strip() for row in proc.stderr.splitlines()
+                if row.startswith("import time:")]
+    assert sorted(m for m in imported if m.startswith("z2cover")) == [
+        "z2cover", *(f"z2cover.{m}" for m in modules.split())]
+
+
 def test_cli_import_skips_dataclasses_and_inspect():
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import z2cover.cli; "
@@ -579,13 +713,13 @@ def test_cli_import_skips_dataclasses_and_inspect():
 # it stays; every other function in src/z2cover must be reached
 UNREACHED = {
     "z2cover.__dir__": "module protocol: dir(z2cover) lists the lazy exports",
-    "z2cover._frozen.Frozen._astuple": "value protocol: the field tuple of equality, hash, pickling",
-    "z2cover._frozen.Frozen.__setattr__": "value protocol: immutability",
-    "z2cover._frozen.Frozen.__delattr__": "value protocol: immutability",
-    "z2cover._frozen.Frozen.__eq__": "value protocol: equality",
-    "z2cover._frozen.Frozen.__hash__": "value protocol: hash",
-    "z2cover._frozen.Frozen.__repr__": "value protocol: repr",
-    "z2cover._frozen.Frozen.__reduce__": "value protocol: pickling",
+    "z2cover.wps.Frozen._astuple": "value protocol: the field tuple of equality, hash, pickling",
+    "z2cover.wps.Frozen.__setattr__": "value protocol: immutability",
+    "z2cover.wps.Frozen.__delattr__": "value protocol: immutability",
+    "z2cover.wps.Frozen.__eq__": "value protocol: equality",
+    "z2cover.wps.Frozen.__hash__": "value protocol: hash",
+    "z2cover.wps.Frozen.__repr__": "value protocol: repr",
+    "z2cover.wps.Frozen.__reduce__": "value protocol: pickling",
     "z2cover.moduli.UnboundedFamily.cover_spec":
         "ROADMAP item 9: examples --verify materializes a family",
 }

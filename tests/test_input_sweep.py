@@ -5,8 +5,8 @@ budget; argparse's ``SystemExit`` is read as the exit code.  Every run must
 exit 0, 1 or 2 with no traceback, and an exit-2 message must name the
 input it refuses.  This module holds the argv generator: ranks and
 multiples at both ends of ``classify``, the largest ranks of
-``geography``, the digit-limit edge of ``examples``, and the first values
-out of range.
+``geography``, the digit-limit edges of ``examples`` and of the ``hunt``
+masses, and the first values out of range.
 """
 
 import contextlib
@@ -31,6 +31,7 @@ ARGVS = (
     + [["geography", "sample", "--s", s, "--count", "1"] for s in ("1", "16")]
     + [["geography", "extremes", "--s", s] for s in ("1", "16")]
     + [["geography", "hunt", "--s", s] for s in ("3", "16")]
+    + [["geography", "hunt", "--t", mass] for mass in ("1e-" + "9" * 5000, "0." + "0" * 5000 + "1")]
     + [["examples", "unbounded", "--kind", "canonical", "--s", s] for s in ("4", "14285")]
     + [["examples", "unbounded", "--kind", "bicanonical", "--s", s] for s in ("3", "100000000")]
     + [["examples", "new-component", "--M", M] for M in ("4", "1000000")]
@@ -42,7 +43,7 @@ ARGVS = (
 )
 
 # the words by which a refusal may name each refused flag: the flag or its quantity
-NAMES = {"--s": ("--s", "rank"), "--m": ("--m", "multiple")}
+NAMES = {"--s": ("--s", "rank"), "--m": ("--m", "multiple"), "--t": ("--t", "mass")}
 
 
 class Overrun(Exception):
