@@ -18,12 +18,12 @@ validation and the half-point counts are in :mod:`z2cover.cover`.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import walsh
 from .walsh import NonIntegralError
-from .wps import Frozen, Weights
+from .wps import Frozen
 
 __all__ = [
     "CoverSpecError",
@@ -102,9 +102,7 @@ class BranchData(Frozen):
         return self._cube_sum
 
 
-class CoverSpec(NamedTuple):
-    weights: Weights
-    branch: BranchData
+CoverSpec = namedtuple("CoverSpec", "weights branch")
 
 
 def eigensheaf_degrees(branch: BranchData) -> tuple[int, ...]:

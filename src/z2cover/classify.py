@@ -33,9 +33,10 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from itertools import combinations, product
 from math import gcd, lcm
-from typing import Iterator, NamedTuple, Sequence
 
 from . import walsh
 from .branch import BranchData, CoverSpec, eigensheaf_degrees, hurwitz_degree, is_flat
@@ -63,42 +64,27 @@ SUPPLEMENTARY = "supplementary"
 CLASSICAL = "classical"
 
 
-class PluricanonicalReport(NamedTuple):
-    m: int
-    D: int
-    M: Fraction
-    k: int | None
-    l: tuple[int, ...]
-    p_m: int | None
-    flat: bool
-    admissible: bool
-    reasons: tuple[str, ...]
+class PluricanonicalReport(namedtuple("PluricanonicalReport",
+                                      "m D M k l p_m flat admissible reasons")):
+    """Verdict of :func:`is_pluricanonical`.  ``M`` is a Fraction; ``p_m``
+    is None unless ``M`` is a positive integer, and ``k`` unless it is also
+    a multiple of ``L``."""
+
+    __slots__ = ()
 
 
-class AdmissibleSolution(NamedTuple):
-    weights: Weights
-    s: int
-    m: int
-    k: int
-    d: tuple[int, ...]
-    l: tuple[int, ...]
-    D: int
-    p_m: int
-    flat: bool
-    status: str = MAIN
-    note: str = ""
+class AdmissibleSolution(namedtuple("AdmissibleSolution", "weights s m k d l D p_m flat status note",
+                                    defaults=(MAIN, ""))):
+    __slots__ = ()
 
     def sort_key(self):
         return (self.m, self.k, self.weights.a, self.D, self.d)
 
 
-class DistributionCounts(NamedTuple):
+class DistributionCounts(namedtuple("DistributionCounts", "s D base counts")):
     """Multiset of eigensheaf degrees: ``counts[i] = (value, multiplicity)``."""
 
-    s: int
-    D: int
-    base: int
-    counts: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
 
 def is_pluricanonical(weights: Weights, branch: BranchData, m: int) -> PluricanonicalReport:
@@ -509,19 +495,15 @@ def enumerate_L1(s: int, m: int) -> list[AdmissibleSolution]:
 # rank 1: unbounded families
 
 
-class RankOneFamily(NamedTuple):
+class RankOneFamily(namedtuple("RankOneFamily", "weights m t_min t_sup status note",
+                               defaults=(MAIN, ""))):
     """One-parameter tower of double covers: ``d = 2 L t`` on one component.
 
     ``t`` runs over integers with ``t_min <= t`` and, when the window is
-    bounded, ``t < t_sup``.
+    bounded, ``t < t_sup``; ``t_sup`` is None for an unbounded window.
     """
 
-    weights: Weights
-    m: int
-    t_min: int
-    t_sup: int | None
-    status: str = MAIN
-    note: str = ""
+    __slots__ = ()
 
     @property
     def degree_coefficient(self) -> int:

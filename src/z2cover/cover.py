@@ -11,9 +11,10 @@ gives elements 1, 2 and 3 degree 3.
 from __future__ import annotations
 
 import json
-from collections import Counter
+import sys
+from collections import Counter, namedtuple
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping, NamedTuple
 
 from .branch import (
     BranchData,
@@ -76,17 +77,14 @@ def half_point_count(spec: CoverSpec) -> int:
     return int(total)
 
 
-class ValidationReport(NamedTuple):
-    parity_ok: bool
-    integral_degrees: bool
-    weights_well_formed: bool
-    flat: bool
-    branching_positive: bool
-    connected: bool
-    hurwitz: Fraction
-    half_points: int | None
-    half_points_integral: bool
-    messages: tuple[str, ...]
+class ValidationReport(namedtuple("ValidationReport",
+                                  "parity_ok integral_degrees weights_well_formed flat"
+                                  " branching_positive connected hurwitz half_points"
+                                  " half_points_integral messages")):
+    """Outcome of :func:`validate`: ``hurwitz`` is a Fraction, and
+    ``half_points`` is None when the count is fractional."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -190,7 +188,8 @@ def from_json(text: str) -> CoverSpec:
 
     Only the JSON shape, the keys and the rank are checked here;
     :class:`BranchData` checks the degrees.  A key repeated in any object
-    is an error rather than a silent last-one-wins.
+    is an error rather than a silent last-one-wins, and so is a number
+    longer than the interpreter's digit limit.
     """
     try:
         if text.startswith("\ufeff"):  # refused as json.loads refuses it
@@ -198,6 +197,13 @@ def from_json(text: str) -> CoverSpec:
         payload = _DECODER.decode(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise CoverSpecError(f"invalid JSON: {exc}") from exc
+    except CoverSpecError:
+        raise
+    except ValueError as exc:  # the one other: int() refuses a number past the digit limit
+        raise CoverSpecError(
+            f"a number in the file has more than {sys.get_int_max_str_digits()} digits,"
+            " the interpreter's limit (sys.set_int_max_str_digits)"
+        ) from exc
     if not isinstance(payload, dict):
         raise CoverSpecError("top level must be an object")
     try:

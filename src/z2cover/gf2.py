@@ -9,8 +9,8 @@ lexicographically, in particular to name a GL_s-orbit by its least element.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from operator import itemgetter
-from typing import Iterable, Sequence
 
 __all__ = [
     "dot",

@@ -36,6 +36,7 @@ def _cmd_cover_check(args: argparse.Namespace) -> int:
     # ``connected`` stays out to keep the payload's key set stable; a
     # disconnected cover fails ``ok`` and says why in its messages
     del payload["connected"]
+    _refuse_unprintable(f"cover {args.path}", payload)
     _emit({"ok": report.ok, **payload})
     return EXIT_OK if report.ok else EXIT_INVALID
 
@@ -43,7 +44,9 @@ def _cmd_cover_check(args: argparse.Namespace) -> int:
 def _cmd_cover_invariants(args: argparse.Namespace) -> int:
     from .invariants import invariant_report
 
-    _emit(_fields(invariant_report(from_path(args.path))))
+    payload = _fields(invariant_report(from_path(args.path)))
+    _refuse_unprintable(f"cover {args.path}", payload)
+    _emit(payload)
     return EXIT_OK
 
 
@@ -105,66 +108,99 @@ def _digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
-# the tail of each message that refuses a number too long to print, given the limit
+# the tails of the messages that refuse a number too long to print or to read,
+# given the limit
 _TOO_LONG = (
     "would print with more than {} digits, the interpreter's limit (sys.set_int_max_str_digits)"
 )
+_TOO_LONG_TO_READ = (
+    "has more than {} digits, the interpreter's limit (sys.set_int_max_str_digits)"
+)
 
-# a decimal mass in Fraction's grammar: digits, an optional fractional part
-# and an optional exponent, each possibly grouped by underscores
-_DECIMAL_MASS = r"\s*[-+]?(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?(?:[eE]([-+]?\d+(?:_\d+)*))?\s*"
+# a mass in Fraction's grammar: a sign, then digits over digits or a decimal
+# with an optional fractional part and exponent, each run of digits possibly
+# grouped by underscores
+_MASS = (r"\s*([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)"
+         r"(?:/(\d+(?:_\d+)*)|(?:\.(\d*|\d+(?:_\d+)*))?(?:[eE]([-+]?\d+(?:_\d+)*))?)\s*")
 
 
 def _scan_mass(raw: str) -> Fraction:
     """The mass ``raw`` as a Fraction, checked before its digits are read.
 
     ``Fraction`` multiplies out a decimal exponent in full (``1e-10000000``
-    takes seconds) and reads a decimal's digits as one integer, which the
-    interpreter's digit limit refuses.  A zero mantissa is read without its
-    exponent.  Since ``t`` is printed, a mass ``N * 10^e`` whose ``N`` has
-    ``k`` significant digits is refused when ``k + e`` (the numerator's
-    digits, for ``e >= 0``) or ``1 - e - k`` (at most the denominator's,
-    for ``e < 0``) exceeds the digit limit; an exponent with more digits
-    than the limit is refused before it is read.
+    takes seconds) and reads each run of digits as one integer, which the
+    interpreter's digit limit refuses even when the value is short.  So a
+    decimal is read as ``N * 10^e``, where ``N`` is its significant digits
+    without leading or trailing zeros; a zero mantissa is 0 whatever its
+    exponent.  Since ``t`` is printed, with ``k`` the digits of ``N`` the
+    mass is refused when ``k + e`` (the numerator's digits, for ``e >= 0``)
+    or ``1 - e - k`` (at most the denominator's, for ``e < 0``) exceeds the
+    digit limit; an exponent with more digits than the limit is refused
+    before it is read.  An ``N``, or a side of ``p/q`` without its leading
+    zeros, longer than the limit cannot be read and is refused too.
     """
-    match = re.fullmatch(_DECIMAL_MASS, raw)
-    if match:
-        whole, part, exp = (group.replace("_", "") for group in match.groups(""))
-        digits = len((whole + part).lstrip("0"))
-        limit = _digit_limit()
-        if whole + part and not digits:
-            if exp:
-                raw = raw[: match.start(3) - 1]
-        elif digits and limit:
-            # the limit counts an exponent's leading zeros too, so they go first
-            magnitude = exp.lstrip("+-").lstrip("0") or "0"
-            too_long = len(magnitude) > limit
-            if not too_long:
-                e = int(magnitude) * (-1 if exp.startswith("-") else 1) - len(part)
-                too_long = max(digits + e, 1 - e - digits) > limit
-            if too_long:
-                raise ValueError(f"mass {raw} is too long: it {_TOO_LONG.format(limit)}")
-    try:
-        return Fraction(raw)
-    except ZeroDivisionError:
-        raise ValueError(f"mass {raw} has a zero denominator") from None
+    match = re.fullmatch(_MASS, raw)
+    if not match:
+        raise ValueError(f"Invalid literal for Fraction: {raw!r}")
+    sign, whole, denom, part, exp = (group.replace("_", "") for group in match.groups(""))
+    limit = _digit_limit()
+    too_long = f"mass {raw} is too long: "
+    if denom:
+        p, q = whole.lstrip("0"), denom.lstrip("0")
+        for name, side in (("numerator", p), ("denominator", q)):
+            if limit and len(side) > limit:
+                raise ValueError(too_long + f"its {name} {_TOO_LONG_TO_READ.format(limit)}")
+        if not q:
+            raise ValueError(f"mass {raw} has a zero denominator")
+        value = Fraction(int(p or "0"), int(q))
+    else:
+        digits = (whole + part).lstrip("0")
+        n = digits.rstrip("0")
+        if not n:
+            return Fraction(0)
+        # the limit counts an exponent's leading zeros too, so they go first
+        magnitude = exp.lstrip("+-").lstrip("0") or "0"
+        if limit and len(magnitude) > limit:
+            raise ValueError(too_long + f"it {_TOO_LONG.format(limit)}")
+        k = len(n)
+        e = int(magnitude) * (-1 if exp.startswith("-") else 1) - len(part) + len(digits) - k
+        if limit and max(k + e, 1 - e - k) > limit:
+            raise ValueError(too_long + f"it {_TOO_LONG.format(limit)}")
+        if limit and k > limit:
+            raise ValueError(too_long + f"its significand {_TOO_LONG_TO_READ.format(limit)}")
+        value = Fraction(int(n) * 10**e) if e >= 0 else Fraction(int(n), 10**-e)
+    return -value if sign == "-" else value
+
+
+def _refuse_unprintable(subject: str, payload: dict) -> None:
+    """Refuse ``subject`` as too long, naming the first int or Fraction of
+    ``payload`` that would print with more digits than the limit.  A value
+    of at most ``3 * limit`` bits is below ``10**limit``, so the power is
+    built only for a longer one."""
+    limit = _digit_limit()
+    if not limit:
+        return
+    for key, value in payload.items():
+        if type(value) is Fraction:
+            parts = (value.numerator, value.denominator)
+        elif type(value) is int:
+            parts = (value,)
+        else:
+            continue
+        if any(v.bit_length() > 3 * limit and abs(v) >= 10**limit for v in parts):
+            raise ValueError(f"{subject} is too long: its {key} {_TOO_LONG.format(limit)}")
 
 
 def _cmd_geo_hunt(args: argparse.Namespace) -> int:
     from .invariants import hunt_scan
 
     s = check_rank(args.s)
-    values = args.t or list(HUNT_SCAN)
-    limit = _digit_limit()
-    bound = limit and 10**limit
     rows = []
-    for raw in values:
+    for raw in args.t or HUNT_SCAN:
         t = _scan_mass(raw)
         f, (_, _, sci) = hunt_scan(s, t)
-        # a t that prints can still give an F or SCI that does not
-        for name, value in (("F", f), ("sci", sci)):
-            if bound and max(abs(value.numerator), value.denominator) >= bound:
-                raise ValueError(f"mass {raw} is too long: its {name} {_TOO_LONG.format(limit)}")
+        # a t that passes its check can still give an F or SCI that does not print
+        _refuse_unprintable(f"mass {raw}", {"F": f, "sci": sci})
         rows.append({"t": t, "F": f, "sci": sci, "positive_index": sci > 0})
     _emit({"s": args.s, "points": rows})
     return EXIT_OK

@@ -17,10 +17,9 @@ only the returned coordinates are Fractions; no floats anywhere.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from operator import mul
-from typing import NamedTuple
 
 from .branch import BranchData, CoverSpec, eigensheaf_degrees, hurwitz_degree, is_flat
 from .cover import half_point_count
@@ -106,17 +105,14 @@ def topological_euler(spec: CoverSpec) -> tuple[Fraction, bool]:
     return Fraction(num, 48 * A), a == (1, 1, 1, 1)
 
 
-class InvariantReport(NamedTuple):
-    k3: Fraction
-    chi: int
-    euler: Fraction
-    euler_exact: bool
-    hurwitz: Fraction
-    half_points: int | None
-    flat: bool
-    x: Fraction | None
-    y: Fraction | None
-    sci: Fraction | None
+class InvariantReport(namedtuple("InvariantReport",
+                                 "k3 chi euler euler_exact hurwitz half_points flat x y sci")):
+    """Outcome of :func:`invariant_report`: ``k3``, ``euler`` and
+    ``hurwitz`` are Fractions; ``half_points`` is None when the count is
+    fractional, and the Fractions ``x``, ``y`` and ``sci`` are None when
+    ``chi`` is 0."""
+
+    __slots__ = ()
 
 
 def invariant_report(spec: CoverSpec) -> InvariantReport:

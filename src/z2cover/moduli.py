@@ -13,9 +13,9 @@ by the degree proxy, never verified geometrically.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from itertools import combinations
 from math import gcd
-from typing import NamedTuple
 
 from .branch import BranchData, CoverSpec, _message_bits, eigensheaf_degrees, hurwitz_degree
 from .gf2 import dot
@@ -32,15 +32,12 @@ __all__ = [
 STABILITY_NOTE = "stable by pair criterion, not verified"
 
 
-class DeformationReport(NamedTuple):
+class DeformationReport(namedtuple("DeformationReport",
+                                   "pairwise_ok failing_pairs total_degree_ok weights_coprime"
+                                   " genericity_assumed messages")):
     """Outcome of the numeric rigidity conditions for one cover."""
 
-    pairwise_ok: bool
-    failing_pairs: tuple[tuple[int, int], ...]
-    total_degree_ok: bool
-    weights_coprime: bool
-    genericity_assumed: bool
-    messages: tuple[str, ...]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -118,7 +115,8 @@ def gen_new_component(M: int) -> CoverSpec:
     return CoverSpec(weights=Weights((1, 1, 1, M)), branch=BranchData(4, tuple(d)))
 
 
-class UnboundedFamily(NamedTuple):
+class UnboundedFamily(namedtuple("UnboundedFamily",
+                                 "kind s m weights chi0 height l_on l_off total M flat")):
     """One member of the unbounded pluricanonical families on P(1,1,L,L).
 
     The branch degrees are constant (``height``) on the affine hyperplane
@@ -127,17 +125,7 @@ class UnboundedFamily(NamedTuple):
     degree table would not fit in memory.
     """
 
-    kind: str
-    s: int
-    m: int
-    weights: Weights
-    chi0: int
-    height: int
-    l_on: int
-    l_off: int
-    total: int
-    M: int
-    flat: bool
+    __slots__ = ()
 
     @property
     def L(self) -> int:

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import functools
 import struct
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 __all__ = [
     "NonIntegralError",

@@ -16,8 +16,8 @@ class is known, whatever the size of ``n``.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable, Iterator
 from math import gcd, lcm
-from typing import Iterable, Iterator
 
 __all__ = ["Weights", "well_formed", "monomial_count", "euler_char_line"]
 

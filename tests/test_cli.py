@@ -147,6 +147,36 @@ class TestCover:
         assert (code, out) == (EXIT_MALFORMED, "")
         assert err.startswith(f"error: cannot read {p}: 'utf-8' codec can't decode byte 0xe9")
 
+    @pytest.mark.parametrize("argv", COVER_COMMANDS)
+    def test_names_a_number_past_the_digit_limit(self, capsys, cover_file, argv):
+        # the decoder reads the 5001-digit degree with int(), which refuses it
+        text = '{"weights": [1, 1, 1, 1], "s": 1, "d": {"1": 1' + "0" * 5000 + "}}"
+        code, out, err = run_cli(capsys, *argv, cover_file(text))
+        assert (code, out) == (EXIT_MALFORMED, "")
+        assert err == ("error: a number in the file has more than 4300 digits,"
+                       " the interpreter's limit (sys.set_int_max_str_digits)\n")
+
+    @pytest.mark.parametrize("argv, code, field", [
+        (("cover", "check"), EXIT_MALFORMED, "half_points"),
+        (("cover", "invariants"), EXIT_MALFORMED, "K3"),
+        (("deform", "check"), EXIT_INVALID, None),
+    ], ids=["check", "invariants", "deform"])
+    def test_names_the_first_field_that_would_not_print(self, capsys, monkeypatch, cover_file,
+                                                         argv, code, field):
+        # three 1501-digit degrees: the half-point count N^3 and K^3 have
+        # about 4500 digits, while deform check prints only degrees
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+        n = 10**1500
+        path = cover_file(json.dumps({"weights": [1, 1, 1, 1], "s": 2,
+                                      "d": {"10": n, "01": n, "11": n}}))
+        got, out, err = run_cli(capsys, *argv, path)
+        if field is None:
+            assert (got, err) == (code, "") and json.loads(out)["failing_pairs"]
+        else:
+            assert (got, out) == (code, "")
+            assert err == (f"error: cover {path} is too long: its {field} would print with more"
+                           " than 4300 digits, the interpreter's limit (sys.set_int_max_str_digits)\n")
+
     def test_check_negative_degree(self, capsys, cover_file):
         text = '{"weights": [1, 1, 1, 1], "s": 2, "d": {"10": 2, "01": -1}}'
         code, out, err = run_cli(capsys, "cover", "check", cover_file(text))
@@ -644,7 +674,7 @@ def test_parser_text_frozen(capsys, monkeypatch, line, code, out_digest, err_dig
             hashlib.sha256(err.encode()).hexdigest()) == (code, out_digest, err_digest)
 
 
-# modules each command must leave unloaded; none imports dataclasses
+# modules each command must leave unloaded; none imports dataclasses or typing
 COMMAND_SKIPS = [
     ("classify --s 2 --m 1", ("z2cover.invariants", "z2cover.moduli", "csv", "json",
                               "z2cover.cover", "z2cover.handlers")),
@@ -657,7 +687,7 @@ COMMAND_SKIPS = [
 
 @pytest.mark.parametrize("line, skipped", COMMAND_SKIPS, ids=[line for line, _ in COMMAND_SKIPS])
 def test_command_loads_only_its_modules(cover_file, line, skipped):
-    skipped += ("dataclasses", "inspect", "ast", "dis")
+    skipped += ("dataclasses", "inspect", "ast", "dis", "typing")
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); from z2cover import cli; "
         "rc = cli.main(sys.argv[3:]); "

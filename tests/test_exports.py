@@ -4,6 +4,7 @@ deliberate edit here.  The test oracles stay independent of the package."""
 
 import ast
 import importlib
+import pickle
 import pkgutil
 import subprocess
 import sys
@@ -92,6 +93,35 @@ def test_dir_lists_the_exports():
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match=r"^module 'z2cover' has no attribute 'nope'$"):
         z2cover.nope
+
+
+# each record's fields in order (the key order of its JSON output) and its defaults
+RECORDS = [
+    ("classify.PluricanonicalReport", "m D M k l p_m flat admissible reasons", {}),
+    ("classify.AdmissibleSolution", "weights s m k d l D p_m flat status note",
+     {"status": "main", "note": ""}),
+    ("classify.DistributionCounts", "s D base counts", {}),
+    ("classify.RankOneFamily", "weights m t_min t_sup status note",
+     {"status": "main", "note": ""}),
+    ("branch.CoverSpec", "weights branch", {}),
+    ("cover.ValidationReport", "parity_ok integral_degrees weights_well_formed flat"
+     " branching_positive connected hurwitz half_points half_points_integral messages", {}),
+    ("invariants.InvariantReport", "k3 chi euler euler_exact hurwitz half_points flat x y sci", {}),
+    ("moduli.DeformationReport", "pairwise_ok failing_pairs total_degree_ok weights_coprime"
+     " genericity_assumed messages", {}),
+    ("moduli.UnboundedFamily", "kind s m weights chi0 height l_on l_off total M flat", {}),
+]
+
+
+@pytest.mark.parametrize("path, fields, defaults", RECORDS, ids=[path for path, *_ in RECORDS])
+def test_record_fields_are_pinned(path, fields, defaults):
+    module, name = path.split(".")
+    record = getattr(importlib.import_module(f"z2cover.{module}"), name)
+    assert (record._fields, record._field_defaults) == (tuple(fields.split()), defaults)
+    value = record(*range(len(record._fields)))
+    assert not hasattr(value, "__dict__")
+    assert type(pickle.loads(pickle.dumps(value))) is record
+    assert repr(value).startswith(f"{name}({record._fields[0]}=0, ")
 
 
 def test_oracles_import_no_library_and_each_is_used():

@@ -11,6 +11,7 @@ masses, and the first values out of range.
 
 import contextlib
 import io
+import json
 import signal
 
 import pytest
@@ -58,8 +59,8 @@ def _argv_id(argv):
     return " ".join(arg if len(arg) < 20 else f"<{len(arg)} digits>" for arg in argv)
 
 
-@pytest.mark.parametrize("argv", ARGVS, ids=[_argv_id(argv) for argv in ARGVS])
-def test_edge_argv_ends_in_budget(argv):
+def _run(argv):
+    """``(exit code, stdout, stderr)`` of ``argv`` run within the budget."""
     out, err = io.StringIO(), io.StringIO()
     previous = signal.signal(signal.SIGALRM, _overrun)
     signal.alarm(BUDGET_S)
@@ -72,9 +73,35 @@ def test_edge_argv_ends_in_budget(argv):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    message = err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", ARGVS, ids=[_argv_id(argv) for argv in ARGVS])
+def test_edge_argv_ends_in_budget(argv):
+    code, _, message = _run(argv)
     assert code in (EXIT_OK, EXIT_INVALID, EXIT_MALFORMED)
     assert "Traceback" not in message
     if code == EXIT_MALFORMED:
         words = [word for flag in argv if flag in NAMES for word in NAMES[flag]]
         assert any(word in message for word in words), message
+
+
+# literals longer than the digit limit: the first two are 1/10 and 1/2, and
+# the third is a p/q whose numerator cannot be read
+LONG_MASSES = [
+    ("1e-" + "0" * 5000 + "1", "1/10"),
+    ("0.5" + "0" * 5000, "1/2"),
+    ("2" + "0" * 5000 + "/4" + "0" * 5000, None),
+]
+
+
+@pytest.mark.parametrize("mass, t", LONG_MASSES, ids=[_argv_id([mass]) for mass, _ in LONG_MASSES])
+def test_long_mass_literal_is_read_by_its_value(mass, t):
+    code, out, err = _run(["geography", "hunt", "--t", mass])
+    if t:
+        assert (code, err) == (EXIT_OK, "")
+        assert [row["t"] for row in json.loads(out)["points"]] == [t]
+    else:
+        assert (code, out) == (EXIT_MALFORMED, "")
+        assert err == (f"error: mass {mass} is too long: its numerator has more than 4300 digits,"
+                       " the interpreter's limit (sys.set_int_max_str_digits)\n")
